@@ -19,13 +19,13 @@ from . import stats as stats_mod
 from .metrics import MetricError, ScoringConfig, score_pair
 from .segmentation import (
     CHARACTER,
+    DEFAULT_TRADITIONAL_THRESHOLD,
     WORD,
     LexiconError,
     default_lexicon,
     load_lexicon,
     load_variant_table,
-    segment_chars,
-    segment_words,
+    tokenize,
 )
 
 EXIT_OK = 0
@@ -55,10 +55,7 @@ def _read_text_arg(value: str) -> str:
 def cmd_segment(args) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
     text = _read_text_arg(args.text)
-    if args.level == CHARACTER or args.level == "char":
-        tokens = segment_chars(text).tokens
-    else:
-        tokens = segment_words(text, lexicon).tokens
+    tokens = tokenize(text, CHARACTER if args.level == "char" else args.level, lexicon).tokens
     sep = "\n" if args.lines else "/"
     print(sep.join(tokens))
     return EXIT_OK
@@ -94,26 +91,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _scoring_from_path(path: str) -> ScoringConfig:
+def _read_json(path, what: str) -> dict:
+    """The JSON object in a config or matrix file; anything else is a CliError."""
     if not Path(path).is_file():
-        raise CliError(f"config file not found: {path}")
+        raise CliError(f"{what} file not found: {path}")
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON config {path}: {exc.msg}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"invalid JSON {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
+def _scoring_from_path(path: str) -> ScoringConfig:
+    data = _read_json(path, "config")
     return ScoringConfig.from_dict(data.get("scoring", data))
 
 
 def _load_run_config(path: str) -> dict:
-    if not Path(path).is_file():
-        raise CliError(f"config file not found: {path}")
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON config {path}: {exc.msg}") from exc
+    config = _read_json(path, "config")
     if "corpus" not in config or "backends" not in config:
         raise CliError("run config requires 'corpus' and 'backends'")
     return config
+
+
+def _config_value(config: dict, key: str, default, kind):
+    """config[key] (or default) converted by kind; a value kind rejects is a CliError."""
+    try:
+        return kind(config.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"run config {key!r} must be {kind.__name__}, got {config[key]!r}") from exc
 
 
 def cmd_run(args) -> int:
@@ -133,8 +141,9 @@ def cmd_run(args) -> int:
     except (pipeline_mod.ConfigError, TypeError) as exc:
         raise CliError(f"bad backend config: {exc}") from exc
     scoring = ScoringConfig.from_dict(config.get("scoring", {}))
-    master_seed = args.seed if args.seed is not None else int(config.get("master_seed", 0))
-    repetitions = int(config.get("repetitions", 1))
+    master_seed = (args.seed if args.seed is not None
+                   else _config_value(config, "master_seed", 0, int))
+    repetitions = _config_value(config, "repetitions", 1, int)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
         loaded,
@@ -144,9 +153,10 @@ def cmd_run(args) -> int:
         master_seed,
         lexicon=lexicon,
         variant_table=table,
-        verbatim_threshold=float(config.get("verbatim_threshold",
-                                            pipeline_mod.DEFAULT_VERBATIM_THRESHOLD)),
-        traditional_threshold=float(config.get("traditional_threshold", 0.05)),
+        verbatim_threshold=_config_value(config, "verbatim_threshold",
+                                         pipeline_mod.DEFAULT_VERBATIM_THRESHOLD, float),
+        traditional_threshold=_config_value(config, "traditional_threshold",
+                                            DEFAULT_TRADITIONAL_THRESHOLD, float),
     )
 
     pipeline_mod.write_records(records, out_dir / "records.jsonl")
@@ -158,11 +168,12 @@ def cmd_run(args) -> int:
         (out_dir / f"matrix_{name}.json").write_text(
             json.dumps(matrix.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8"
         )
-    _emit_reports(matrices, out_dir, args.alpha, args.correction)
+    _emit_stats(matrices, out_dir, args.alpha, args.correction)
+    _emit_report(matrices, out_dir)
 
     errors = sum(1 for rec in records if rec.error is not None)
     missing_fraction = max(m.missing_fraction() for m in matrices.values())
-    threshold = float(config.get("max_missing_fraction", 1.0))
+    threshold = _config_value(config, "max_missing_fraction", 1.0, float)
     print(
         f"{len(records)} records, {errors} errors, "
         f"missing fraction {missing_fraction:.3f}",
@@ -175,7 +186,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _emit_reports(matrices, out_dir: Path, alpha: float, correction: str) -> None:
+def _emit_stats(matrices, out_dir: Path, alpha: float,
+                correction: str) -> list[stats_mod.MetricBattery]:
+    """Significance battery per metric: pairwise_tests.csv and stats_report.json."""
     batteries = []
     for name in sorted(matrices):
         try:
@@ -183,22 +196,28 @@ def _emit_reports(matrices, out_dir: Path, alpha: float, correction: str) -> Non
                 matrices[name], alpha=alpha, correction=correction))
         except stats_mod.StatsError as exc:
             print(f"stats skipped for {name}: {exc}", file=sys.stderr)
+    report_mod.emit_pairwise_csv(batteries, out_dir / "pairwise_tests.csv")
+    report_mod.emit_stats_report(batteries, out_dir / "stats_report.json")
+    return batteries
+
+
+def _emit_report(matrices, out_dir: Path) -> None:
+    """Summaries, metric correlations and the plot bundle."""
     correlations = report_mod.metric_correlations(matrices)
     report_mod.emit_summaries_csv(report_mod.summarize_all(matrices),
                                   out_dir / "summaries.csv")
-    report_mod.emit_pairwise_csv(batteries, out_dir / "pairwise_tests.csv")
     report_mod.emit_correlations_csv(correlations, out_dir / "correlations.csv")
     report_mod.emit_plot_data(matrices, correlations, out_dir / "plot_bundle.json")
-    report_mod.emit_stats_report(batteries, out_dir / "stats_report.json")
 
 
 def _load_matrices(paths) -> dict:
     matrices = {}
     for path in paths:
-        if not Path(path).is_file():
-            raise CliError(f"matrix file not found: {path}")
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        matrix = stats_mod.ScoreMatrix.from_dict(data)
+        data = _read_json(path, "matrix")
+        try:
+            matrix = stats_mod.ScoreMatrix.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"malformed matrix file {path}: {type(exc).__name__}: {exc}") from exc
         matrices[matrix.metric] = matrix
     return matrices
 
@@ -207,15 +226,7 @@ def cmd_stats(args) -> int:
     matrices = _load_matrices(args.matrices)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    batteries = []
-    for name in sorted(matrices):
-        try:
-            batteries.append(stats_mod.run_metric_battery(
-                matrices[name], alpha=args.alpha, correction=args.correction))
-        except stats_mod.StatsError as exc:
-            print(f"stats skipped for {name}: {exc}", file=sys.stderr)
-    report_mod.emit_pairwise_csv(batteries, out_dir / "pairwise_tests.csv")
-    report_mod.emit_stats_report(batteries, out_dir / "stats_report.json")
+    batteries = _emit_stats(matrices, out_dir, args.alpha, args.correction)
     total = sum(len(b.significant_pairs) for b in batteries)
     print(f"{len(batteries)} metrics tested, {total} significant pairs", file=sys.stderr)
     return EXIT_OK
@@ -231,11 +242,7 @@ def cmd_report(args) -> int:
     matrices = _load_matrices(paths)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    correlations = report_mod.metric_correlations(matrices)
-    report_mod.emit_summaries_csv(report_mod.summarize_all(matrices),
-                                  out_dir / "summaries.csv")
-    report_mod.emit_correlations_csv(correlations, out_dir / "correlations.csv")
-    report_mod.emit_plot_data(matrices, correlations, out_dir / "plot_bundle.json")
+    _emit_report(matrices, out_dir)
     print(f"report written to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a JSONL corpus")
     p.add_argument("corpus")
-    p.add_argument("--threshold", type=float, default=0.05,
+    p.add_argument("--threshold", type=float, default=DEFAULT_TRADITIONAL_THRESHOLD,
                    help="traditional-character ratio that triggers a warning")
     p.add_argument("--variant-table", dest="variant_table")
     p.set_defaults(func=cmd_validate)

@@ -1,6 +1,6 @@
 """Pairwise scores for an (original, back-translation) pair: two BLEU
 weightings, character-n-gram F-score, token edit rate, and TF-IDF cosine
-similarity. All five share one segmentation pass via score_pair.
+similarity. All five share one segmentation pass via score_tokens.
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ from .segmentation import (
     WORD,
     CHARACTER,
     Lexicon,
-    TokenList,
-    default_lexicon,
     ngrams,
-    segment_chars,
-    segment_words,
+    tokenize,
 )
 
 TECHNICAL_WEIGHTS = (0.5, 0.5, 0.0, 0.0)
@@ -92,6 +89,10 @@ class ScoringConfig:
     chrf_beta: float = 2.0
     level: str = WORD
 
+    def __post_init__(self) -> None:
+        if self.level not in (WORD, CHARACTER):
+            raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
+
     def as_dict(self) -> dict:
         return {
             "bleu_weights": list(self.bleu_weights),
@@ -104,6 +105,9 @@ class ScoringConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoringConfig":
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise MetricError(f"unknown scoring fields: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("bleu_weights", "bleu_unif_weights"):
             if key in kwargs:
@@ -262,12 +266,6 @@ def semantic_similarity(candidate, reference, idf: IdfModel) -> float:
     return min(1.0, max(0.0, dot / (norm_c * norm_r)))
 
 
-def _tokenize(text: str, lexicon: Lexicon, level: str) -> TokenList:
-    if level == CHARACTER:
-        return segment_chars(text)
-    return segment_words(text, lexicon)
-
-
 def score_pair(
     original: str,
     backtranslation: str,
@@ -281,18 +279,22 @@ def score_pair(
     """
     if not original.strip():
         raise MetricError("original must be non-empty")
-    if lexicon is None:
-        lexicon = default_lexicon()
-    ref_tokens = _tokenize(original, lexicon, config.level)
-    cand_tokens = _tokenize(backtranslation, lexicon, config.level)
+    ref_tokens = tokenize(original, config.level, lexicon)
+    cand_tokens = tokenize(backtranslation, config.level, lexicon)
     if idf is None:
         idf = fit_idf([ref_tokens, cand_tokens])
+    return score_tokens(cand_tokens, ref_tokens, config, idf)
+
+
+def score_tokens(cand_tokens, ref_tokens, config: ScoringConfig, idf: IdfModel) -> MetricVector:
+    """All five metrics for one tokenized pair. chrF reads the joined tokens, which
+    differ from the texts only by whitespace that chrF strips anyway."""
     technical = BleuConfig(config.bleu_weights, config.smoothing_epsilon, config.level)
     uniform = BleuConfig(config.bleu_unif_weights, config.smoothing_epsilon, config.level)
     return MetricVector(
         bleu=bleu(cand_tokens, ref_tokens, technical),
         bleu_unif=bleu(cand_tokens, ref_tokens, uniform),
-        chrf=chrf(backtranslation, original, config.chrf_max_n, config.chrf_beta),
+        chrf=chrf("".join(cand_tokens), "".join(ref_tokens), config.chrf_max_n, config.chrf_beta),
         ter=ter(cand_tokens, ref_tokens),
         semantic_similarity=semantic_similarity(cand_tokens, ref_tokens, idf),
     )

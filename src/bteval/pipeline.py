@@ -32,14 +32,15 @@ from .metrics import (
     DEFAULT_SCORING,
     bleu,
     fit_idf,
-    score_pair,
+    score_tokens,
 )
 from .segmentation import (
+    DEFAULT_TRADITIONAL_THRESHOLD,
     Lexicon,
     default_lexicon,
-    default_variant_table,
     detect_traditional,
     segment_words,
+    tokenize,
 )
 from .stats import ExperimentDesign, ScoreMatrix
 
@@ -154,7 +155,7 @@ class RunManifest:
         direction: list(templates) for direction, templates in PROMPT_VARIANTS.items()
     })
     verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD
-    traditional_threshold: float = 0.05
+    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -395,8 +396,6 @@ def detect_verbatim(zhx: str, zhy: str, lexicon: Lexicon | None = None,
     """Word-level 1-2 gram BLEU of the back-translation against its own source."""
     if not zhx.strip():
         raise ValueError("zhx must be non-empty")
-    if lexicon is None:
-        lexicon = default_lexicon()
     reference = segment_words(zhx, lexicon)
     candidate = segment_words(zhy, lexicon)
     similarity = bleu(candidate, reference, BleuConfig())
@@ -404,8 +403,8 @@ def detect_verbatim(zhx: str, zhy: str, lexicon: Lexicon | None = None,
 
 
 def _roundtrip(backend, config: BackendConfig, sample: TextSample, repetition: int,
-               master_seed: int, lexicon: Lexicon, variant_table: dict[str, str],
-               verbatim_threshold: float, traditional_threshold: float) -> TranslationRecord:
+               master_seed: int) -> TranslationRecord:
+    """Both translation legs; a failed leg becomes the record's error."""
     seed = derive_seed(master_seed, sample.id, config.id, repetition)
     variant = (repetition - 1) % len(PROMPT_VARIANTS[ZH_TO_EN])
     record = TranslationRecord(
@@ -426,12 +425,6 @@ def _roundtrip(backend, config: BackendConfig, sample: TextSample, repetition: i
     except BackendError as exc:
         record.zhy = ""
         record.error = str(exc)
-        return record
-    similarity, flagged = detect_verbatim(sample.text, record.zhy, lexicon, verbatim_threshold)
-    record.verbatim_flag = flagged
-    _, record.traditional_flag = detect_traditional(
-        record.zhy, variant_table, traditional_threshold
-    )
     return record
 
 
@@ -443,23 +436,23 @@ def backtranslate(
     lexicon: Lexicon | None = None,
     variant_table: dict[str, str] | None = None,
     verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD,
-    traditional_threshold: float = 0.05,
+    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD,
     backend=None,
 ) -> list[TranslationRecord]:
     """r independent round-trips with distinct derived seeds and cycled prompts."""
     if r < 1:
         raise ConfigError("repetitions must be >= 1")
-    if lexicon is None:
-        lexicon = default_lexicon()
-    if variant_table is None:
-        variant_table = default_variant_table()
     if backend is None:
         backend = make_backend(backend_config, lexicon)
-    return [
-        _roundtrip(backend, backend_config, sample, rep, master_seed,
-                   lexicon, variant_table, verbatim_threshold, traditional_threshold)
-        for rep in range(1, r + 1)
-    ]
+    records = [_roundtrip(backend, backend_config, sample, rep, master_seed)
+               for rep in range(1, r + 1)]
+    for record in records:
+        if record.error is None:
+            _, record.verbatim_flag = detect_verbatim(
+                record.zhx, record.zhy, lexicon, verbatim_threshold)
+            _, record.traditional_flag = detect_traditional(
+                record.zhy, variant_table, traditional_threshold)
+    return records
 
 
 def run_experiment(
@@ -471,7 +464,7 @@ def run_experiment(
     lexicon: Lexicon | None = None,
     variant_table: dict[str, str] | None = None,
     verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD,
-    traditional_threshold: float = 0.05,
+    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD,
     backend_instances: dict | None = None,
 ) -> tuple[dict[str, ScoreMatrix], list[TranslationRecord], RunManifest]:
     """Full grid execution: per-metric score matrices, the sorted record log, and a manifest.
@@ -481,10 +474,6 @@ def run_experiment(
     """
     if len({b.id for b in backends}) != len(backends):
         raise ConfigError("backend ids must be unique within a run")
-    if lexicon is None:
-        lexicon = default_lexicon()
-    if variant_table is None:
-        variant_table = default_variant_table()
 
     records: list[TranslationRecord] = []
     for config in backends:
@@ -495,28 +484,34 @@ def run_experiment(
         jobs = [(sample, rep) for sample in corpus for rep in range(1, r + 1)]
         with ThreadPoolExecutor(max_workers=max(1, config.max_workers)) as pool:
             futures = [
-                pool.submit(_roundtrip, backend, config, sample, rep, master_seed,
-                            lexicon, variant_table, verbatim_threshold, traditional_threshold)
+                pool.submit(_roundtrip, backend, config, sample, rep, master_seed)
                 for sample, rep in jobs
             ]
             records.extend(f.result() for f in futures)
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     # IDF refits on this batch: every original plus every non-error back-translation.
-    documents = [segment_words(s.text, lexicon) for s in corpus]
-    documents.extend(
-        segment_words(rec.zhy, lexicon) for rec in records if rec.error is None
-    )
+    scored = [rec for rec in records if rec.error is None]
+    texts = [s.text for s in corpus] + [rec.zhy for rec in scored]
+    tokens = {text: tokenize(text, scoring.level, lexicon) for text in dict.fromkeys(texts)}
+    documents = [tokens[text] for text in texts]
     idf = fit_idf(documents) if len(documents) >= 2 else None
+    # The default technical BLEU is the verbatim detector's own quantity.
+    verbatim_from_bleu = (
+        BleuConfig(scoring.bleu_weights, scoring.smoothing_epsilon, scoring.level) == BleuConfig()
+    )
 
     design = ExperimentDesign(n=len(corpus), k=len(backends), r=r)
     block_index = {s.id: i for i, s in enumerate(corpus)}
     treatment_index = {b.id: j for j, b in enumerate(backends)}
     grids = {name: np.full((design.n, design.k, design.r), np.nan) for name in METRIC_NAMES}
-    for rec in records:
-        if rec.error is not None:
-            continue
-        vector = score_pair(rec.zhx, rec.zhy, lexicon, scoring, idf)
+    for rec in scored:
+        vector = score_tokens(tokens[rec.zhy], tokens[rec.zhx], scoring, idf)
+        if verbatim_from_bleu:
+            rec.verbatim_flag = vector.bleu >= verbatim_threshold
+        else:
+            _, rec.verbatim_flag = detect_verbatim(rec.zhx, rec.zhy, lexicon, verbatim_threshold)
+        _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table, traditional_threshold)
         b, t, rep = block_index[rec.sample_id], treatment_index[rec.backend_id], rec.repetition - 1
         for name in METRIC_NAMES:
             grids[name][b, t, rep] = vector[name]

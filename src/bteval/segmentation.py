@@ -187,6 +187,13 @@ def segment_chars(text: str) -> TokenList:
     return TokenList(tuple(ch for ch in text if not ch.isspace()), CHARACTER)
 
 
+def tokenize(text: str, level: str = WORD, lexicon: Lexicon | None = None) -> TokenList:
+    """Character tokens at the character level, lexicon words otherwise."""
+    if level == CHARACTER:
+        return segment_chars(text)
+    return segment_words(text, lexicon)
+
+
 def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
     """Multiset of contiguous n-token windows; empty when the sequence is shorter than n."""
     if n < 1:

@@ -250,6 +250,17 @@ def bonferroni(p_values) -> list[float]:
     return [min(1.0, len(ps) * p) for p in ps]
 
 
+def adjust_p(p_values, correction: str = BENJAMINI_HOCHBERG) -> list[float]:
+    """Multiple-comparison adjustment selected by name, order preserved."""
+    if correction == BENJAMINI_HOCHBERG:
+        return benjamini_hochberg(p_values)
+    if correction == BONFERRONI:
+        return bonferroni(p_values)
+    if correction == NO_CORRECTION:
+        return list(p_values)
+    raise StatsError(f"unknown correction {correction!r}")
+
+
 def dunn_posthoc(
     means,
     correction: str = BENJAMINI_HOCHBERG,
@@ -270,14 +281,7 @@ def dunn_posthoc(
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     zs = [(mean_ranks[i] - mean_ranks[j]) / scale for i, j in pairs]
     raw = [2.0 * tails.normal_sf(abs(z)) for z in zs]
-    if correction == BENJAMINI_HOCHBERG:
-        adjusted = benjamini_hochberg(raw)
-    elif correction == BONFERRONI:
-        adjusted = bonferroni(raw)
-    elif correction == NO_CORRECTION:
-        adjusted = list(raw)
-    else:
-        raise StatsError(f"unknown correction {correction!r}")
+    adjusted = adjust_p(raw, correction)
     return [
         PairwiseComparison(
             treatment_a=treatment_ids[i],
@@ -328,13 +332,7 @@ def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list
     names = list(series)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     results = [spearman(series[a], series[b]) for a, b in pairs]
-    raw = [p for _, p in results]
-    if correction == BENJAMINI_HOCHBERG:
-        adjusted = benjamini_hochberg(raw)
-    elif correction == BONFERRONI:
-        adjusted = bonferroni(raw)
-    else:
-        adjusted = list(raw)
+    adjusted = adjust_p([p for _, p in results], correction)
     return [
         CorrelationEntry(a, b, rho, p, adj)
         for (a, b), (rho, p), adj in zip(pairs, results, adjusted)

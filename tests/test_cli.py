@@ -224,6 +224,21 @@ def test_run_missing_config_exits_2(capsys, tmp_path):
     assert code == EXIT_USAGE and "not found" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"scoring": {"bogus": 1}}, "unknown scoring fields"),
+    ({"scoring": {"level": "sentence"}}, "scoring level"),
+    ({"repetitions": "three"}, "'repetitions' must be int"),
+], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions"])
+def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
+                                                 extra, message):
+    config = write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS, **extra)
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and message in err
+    assert not (out_dir / "records.jsonl").exists()
+
+
 # ---------------------------------------------------------------- stats/report
 
 def test_stats_constant_matrix_empty_pairs(capsys, tmp_path):
@@ -269,6 +284,18 @@ def test_stats_missing_matrix_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "stats", str(tmp_path / "matrix_none.json"),
                           "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE and "not found" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"metric": "bleu", "design": {"n": 2,', "invalid JSON matrix"),
+    ('{"metric": "bleu"}', "KeyError: 'design'"),
+], ids=["truncated", "missing-design"])
+def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(content, encoding="utf-8")
+    code, _, err = invoke(capsys, "stats", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and message in err
 
 
 def test_report_over_run_dir(capsys, tmp_path, tiny_corpus_path):

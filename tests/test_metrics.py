@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bteval.metrics import (
     BleuConfig,
@@ -273,6 +273,17 @@ def test_score_pair_ranges():
         assert 0.0 <= v.chrf <= 1.0
         assert 0.0 <= v.semantic_similarity <= 1.0
         assert v.ter >= 0.0
+
+
+@given(st.text(alphabet="化学工程元素 \t\u3000\x1c\xa0药品", min_size=1, max_size=20),
+       st.text(alphabet="化学工程元素 \t\u3000\x1c\xa0药品", max_size=20),
+       st.sampled_from(["word", "character"]))
+@settings(max_examples=200, deadline=None)
+def test_score_pair_chrf_equals_chrf_over_raw_texts(original, candidate, level):
+    # score_pair reads chrF from the joined tokens; only whitespace may differ
+    assume(original.strip())
+    vector = score_pair(original, candidate, config=ScoringConfig(level=level))
+    assert vector.chrf == chrf(candidate, original)
 
 
 def test_score_pair_rejects_empty_original():

@@ -7,7 +7,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from bteval.corpus import Corpus, TextSample
+from bteval import metrics, pipeline, segmentation
+from bteval.corpus import Corpus, TextSample, parse_corpus
+from bteval.metrics import ScoringConfig, fit_idf, semantic_similarity
 from bteval.pipeline import (
     EN_TO_ZH,
     ZH_TO_EN,
@@ -26,7 +28,7 @@ from bteval.pipeline import (
     write_records,
 )
 
-from conftest import HUA_YAO_MODELS, fixture_text
+from conftest import FIXTURES, HUA_YAO_MODELS, fixture_text
 
 
 def mock_config(model="identity", backend_id="m1", **kwargs):
@@ -335,6 +337,56 @@ def test_run_experiment_replay_equality():
     for metric in first[0]:
         assert np.array_equal(first[0][metric].values, second[0][metric].values,
                               equal_nan=True)
+
+
+def cnki_head(n=12):
+    loaded = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
+    return Corpus(name="cnki-head", samples=list(loaded)[:n])
+
+
+NOISY = [mock_config("noise", backend_id="mild", drop_prob=0.05, swap_prob=0.02),
+         mock_config("noise", backend_id="harsh", drop_prob=0.4, swap_prob=0.2)]
+
+
+@pytest.mark.parametrize("scoring", [ScoringConfig(), ScoringConfig(smoothing_epsilon=0.1)],
+                         ids=["flag-from-bleu", "detector-fallback"])
+def test_run_experiment_verbatim_flag_matches_detector(scoring):
+    _, records, _ = run_experiment(cnki_head(), NOISY, r=2, scoring=scoring, master_seed=5)
+    flags = [rec.verbatim_flag for rec in records if rec.error is None]
+    assert len(flags) == len(records) and True in flags and False in flags
+    for rec in records:
+        assert rec.verbatim_flag == detect_verbatim(rec.zhx, rec.zhy)[1]
+
+
+def test_run_experiment_segments_each_distinct_original_once(monkeypatch):
+    calls = []
+    original = segmentation.segment_words
+
+    def counting(text, lexicon=None):
+        calls.append(text)
+        return original(text, lexicon)
+
+    for module in (segmentation, metrics, pipeline):
+        if hasattr(module, "segment_words"):  # every binding, however it is imported
+            monkeypatch.setattr(module, "segment_words", counting)
+    texts = ("化学工程领域的研究与分析。", "元素观点：物质由元素组成。", "化学工程领域的研究与分析。")
+    configs = [mock_config("identity", backend_id="i1"), mock_config("identity", backend_id="i2")]
+    run_experiment(tiny_corpus(texts), configs, r=3, master_seed=2)
+    assert sorted(calls) == sorted(set(texts))
+
+
+def test_run_experiment_character_idf_fits_character_documents():
+    corpus = cnki_head(6)
+    scoring = ScoringConfig(level="character")
+    matrices, records, _ = run_experiment(corpus, NOISY, r=2, scoring=scoring, master_seed=3)
+    chars = segmentation.segment_chars
+    idf = fit_idf([chars(s.text) for s in corpus] + [chars(rec.zhy) for rec in records])
+    blocks = {s.id: i for i, s in enumerate(corpus)}
+    treatments = {"mild": 0, "harsh": 1}
+    cells = matrices["semantic_similarity"].values
+    for rec in records:
+        expected = semantic_similarity(chars(rec.zhy), chars(rec.zhx), idf)
+        assert cells[blocks[rec.sample_id], treatments[rec.backend_id], rec.repetition - 1] == expected
 
 
 def test_run_experiment_rejects_duplicate_backend_ids():

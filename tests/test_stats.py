@@ -286,6 +286,15 @@ def test_spearman_battery_adjusts_jointly():
     assert all(e.adjusted_p >= e.raw_p - 1e-15 for e in entries)
 
 
+def test_unknown_correction_rejected_by_both_adjusted_tests():
+    rng = np.random.default_rng(9)
+    series = {name: rng.random(30).tolist() for name in "abc"}
+    with pytest.raises(StatsError, match="unknown correction"):
+        spearman_battery(series, correction="holm")
+    with pytest.raises(StatsError, match="unknown correction"):
+        dunn_posthoc(rng.random((10, 3)), correction="holm")
+
+
 # ---------------------------------------------------------------- shapiro-wilk
 
 def test_shapiro_constant_sample_rejected():
