@@ -1,8 +1,8 @@
 """Command-line driver: segment / score / validate / run / stats / report.
 
 Standard output carries data; diagnostics go to standard error. Exit
-codes: 0 success (warnings allowed), 1 degradation threshold exceeded,
-2 usage or configuration error.
+codes: 0 success (warnings allowed), 1 degradation threshold exceeded or
+no round-trip scored, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -179,6 +179,9 @@ def cmd_run(args) -> int:
         f"missing fraction {missing_fraction:.3f}",
         file=sys.stderr,
     )
+    if errors == len(records):
+        print("degraded: every round-trip failed, nothing was scored", file=sys.stderr)
+        return EXIT_DEGRADED
     if missing_fraction > threshold:
         print(f"degradation threshold exceeded ({missing_fraction:.3f} > {threshold})",
               file=sys.stderr)
@@ -203,8 +206,11 @@ def _emit_stats(matrices, out_dir: Path, alpha: float,
 
 def _emit_report(matrices, out_dir: Path) -> None:
     """Summaries, metric correlations and the plot bundle."""
+    summarized = {name: m for name, m in matrices.items() if m.observations().size}
+    for name in sorted(set(matrices) - set(summarized)):
+        print(f"summary skipped for {name}: matrix has no observations", file=sys.stderr)
     correlations = report_mod.metric_correlations(matrices)
-    report_mod.emit_summaries_csv(report_mod.summarize_all(matrices),
+    report_mod.emit_summaries_csv(report_mod.summarize_all(summarized),
                                   out_dir / "summaries.csv")
     report_mod.emit_correlations_csv(correlations, out_dir / "correlations.csv")
     report_mod.emit_plot_data(matrices, correlations, out_dir / "plot_bundle.json")

@@ -45,6 +45,8 @@ class BleuConfig:
             raise MetricError("weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise MetricError("weights must sum to 1")
+        if self.smoothing_epsilon is not None and not self.smoothing_epsilon > 0:
+            raise MetricError("smoothing_epsilon must be > 0 or null")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,12 @@ class ScoringConfig:
     def __post_init__(self) -> None:
         if self.level not in (WORD, CHARACTER):
             raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
+        if not isinstance(self.chrf_max_n, int) or self.chrf_max_n < 1:
+            raise MetricError(f"chrf_max_n must be an integer >= 1, not {self.chrf_max_n!r}")
+        if not self.chrf_beta > 0:
+            raise MetricError(f"chrf_beta must be > 0, not {self.chrf_beta!r}")
+        for weights in (self.bleu_weights, self.bleu_unif_weights):
+            BleuConfig(weights, self.smoothing_epsilon, self.level)
 
     def as_dict(self) -> dict:
         return {
@@ -109,10 +117,13 @@ class ScoringConfig:
         if unknown:
             raise MetricError(f"unknown scoring fields: {sorted(unknown)}")
         kwargs = dict(data)
-        for key in ("bleu_weights", "bleu_unif_weights"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        try:
+            for key in ("bleu_weights", "bleu_unif_weights"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
+            return cls(**kwargs)
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise MetricError(f"bad scoring config: {exc}") from exc
 
 
 DEFAULT_SCORING = ScoringConfig()

@@ -19,6 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,16 @@ class BackendConfig:
                 raise ConfigError(
                     f"backend {self.id}: {name} must contain exactly one {{text}} placeholder"
                 )
+        for name in ("drop_prob", "swap_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"backend {self.id}: {name} must lie in [0, 1]")
+        for name, low in (("max_retries", 0), ("max_workers", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ConfigError(f"backend {self.id}: {name} must be an integer >= {low}")
+        for name in ("rate_limit_rps", "timeout"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"backend {self.id}: {name} must be > 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendConfig":
@@ -440,18 +451,10 @@ def backtranslate(
     backend=None,
 ) -> list[TranslationRecord]:
     """r independent round-trips with distinct derived seeds and cycled prompts."""
-    if r < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if backend is None:
-        backend = make_backend(backend_config, lexicon)
-    records = [_roundtrip(backend, backend_config, sample, rep, master_seed)
-               for rep in range(1, r + 1)]
-    for record in records:
-        if record.error is None:
-            _, record.verbatim_flag = detect_verbatim(
-                record.zhx, record.zhy, lexicon, verbatim_threshold)
-            _, record.traditional_flag = detect_traditional(
-                record.zhy, variant_table, traditional_threshold)
+    _, records, _ = run_experiment(
+        Corpus(sample.id, [sample]), [backend_config], r, DEFAULT_SCORING, master_seed,
+        lexicon, variant_table, verbatim_threshold, traditional_threshold,
+        None if backend is None else {backend_config.id: backend})
     return records
 
 
@@ -472,22 +475,26 @@ def run_experiment(
     Backend failures become error records and missing score cells; only
     corpus or configuration problems abort the run.
     """
+    if r < 1:
+        raise ConfigError("repetitions must be >= 1")
     if len({b.id for b in backends}) != len(backends):
         raise ConfigError("backend ids must be unique within a run")
 
+    samples = [sample for sample in corpus for _ in range(r)]
+    reps = [rep for _ in corpus for rep in range(1, r + 1)]
     records: list[TranslationRecord] = []
     for config in backends:
         if backend_instances and config.id in backend_instances:
             backend = backend_instances[config.id]
         else:
             backend = make_backend(config, lexicon)
-        jobs = [(sample, rep) for sample in corpus for rep in range(1, r + 1)]
-        with ThreadPoolExecutor(max_workers=max(1, config.max_workers)) as pool:
-            futures = [
-                pool.submit(_roundtrip, backend, config, sample, rep, master_seed)
-                for sample, rep in jobs
-            ]
-            records.extend(f.result() for f in futures)
+        legs = (repeat(backend), repeat(config), samples, reps, repeat(master_seed))
+        # Only HTTP legs wait on I/O; the GIL-bound mocks run inline.
+        if config.kind == "http_llm":
+            with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+                records.extend(pool.map(_roundtrip, *legs))
+        else:
+            records.extend(map(_roundtrip, *legs))
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     # IDF refits on this batch: every original plus every non-error back-translation.

@@ -1,9 +1,9 @@
 """Chinese tokenization: lexicon-driven word segmentation, character
 segmentation, and simplified/traditional script detection.
 
-Word segmentation builds the DAG of all lexicon matches over the
-character sequence and picks the route maximizing the summed
-log(frequency / total) by right-to-left dynamic programming. Characters
+Word segmentation picks the route through the lexicon matches that
+maximizes the summed log(frequency / total), in one right-to-left
+dynamic-programming pass over the character sequence. Characters
 covered by no entry fall back to single-character tokens at the floor
 probability 1/total, so any input is segmentable.
 """
@@ -128,32 +128,21 @@ def default_lexicon() -> Lexicon:
 def _segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
     """Best-route segmentation of one whitespace-free chunk."""
     n = len(chunk)
-    # DAG: start index -> list of end indices of lexicon matches
-    dag: list[list[int]] = []
-    for i in range(n):
-        ends = []
-        j = i + 1
-        while j <= n and lexicon.is_prefix(chunk[i:j]):
-            if lexicon.freq(chunk[i:j]) > 0:
-                ends.append(j)
-            j += 1
-        if not ends:
-            ends.append(i + 1)
-        dag.append(ends)
-
-    floor = lexicon.floor_log_prob()
-    # route[i] = (best score from i to the end, chosen end index);
-    # ties prefer the longer first token, hence max over (score, end).
+    # route[i] = (best score from i to the end, chosen end index), built right
+    # to left over the lexicon matches starting at i, or the lone character
+    # when none match; ties prefer the longer first token, hence max over (score, end).
     route: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         best = None
-        for j in dag[i]:
+        j = i + 1
+        while j <= n and lexicon.is_prefix(chunk[i:j]):
             word = chunk[i:j]
-            lp = lexicon.log_prob(word) if lexicon.freq(word) > 0 else floor
-            cand = (lp + route[j][0], j)
-            if best is None or cand > best:
-                best = cand
-        route[i] = best  # type: ignore[assignment]
+            if lexicon.freq(word) > 0:
+                cand = (lexicon.log_prob(word) + route[j][0], j)
+                if best is None or cand > best:
+                    best = cand
+            j += 1
+        route[i] = best or (lexicon.log_prob(chunk[i]) + route[i + 1][0], i + 1)
 
     tokens = []
     i = 0
@@ -176,10 +165,7 @@ def segment_words(text: str, lexicon: Lexicon | None = None) -> TokenList:
 
 def route_score(tokens, lexicon: Lexicon) -> float:
     """Summed log-probability of a token route under a lexicon."""
-    return sum(
-        lexicon.log_prob(t) if lexicon.freq(t) > 0 else lexicon.floor_log_prob()
-        for t in tokens
-    )
+    return sum(lexicon.log_prob(t) for t in tokens)
 
 
 def segment_chars(text: str) -> TokenList:

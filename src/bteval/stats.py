@@ -132,14 +132,13 @@ class StatTestResult:
 
 def cell_means(matrix: ScoreMatrix) -> np.ndarray:
     """n x k grid of per-cell repetition means, skipping missing values."""
-    counts = (~np.isnan(matrix.values)).sum(axis=2)
-    if (counts == 0).any():
-        b, t = np.argwhere(counts == 0)[0]
+    empty = np.argwhere(np.isnan(matrix.values).all(axis=2))
+    if empty.size:
+        b, t = empty[0]
         raise StatsError(
             f"cell ({matrix.block_ids[b]}, {matrix.treatment_ids[t]}) has no observations"
         )
-    with np.errstate(invalid="ignore"):
-        return np.nanmean(matrix.values, axis=2)
+    return prepare_cell_means(matrix)[0]
 
 
 def prepare_cell_means(matrix: ScoreMatrix, missing_policy: str = IMPUTE):

@@ -218,20 +218,56 @@ def test_run_degradation_threshold_exit_code(capsys, tmp_path, tiny_corpus_path)
     assert "threshold exceeded" in err
 
 
+def test_run_with_every_round_trip_failing_is_degraded(capsys, tmp_path, tiny_corpus_path):
+    backends = [
+        {"id": backend_id, "kind": "http_llm", "model_name": "x",
+         "endpoint": "http://127.0.0.1:9/v1", "max_retries": 0, "timeout": 0.2,
+         "rate_limit_rps": 1000.0}
+        for backend_id in ("dead1", "dead2")
+    ]
+    config = write_run_config(tmp_path, tiny_corpus_path, backends)
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
+    assert code == EXIT_DEGRADED  # whatever max_missing_fraction allows
+    assert "8 records, 8 errors" in err and "summary skipped for bleu" in err
+    for name in RUN_ARTIFACTS:
+        assert (out_dir / name).is_file(), name
+
+
 def test_run_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", "--config", str(tmp_path / "nope.json"),
                           "--out", str(tmp_path / "out"))
     assert code == EXIT_USAGE and "not found" in err
 
 
+def one_mock_backend(**fields):
+    return {"backends": [dict(MOCK_BACKENDS[0], **fields)]}
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"scoring": {"bogus": 1}}, "unknown scoring fields"),
     ({"scoring": {"level": "sentence"}}, "scoring level"),
     ({"repetitions": "three"}, "'repetitions' must be int"),
-], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions"])
+    ({"scoring": {"chrf_max_n": 0}}, "chrf_max_n must be an integer >= 1"),
+    ({"scoring": {"chrf_beta": 0}}, "chrf_beta must be > 0"),
+    ({"scoring": {"bleu_weights": [0.5, 0.5, 0.5, 0.0]}}, "weights must sum to 1"),
+    ({"scoring": {"bleu_unif_weights": [0.5, 0.5]}}, "exactly 4 n-gram weights"),
+    ({"scoring": {"smoothing_epsilon": 0}}, "smoothing_epsilon must be > 0"),
+    ({"repetitions": 0}, "repetitions must be >= 1"),
+    (one_mock_backend(drop_prob=2.0), "drop_prob must lie in [0, 1]"),
+    (one_mock_backend(swap_prob=-0.1), "swap_prob must lie in [0, 1]"),
+    (one_mock_backend(max_retries=-1), "max_retries must be an integer >= 0"),
+    (one_mock_backend(rate_limit_rps=0), "rate_limit_rps must be > 0"),
+    (one_mock_backend(max_workers=0), "max_workers must be an integer >= 1"),
+    (one_mock_backend(timeout=0), "timeout must be > 0"),
+], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
+        "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
+        "smoothing-epsilon-zero", "zero-repetitions", "drop-prob-above-one",
+        "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
+        "zero-timeout"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
-    config = write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS, **extra)
+    config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
     out_dir = tmp_path / "out"
     code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
     assert code == EXIT_USAGE

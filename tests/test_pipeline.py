@@ -389,6 +389,57 @@ def test_run_experiment_character_idf_fits_character_documents():
         assert cells[blocks[rec.sample_id], treatments[rec.backend_id], rec.repetition - 1] == expected
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+def test_run_experiment_runs_mock_legs_inline(monkeypatch):
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+    _, records, _ = run_experiment(tiny_corpus(), NOISY, r=2, master_seed=4)
+    assert len(records) == 8 and all(rec.error is None for rec in records)
+
+
+def test_run_experiment_pools_http_legs_by_max_workers(monkeypatch):
+    sizes = []
+    real_pool = pipeline.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording_pool)
+    config = http_config(9, id="h", max_workers=3)
+    _, records, _ = run_experiment(tiny_corpus(), [config], r=2, master_seed=4,
+                                   backend_instances={"h": make_backend(mock_config())})
+    assert sizes == [3]
+    assert len(records) == 4 and all(rec.verbatim_flag for rec in records)
+
+
+def test_backtranslate_matches_run_experiment_and_detectors():
+    corpus = cnki_head(4)
+    _, run_records, _ = run_experiment(corpus, NOISY, r=3, master_seed=6)
+    flags = set()
+    for config in NOISY:
+        for sample in corpus:
+            records = backtranslate(config, sample, r=3, master_seed=6)
+            assert [rec.to_dict() for rec in records] == [
+                rec.to_dict() for rec in run_records
+                if (rec.sample_id, rec.backend_id) == (sample.id, config.id)]
+            for rec in records:
+                assert rec.verbatim_flag == detect_verbatim(rec.zhx, rec.zhy)[1]
+                assert rec.traditional_flag == segmentation.detect_traditional(rec.zhy)[1]
+                flags.add(rec.verbatim_flag)
+    assert flags == {True, False}
+
+
+def test_zero_repetitions_is_a_config_error():
+    with pytest.raises(ConfigError, match="repetitions"):
+        run_experiment(tiny_corpus(), [mock_config()], r=0)
+    with pytest.raises(ConfigError, match="repetitions"):
+        backtranslate(mock_config(), tiny_corpus().samples[0], r=0, master_seed=1)
+
+
 def test_run_experiment_rejects_duplicate_backend_ids():
     with pytest.raises(ConfigError, match="unique"):
         run_experiment(tiny_corpus(), [mock_config(), mock_config()], r=1)

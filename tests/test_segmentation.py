@@ -1,12 +1,14 @@
 """Word/character segmentation against a brute-force route oracle."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bteval.corpus import parse_corpus
 from bteval.segmentation import (
     Lexicon,
     LexiconError,
     TokenList,
+    default_lexicon,
     detect_traditional,
     load_lexicon,
     ngrams,
@@ -14,6 +16,8 @@ from bteval.segmentation import (
     segment_chars,
     segment_words,
 )
+
+from conftest import FIXTURES
 
 
 def brute_force_best_route(text: str, lexicon: Lexicon):
@@ -94,6 +98,70 @@ def test_lossless_coverage(text):
     assert tokens.join() == "".join(text.split())
     chars = segment_chars(text)
     assert len(chars) == sum(1 for c in text if not c.isspace())
+
+
+def two_pass_segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
+    """The earlier segmenter, kept as an oracle: build the DAG of lexicon
+    matches first, then run the right-to-left DP over it."""
+    n = len(chunk)
+    dag: list[list[int]] = []
+    for i in range(n):
+        ends = []
+        j = i + 1
+        while j <= n and lexicon.is_prefix(chunk[i:j]):
+            if lexicon.freq(chunk[i:j]) > 0:
+                ends.append(j)
+            j += 1
+        if not ends:
+            ends.append(i + 1)
+        dag.append(ends)
+
+    floor = lexicon.floor_log_prob()
+    route: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        best = None
+        for j in dag[i]:
+            word = chunk[i:j]
+            lp = lexicon.log_prob(word) if lexicon.freq(word) > 0 else floor
+            cand = (lp + route[j][0], j)
+            if best is None or cand > best:
+                best = cand
+        route[i] = best
+
+    tokens = []
+    i = 0
+    while i < n:
+        j = route[i][1]
+        tokens.append(chunk[i:j])
+        i = j
+    return tokens
+
+
+# Few letters and frequencies from a small range, or all equal, so that routes
+# tie on score; 丁 is in no lexicon, so the lone-character fallback runs too.
+WORDS = st.text(alphabet="甲乙丙", min_size=1, max_size=3)
+SMALL_LEXICONS = st.one_of(
+    st.dictionaries(WORDS, st.integers(1, 3), min_size=1, max_size=12),
+    st.lists(WORDS, min_size=1, max_size=12).map(lambda words: dict.fromkeys(words, 7)),
+)
+
+
+@given(SMALL_LEXICONS, st.text(alphabet="甲乙丙丁 ", max_size=30))
+@example({"甲乙": 7, "丙": 7, "甲": 7, "乙丙": 7}, "甲乙丙")  # equal routes: longer first token
+@example({"甲乙": 1, "乙丙": 1, "甲": 1}, "甲乙丙")  # a frequency-1 entry ties the fallback
+@settings(max_examples=500, deadline=None)
+def test_segment_words_matches_two_pass_oracle(entries, text):
+    lexicon = Lexicon(entries)
+    expected = [t for chunk in text.split() for t in two_pass_segment_chunk(chunk, lexicon)]
+    assert list(segment_words(text, lexicon).tokens) == expected
+
+
+def test_segment_words_matches_two_pass_oracle_on_corpus():
+    lexicon = default_lexicon()
+    for sample in parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl"):
+        expected = [t for chunk in sample.text.split()
+                    for t in two_pass_segment_chunk(chunk, lexicon)]
+        assert list(segment_words(sample.text, lexicon).tokens) == expected
 
 
 @pytest.mark.parametrize("seed", range(20))
