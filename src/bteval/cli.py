@@ -37,12 +37,19 @@ class CliError(Exception):
     """Reported to stderr; maps to exit code 2."""
 
 
-def _load_lexicon_arg(path: str | None):
-    if path is None:
-        return default_lexicon()
+def _require_file(path, what: str):
+    """path, if it names a file; otherwise a CliError."""
     if not Path(path).is_file():
-        raise CliError(f"lexicon file not found: {path}")
-    return load_lexicon(path)
+        raise CliError(f"{what} file not found: {path}")
+    return path
+
+
+def _load_lexicon_arg(path: str | None):
+    return default_lexicon() if path is None else load_lexicon(_require_file(path, "lexicon"))
+
+
+def _load_variant_table_arg(path: str | None):
+    return load_variant_table(_require_file(path, "variant table")) if path else None
 
 
 def _read_text_arg(value: str) -> str:
@@ -63,8 +70,7 @@ def cmd_segment(args) -> int:
 
 def cmd_score(args) -> int:
     for path in (args.original, args.candidate):
-        if not Path(path).is_file():
-            raise CliError(f"input file not found: {path}")
+        _require_file(path, "input")
     original = Path(args.original).read_text(encoding="utf-8").strip()
     candidate = Path(args.candidate).read_text(encoding="utf-8").strip()
     if not original:
@@ -79,11 +85,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not Path(args.corpus).is_file():
-        raise CliError(f"corpus file not found: {args.corpus}")
-    loaded = corpus_mod.parse_corpus(args.corpus)
+    loaded = corpus_mod.parse_corpus(_require_file(args.corpus, "corpus"))
     policy = corpus_mod.ValidationPolicy(traditional_threshold=args.threshold)
-    table = load_variant_table(args.variant_table) if args.variant_table else None
+    table = _load_variant_table_arg(args.variant_table)
     warnings = corpus_mod.validate_corpus(loaded, policy, table)
     for warning in warnings:
         print(warning)
@@ -93,10 +97,8 @@ def cmd_validate(args) -> int:
 
 def _read_json(path, what: str) -> dict:
     """The JSON object in a config or matrix file; anything else is a CliError."""
-    if not Path(path).is_file():
-        raise CliError(f"{what} file not found: {path}")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(_require_file(path, what)).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"invalid JSON {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -129,13 +131,9 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    corpus_path = config["corpus"]
-    if not Path(corpus_path).is_file():
-        raise CliError(f"corpus file not found: {corpus_path}")
-    loaded = corpus_mod.parse_corpus(corpus_path)
+    loaded = corpus_mod.parse_corpus(_require_file(config["corpus"], "corpus"))
     lexicon = _load_lexicon_arg(config.get("lexicon"))
-    table = (load_variant_table(config["variant_table"])
-             if config.get("variant_table") else None)
+    table = _load_variant_table_arg(config.get("variant_table"))
     try:
         backends = [pipeline_mod.BackendConfig.from_dict(b) for b in config["backends"]]
     except (pipeline_mod.ConfigError, TypeError) as exc:

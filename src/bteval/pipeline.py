@@ -18,12 +18,15 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict
+from http.cookiejar import DefaultCookiePolicy
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import requests
+from requests.adapters import HTTPAdapter
 
 from .corpus import Corpus, TextSample
 from .metrics import (
@@ -310,15 +313,33 @@ class NoiseMock:
 
 
 class HttpBackend:
-    """Chat-completion (or raw text) endpoint with retries and rate limiting."""
+    """Chat-completion (or raw text) endpoint with retries and rate limiting.
+
+    Without an injected post_fn, requests go through one keep-alive session
+    holding up to max_workers connections; it stores no cookies, so every
+    request is as stateless as a bare requests.post.
+    """
 
     def __init__(self, config: BackendConfig, post_fn=None, sleep=time.sleep,
                  api_key: str | None = None) -> None:
         self.config = config
-        self._post = post_fn if post_fn is not None else requests.post
+        self._session = None
+        if post_fn is None:
+            self._session = requests.Session()
+            self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+            adapter = HTTPAdapter(pool_maxsize=config.max_workers)
+            self._session.mount("http://", adapter)
+            self._session.mount("https://", adapter)
+            post_fn = self._session.post
+        self._post = post_fn
         self._sleep = sleep
         self._bucket = TokenBucket(config.rate_limit_rps, sleep=sleep)
         self._api_key = api_key
+
+    def close(self) -> None:
+        """Close the keep-alive session's connections, if this backend opened one."""
+        if self._session is not None:
+            self._session.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -483,18 +504,27 @@ def run_experiment(
     samples = [sample for sample in corpus for _ in range(r)]
     reps = [rep for _ in corpus for rep in range(1, r + 1)]
     records: list[TranslationRecord] = []
-    for config in backends:
-        if backend_instances and config.id in backend_instances:
-            backend = backend_instances[config.id]
-        else:
-            backend = make_backend(config, lexicon)
-        legs = (repeat(backend), repeat(config), samples, reps, repeat(master_seed))
-        # Only HTTP legs wait on I/O; the GIL-bound mocks run inline.
-        if config.kind == "http_llm":
-            with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-                records.extend(pool.map(_roundtrip, *legs))
-        else:
-            records.extend(map(_roundtrip, *legs))
+    with ExitStack() as stack:
+        batches = []
+        for config in backends:
+            if backend_instances and config.id in backend_instances:
+                backend = backend_instances[config.id]
+            else:
+                backend = make_backend(config, lexicon)
+                if config.kind == "http_llm":
+                    stack.callback(backend.close)
+            legs = (repeat(backend), repeat(config), samples, reps, repeat(master_seed))
+            # Every HTTP backend's pool starts before any is drained, so the backends
+            # wait on I/O together; the GIL-bound mocks run inline as they are drained.
+            # A run that raises while draining drops the legs not yet started.
+            if config.kind == "http_llm":
+                pool = ThreadPoolExecutor(max_workers=config.max_workers)
+                stack.callback(pool.shutdown, cancel_futures=True)
+                batches.append(pool.map(_roundtrip, *legs))
+            else:
+                batches.append(map(_roundtrip, *legs))
+        for batch in batches:
+            records.extend(batch)
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     # IDF refits on this batch: every original plus every non-error back-translation.

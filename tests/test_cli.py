@@ -115,6 +115,13 @@ def test_validate_missing_file_exits_2(capsys):
     assert code == EXIT_USAGE and "not found" in err
 
 
+def test_validate_missing_variant_table_exits_2(capsys, tmp_path):
+    code, out, err = invoke(capsys, "validate", str(FIXTURES / "corpora" / "cnki_che_89.jsonl"),
+                            "--variant-table", str(tmp_path / "nope.txt"))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "variant table file not found" in err
+
+
 def test_validate_reports_traditional_warning(capsys, tmp_path):
     path = tmp_path / "c.jsonl"
     record = {"id": "T1", "domain": "x", "text": "元素觀點：物質由元素組成",
@@ -238,6 +245,16 @@ def test_run_missing_config_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "run", "--config", str(tmp_path / "nope.json"),
                           "--out", str(tmp_path / "out"))
     assert code == EXIT_USAGE and "not found" in err
+
+
+def test_run_missing_variant_table_exits_2(capsys, tmp_path, tiny_corpus_path):
+    config = write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS,
+                              variant_table=str(tmp_path / "nope.txt"))
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "variant table file not found" in err
+    assert not (out_dir / "records.jsonl").exists()
 
 
 def one_mock_backend(**fields):

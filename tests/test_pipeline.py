@@ -1,7 +1,10 @@
 """Round-trip pipeline: mocks, HTTP backend behavior, flags, and replay."""
 
 import json
+import sys
 import threading
+import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -414,6 +417,144 @@ def test_run_experiment_pools_http_legs_by_max_workers(monkeypatch):
                                    backend_instances={"h": make_backend(mock_config())})
     assert sizes == [3]
     assert len(records) == 4 and all(rec.verbatim_flag for rec in records)
+
+
+def payload_text(payload):
+    """The text a chat request asks to translate: its prompt after the instruction."""
+    return payload["messages"][0]["content"].rsplit("\n\n", 1)[1]
+
+
+def serve_http11(reply):
+    """HTTP/1.1 stub answering each chat request with reply(path, payload).
+
+    Every response carries Content-Length, so a keep-alive client can reuse
+    its connection, and a Set-Cookie, which a cookie-keeping client would
+    send back. seen["connections"] counts accepted connections and
+    seen["cookies"] holds each request's Cookie header (None when absent).
+    """
+    seen = {"connections": 0, "cookies": []}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            with lock:
+                seen["connections"] += 1
+
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                seen["cookies"].append(self.headers.get("Cookie"))
+            content = reply(self.path, payload)
+            body = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Set-Cookie", "session=stub; Path=/")
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, seen
+
+
+def stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+def path_configs(port, paths, **kwargs):
+    """One http_llm backend per stub path, named after it."""
+    return [http_config(port, id=path, endpoint=f"http://127.0.0.1:{port}/{path}", **kwargs)
+            for path in paths]
+
+
+def test_run_experiment_overlaps_http_backends_within_max_workers():
+    barrier = threading.Barrier(2, timeout=5)
+    lock = threading.Lock()
+    in_flight, peak = Counter(), Counter()
+
+    def reply(path, payload):
+        with lock:
+            in_flight[path] += 1
+            peak[path] = max(peak[path], in_flight[path])
+        try:
+            barrier.wait()  # answers only with a second request in flight
+        finally:
+            with lock:
+                in_flight[path] -= 1
+        return payload_text(payload)
+
+    server, _ = serve_http11(reply)
+    try:
+        configs = path_configs(server.server_address[1], ("a", "b"), max_workers=1,
+                               max_retries=0)
+        _, records, _ = run_experiment(tiny_corpus(), configs, r=2, master_seed=2)
+    finally:
+        stop(server)
+    assert len(records) == 8 and all(rec.error is None for rec in records)
+    assert peak == {"/a": 1, "/b": 1}  # never above either backend's max_workers
+
+
+def test_http_backend_keeps_connections_alive_without_cookies():
+    server, seen = serve_http11(lambda path, payload: payload_text(payload))
+    try:
+        config = http_config(server.server_address[1], max_workers=2)
+        _, records, _ = run_experiment(cnki_head(3), [config], r=2, master_seed=8)
+    finally:
+        stop(server)
+    assert len(records) == 6 and all(rec.error is None for rec in records)
+    assert seen["connections"] <= 2
+    assert seen["cookies"] == [None] * 12
+
+
+class SequentialPool(pipeline.ThreadPoolExecutor):
+    """The one-backend-at-a-time schedule: map drains a backend before the next starts."""
+
+    def map(self, fn, *iterables):
+        return list(super().map(fn, *iterables))
+
+
+def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
+    def reply(path, payload):
+        # per-path, per-seed character drops; the sleep shuffles completion order
+        text, seed, step = payload_text(payload), payload["seed"], 2 + len(path)
+        time.sleep(seed % 3 / 1000)
+        return "".join(ch for i, ch in enumerate(text) if (i + seed) % step)
+
+    server, _ = serve_http11(reply)
+    corpus = cnki_head(4)
+    interval = sys.getswitchinterval()
+    try:
+        # six client threads on a short switch interval, to expose shared-state races
+        configs = path_configs(server.server_address[1], ("x", "yy", "zzz"), max_workers=2)
+        sys.setswitchinterval(1e-5)
+        matrices, records, _ = run_experiment(corpus, configs, r=2, master_seed=11)
+        sys.setswitchinterval(interval)
+        singles = [run_experiment(corpus, [config], r=2, master_seed=11) for config in configs]
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SequentialPool)
+        sequential, sequential_records, _ = run_experiment(corpus, configs, r=2, master_seed=11)
+    finally:
+        sys.setswitchinterval(interval)
+        stop(server)
+    assert len(records) == 24 and all(rec.error is None for rec in records)
+    merged = sorted((rec for _, run, _ in singles for rec in run),
+                    key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
+    assert [rec.to_dict() for rec in records] == [rec.to_dict() for rec in merged]
+    assert [rec.to_dict() for rec in records] == [rec.to_dict() for rec in sequential_records]
+    # pair-level metrics equal the one-backend columns; IDF is fitted per run,
+    # so semantic_similarity is compared with the same run on the old schedule
+    for name in ("bleu", "bleu_unif", "chrf", "ter"):
+        stacked = np.concatenate([m[name].values for m, _, _ in singles], axis=1)
+        assert np.array_equal(matrices[name].values, stacked)
+    for name, matrix in matrices.items():
+        assert matrix.to_dict() == sequential[name].to_dict()
 
 
 def test_backtranslate_matches_run_experiment_and_detectors():
