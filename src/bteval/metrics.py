@@ -219,21 +219,40 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
 
 
 def edit_distance(candidate, reference) -> int:
-    """Unit-cost insert/delete/substitute distance between token sequences."""
+    """Unit-cost insert/delete/substitute distance between token sequences.
+
+    Exact bit-parallel Levenshtein (Myers 1999, JACM 46(3); Hyyrö 2003):
+    one Python int holds one DP column as vertical +1/-1 deltas, one bit
+    per reference token, so the reference may have any length.
+    """
     cand = tuple(candidate)
     ref = tuple(reference)
     if not cand:
         return len(ref)
     if not ref:
         return len(cand)
-    previous = list(range(len(ref) + 1))
-    for i, ctok in enumerate(cand, start=1):
-        current = [i] + [0] * len(ref)
-        for j, rtok in enumerate(ref, start=1):
-            cost = 0 if ctok == rtok else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        previous = current
-    return previous[-1]
+    peq: dict = {}
+    for i, tok in enumerate(ref):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    mask = (1 << len(ref)) - 1
+    last = 1 << (len(ref) - 1)
+    pv, mv, dist = mask, 0, len(ref)
+    for tok in cand:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # the top row of a global alignment grows by one per candidate token
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return dist
 
 
 def ter(candidate, reference) -> float:

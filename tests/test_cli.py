@@ -327,7 +327,8 @@ def test_stats_planted_effect_lands_in_csv(capsys, tmp_path):
     assert code == EXIT_OK
     import csv
 
-    rows = list(csv.DictReader((out_dir / "pairwise_tests.csv").open(encoding="utf-8")))
+    with (out_dir / "pairwise_tests.csv").open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
     pairs = {frozenset((r["model_a"], r["model_b"])) for r in rows}
     assert pairs == {frozenset(("good1", "bad")), frozenset(("good2", "bad"))}
     assert all(abs(float(r["mean_difference"]) - 0.1) < 0.03 for r in rows)

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bteval.metrics import (
     BleuConfig,
@@ -21,7 +21,11 @@ from bteval.metrics import (
     semantic_similarity,
     ter,
 )
-from bteval.segmentation import Lexicon
+from bteval.corpus import parse_corpus
+from bteval.pipeline import BackendConfig, run_experiment
+from bteval.segmentation import Lexicon, tokenize
+
+from conftest import FIXTURES
 
 
 # ---------------------------------------------------------------- oracles
@@ -200,6 +204,56 @@ def test_ter_matches_dp_oracle_exactly():
         cand, ref = random_pair(rng)
         assert edit_distance(cand, ref) == oracle_edit_distance(cand, ref)
         assert ter(cand, ref) == oracle_edit_distance(cand, ref) / len(ref)
+
+
+TOKEN_POOL = ("a", "b", "c", "x", "的", "。", "，", "化学", "工程", "元素", "物质", "药品",
+              "研究", "分析", "人工", "智能", "人工智能", "化学工程", "H2O", "Fe")
+
+
+@st.composite
+def long_token_pairs(draw):
+    """Both sides 0-200 tokens over 1-20 tokens, so bit-vectors cross 64 and 128 bits."""
+    alphabet = draw(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=20, unique=True))
+    sides = []
+    for _ in range(2):
+        size = draw(st.integers(0, 200))
+        sides.append(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
+    return tuple(sides)
+
+
+@given(long_token_pairs())
+@settings(max_examples=200, deadline=None)
+@example(([], []))
+@example(([], ["化学"] * 70))
+@example((["化学", "工程"] * 65, []))
+@example((list(TOKEN_POOL) * 4, list(TOKEN_POOL) * 4))
+@example((["的"] * 63, ["的"] * 64))
+@example((["的"] * 129, ["的"] * 128))
+@example((["的"] * 200, ["的"]))
+def test_edit_distance_matches_dp_oracle_across_word_boundaries(pair):
+    cand, ref = pair
+    expected = oracle_edit_distance(cand, ref)
+    assert edit_distance(cand, ref) == expected
+    if ref:
+        assert ter(cand, ref) == expected / len(ref)
+
+
+def test_edit_distance_matches_dp_oracle_on_corpus_run():
+    corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
+    config = BackendConfig(id="noisy", kind="mock", model_name="noise",
+                           drop_prob=0.1, swap_prob=0.05)
+    matrices, records, _ = run_experiment(corpus, [config], r=1, master_seed=7)
+    assert len(records) == 89 and all(rec.error is None for rec in records)
+    ter_matrix = matrices["ter"]
+    longest = 0
+    for rec in records:
+        cand, ref = tokenize(rec.zhy), tokenize(rec.zhx)
+        longest = max(longest, len(ref))
+        expected = oracle_edit_distance(cand, ref)
+        assert edit_distance(cand, ref) == expected
+        block = ter_matrix.block_ids.index(rec.sample_id)
+        assert ter_matrix.values[block, 0, 0] == expected / len(ref)
+    assert longest > 64  # at least one bit-vector is wider than 64 bits
 
 
 def test_ter_denominator_symmetry():

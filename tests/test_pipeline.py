@@ -235,6 +235,7 @@ def test_http_backend_retries_then_succeeds():
         assert "化学" in payload["messages"][0]["content"]
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_http_backend_empty_completion_errors():
@@ -248,6 +249,7 @@ def test_http_backend_empty_completion_errors():
         assert state.calls == 2  # retried once
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_http_backend_raw_wire_format():
@@ -260,6 +262,7 @@ def test_http_backend_raw_wire_format():
         assert isinstance(state.seen_payloads[-1], str)  # not chat JSON
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_http_backend_unreachable_raises_backend_error():

@@ -105,7 +105,8 @@ def test_pairwise_csv_table_shape(tmp_path):
     batteries.append(fake_battery("ter", []))
     path = tmp_path / "pairwise.csv"
     emit_pairwise_csv(batteries, path)
-    rows = list(csv.DictReader(path.open(encoding="utf-8")))
+    with path.open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
     counts = {}
     for row in rows:
         counts[row["metric"]] = counts.get(row["metric"], 0) + 1
@@ -140,7 +141,8 @@ def test_csv_numbers_are_half_even_4dp(tmp_path):
     path = tmp_path / "s.csv"
     emit_summaries_csv(summarize(matrix), path)
     raw_rows = summarize(matrix)
-    parsed = list(csv.DictReader(path.open(encoding="utf-8")))
+    with path.open(encoding="utf-8") as handle:
+        parsed = list(csv.DictReader(handle))
     for row, source in zip(parsed, raw_rows):
         for field, value in (("mean", source.stats.mean), ("std", source.stats.std),
                              ("q75", source.stats.q75)):
