@@ -137,12 +137,12 @@ def serialize_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+MIN_CHARS = 2  # below this, 2-gram precision is empty and BLEU collapses
+
+
 @dataclass(frozen=True)
 class ValidationPolicy:
     traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD
-    min_chars: int = 2  # below this, 2-gram precision is empty and BLEU collapses
-    check_variant: bool = True
-    check_length: bool = True
 
 
 def validate_corpus(
@@ -154,9 +154,9 @@ def validate_corpus(
     warnings: list[str] = []
     for sample in corpus:
         stripped = "".join(sample.text.split())
-        if policy.check_length and len(stripped) < policy.min_chars:
+        if len(stripped) < MIN_CHARS:
             warnings.append(f"{sample.id}: sample too short for 2-gram BLEU")
-        if policy.check_variant and sample.variant == SIMPLIFIED:
+        if sample.variant == SIMPLIFIED:
             ratio, flagged = detect_traditional(
                 sample.text, variant_table, policy.traditional_threshold
             )

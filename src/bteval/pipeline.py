@@ -184,13 +184,11 @@ def derive_seed(master_seed: int, sample_id: str, backend_id: str, repetition: i
 class TokenBucket:
     """Blocking token bucket; one bucket per HTTP backend."""
 
-    def __init__(self, rate_per_sec: float, capacity: float = 1.0,
-                 clock=time.monotonic, sleep=time.sleep) -> None:
+    def __init__(self, rate_per_sec: float, clock=time.monotonic, sleep=time.sleep) -> None:
         self.rate = rate_per_sec
-        self.capacity = capacity
         self._clock = clock
         self._sleep = sleep
-        self._tokens = capacity
+        self._tokens = 1.0
         self._last = clock()
         self._lock = threading.Lock()
 
@@ -198,7 +196,7 @@ class TokenBucket:
         while True:
             with self._lock:
                 now = self._clock()
-                self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
+                self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
                 self._last = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0
@@ -262,26 +260,21 @@ BILINGUAL_TABLE = {
     "月光": "moonlight",
     "时间": "time",
 }
+_REVERSE_TABLE = {en: zh for zh, en in BILINGUAL_TABLE.items()}
 
 
 class LexiconMapperMock:
     """Bilingual token mapper: segment, map each token, join; exactly invertible."""
 
-    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None,
-                 table: dict[str, str] | None = None) -> None:
+    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None) -> None:
         self.config = config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self.forward_table = dict(table) if table is not None else dict(BILINGUAL_TABLE)
-        self.backward_table = {v: k for k, v in self.forward_table.items()}
-        if len(self.backward_table) != len(self.forward_table):
-            raise ConfigError("bilingual table must be invertible")
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         if direction == ZH_TO_EN:
             tokens = segment_words(text, self.lexicon).tokens
-            return " ".join(self.forward_table.get(t, t) for t in tokens)
-        tokens = text.split(" ")
-        return "".join(self.backward_table.get(t, t) for t in tokens)
+            return " ".join(BILINGUAL_TABLE.get(t, t) for t in tokens)
+        return "".join(_REVERSE_TABLE.get(t, t) for t in text.split(" "))
 
 
 class NoiseMock:
@@ -315,37 +308,28 @@ class NoiseMock:
 class HttpBackend:
     """Chat-completion (or raw text) endpoint with retries and rate limiting.
 
-    Without an injected post_fn, requests go through one keep-alive session
-    holding up to max_workers connections; it stores no cookies, so every
-    request is as stateless as a bare requests.post.
+    Requests go through one keep-alive session holding up to max_workers
+    connections; it stores no cookies, so every request is as stateless as a
+    bare requests.post.
     """
 
-    def __init__(self, config: BackendConfig, post_fn=None, sleep=time.sleep,
-                 api_key: str | None = None) -> None:
+    def __init__(self, config: BackendConfig, sleep=time.sleep) -> None:
         self.config = config
-        self._session = None
-        if post_fn is None:
-            self._session = requests.Session()
-            self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
-            adapter = HTTPAdapter(pool_maxsize=config.max_workers)
-            self._session.mount("http://", adapter)
-            self._session.mount("https://", adapter)
-            post_fn = self._session.post
-        self._post = post_fn
+        self._session = requests.Session()
+        self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+        adapter = HTTPAdapter(pool_maxsize=config.max_workers)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
         self._sleep = sleep
         self._bucket = TokenBucket(config.rate_limit_rps, sleep=sleep)
-        self._api_key = api_key
 
     def close(self) -> None:
-        """Close the keep-alive session's connections, if this backend opened one."""
-        if self._session is not None:
-            self._session.close()
+        """Close the keep-alive session's connections."""
+        self._session.close()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
-        key = self._api_key
-        if key is None and self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env)
+        key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
@@ -362,7 +346,7 @@ class HttpBackend:
             except (requests.RequestException, OSError) as exc:
                 last_error = f"transport error: {exc}"
             else:
-                status = getattr(response, "status_code", 200)
+                status = response.status_code
                 if 200 <= status < 300:
                     completion = self._extract(response)
                     if completion:
@@ -376,7 +360,7 @@ class HttpBackend:
 
     def _request(self, prompt: str, seed: int):
         if self.config.wire_format == "raw":
-            return self._post(
+            return self._session.post(
                 self.config.endpoint,
                 data=prompt.encode("utf-8"),
                 headers={"Content-Type": "text/plain; charset=utf-8"},
@@ -388,7 +372,7 @@ class HttpBackend:
             "temperature": self.config.temperature,
             "seed": seed,
         }
-        return self._post(
+        return self._session.post(
             self.config.endpoint,
             json=payload,
             headers=self._headers(),
@@ -397,6 +381,10 @@ class HttpBackend:
 
     def _extract(self, response) -> str:
         if self.config.wire_format == "raw":
+            # requests decodes text/* without a charset as ISO-8859-1; the prompt
+            # goes out as UTF-8, so decode the reply as UTF-8 unless it names one
+            if "charset" not in response.headers.get("Content-Type", "").lower():
+                response.encoding = "utf-8"
             return response.text.strip()
         try:
             data = response.json()
@@ -405,14 +393,14 @@ class HttpBackend:
             return ""
 
 
-def make_backend(config: BackendConfig, lexicon: Lexicon | None = None, **http_kwargs):
+def make_backend(config: BackendConfig, lexicon: Lexicon | None = None):
     if config.kind == "mock":
         if config.model_name == "identity":
             return IdentityMock(config)
         if config.model_name == "lexicon":
             return LexiconMapperMock(config, lexicon)
         return NoiseMock(config, lexicon)
-    return HttpBackend(config, **http_kwargs)
+    return HttpBackend(config)
 
 
 def translate(backend, text: str, direction: str, seed: int = 0, variant: int = 0,

@@ -54,44 +54,30 @@ class TokenList:
         return sep.join(self.tokens)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """Frequency lexicon with a prefix index for DAG construction."""
+    """Frequency lexicon, built once into the table the segmenter reads: the
+    log-probability log(f) - log(total) of every entry, the floor -log(total)
+    for characters no entry covers, and the set of entry prefixes."""
 
     entries: dict[str, int]
-    total_frequency: int = 0
-    prefixes: set[str] = field(default_factory=set, repr=False)
+    log_probs: dict[str, float] = field(init=False, repr=False)
+    floor: float = field(init=False, repr=False)
+    prefixes: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.total_frequency:
-            self.total_frequency = sum(self.entries.values())
-        if not self.prefixes:
-            for surface in self.entries:
-                for i in range(1, len(surface) + 1):
-                    self.prefixes.add(surface[:i])
-
-    def freq(self, surface: str) -> int:
-        return self.entries.get(surface, 0)
-
-    def is_prefix(self, fragment: str) -> bool:
-        return fragment in self.prefixes
-
-    def log_prob(self, surface: str) -> float:
-        f = self.entries.get(surface, 0)
-        if f > 0:
-            return math.log(f) - math.log(self.total_frequency)
-        return -math.log(self.total_frequency)
-
-    def floor_log_prob(self) -> float:
-        # fallback weight for single characters absent from the lexicon
-        return -math.log(self.total_frequency)
-
-    def with_entry(self, surface: str, frequency: int) -> "Lexicon":
-        if frequency < 1:
-            raise LexiconError(f"non-positive frequency for {surface!r}")
-        merged = dict(self.entries)
-        merged[surface] = merged.get(surface, 0) + frequency
-        return Lexicon(merged)
+        if not self.entries:
+            raise LexiconError("empty lexicon")
+        for surface, frequency in self.entries.items():
+            if frequency <= 0:
+                raise LexiconError(f"non-positive frequency for {surface!r}")
+        log_total = math.log(sum(self.entries.values()))
+        # the dataclass is frozen, so the derived table is set here, once
+        object.__setattr__(self, "log_probs",
+                           {w: math.log(f) - log_total for w, f in self.entries.items()})
+        object.__setattr__(self, "floor", -log_total)
+        object.__setattr__(self, "prefixes", frozenset(
+            w[:i] for w in self.entries for i in range(1, len(w) + 1)))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -127,22 +113,24 @@ def default_lexicon() -> Lexicon:
 
 def _segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
     """Best-route segmentation of one whitespace-free chunk."""
+    log_probs, prefixes, floor = lexicon.log_probs, lexicon.prefixes, lexicon.floor
     n = len(chunk)
     # route[i] = (best score from i to the end, chosen end index), built right
-    # to left over the lexicon matches starting at i, or the lone character
-    # when none match; ties prefer the longer first token, hence max over (score, end).
+    # to left over the lexicon matches starting at i, or the lone character at
+    # the floor when none match; ties prefer the longer first token, hence max
+    # over (score, end).
     route: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         best = None
         j = i + 1
-        while j <= n and lexicon.is_prefix(chunk[i:j]):
-            word = chunk[i:j]
-            if lexicon.freq(word) > 0:
-                cand = (lexicon.log_prob(word) + route[j][0], j)
+        while j <= n and (word := chunk[i:j]) in prefixes:
+            lp = log_probs.get(word)
+            if lp is not None:
+                cand = (lp + route[j][0], j)
                 if best is None or cand > best:
                     best = cand
             j += 1
-        route[i] = best or (lexicon.log_prob(chunk[i]) + route[i + 1][0], i + 1)
+        route[i] = best or (floor + route[i + 1][0], i + 1)
 
     tokens = []
     i = 0
@@ -161,11 +149,6 @@ def segment_words(text: str, lexicon: Lexicon | None = None) -> TokenList:
     for chunk in text.split():
         tokens.extend(_segment_chunk(chunk, lexicon))
     return TokenList(tuple(tokens), WORD)
-
-
-def route_score(tokens, lexicon: Lexicon) -> float:
-    """Summed log-probability of a token route under a lexicon."""
-    return sum(lexicon.log_prob(t) for t in tokens)
 
 
 def segment_chars(text: str) -> TokenList:

@@ -88,6 +88,8 @@ def test_lexicon_mock_maps_known_tokens():
 
 
 def test_lexicon_mock_is_invertible_on_arbitrary_text():
+    # the mapper's table must be one-to-one for the back leg to invert it
+    assert len(set(pipeline.BILINGUAL_TABLE.values())) == len(pipeline.BILINGUAL_TABLE)
     config = mock_config("lexicon")
     backend = make_backend(config)
     text = "化学工程领域的研究与分析"
@@ -167,11 +169,12 @@ def test_detect_verbatim_empty_zhy_not_flagged():
 # ---------------------------------------------------------------- http
 
 class StubState:
-    def __init__(self, fail_first=0, body=None, raw=False):
+    def __init__(self, fail_first=0, body=None, raw=False, content_type="application/json"):
         self.fail_first = fail_first
         self.calls = 0
         self.body = body if body is not None else "译文结果"
         self.raw = raw
+        self.content_type = content_type
         self.seen_payloads = []
 
 
@@ -196,7 +199,7 @@ def make_stub_server(state: StubState):
                     "choices": [{"message": {"content": state.body}}]
                 }).encode("utf-8")
             self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", state.content_type)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
@@ -252,8 +255,13 @@ def test_http_backend_empty_completion_errors():
         server.server_close()
 
 
-def test_http_backend_raw_wire_format():
-    state = StubState(body="plain 译文", raw=True)
+@pytest.mark.parametrize("content_type", [
+    "application/json",
+    "text/plain",  # no charset: still UTF-8, as the request was
+    "text/plain; charset=utf-8",
+])
+def test_http_backend_raw_wire_format(content_type):
+    state = StubState(body="plain 译文", raw=True, content_type=content_type)
     server = make_stub_server(state)
     try:
         config = http_config(server.server_address[1], wire_format="raw")

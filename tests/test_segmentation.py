@@ -1,5 +1,7 @@
 """Word/character segmentation against a brute-force route oracle."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from bteval.segmentation import (
     detect_traditional,
     load_lexicon,
     ngrams,
-    route_score,
     segment_chars,
     segment_words,
 )
@@ -20,11 +21,38 @@ from bteval.segmentation import (
 from conftest import FIXTURES
 
 
+def oracle_log_prob(lexicon: Lexicon):
+    """Word weight computed from lexicon.entries alone, so the oracles do not
+    read the segmenter's table: log(f) - log(total) for an entry, the floor
+    -log(total) for anything else."""
+    entries = lexicon.entries
+    log_total = math.log(sum(entries.values()))
+
+    def log_prob(word: str) -> float:
+        f = entries.get(word, 0)
+        return math.log(f) - log_total if f > 0 else -log_total
+
+    return log_prob
+
+
+def route_score(tokens, lexicon: Lexicon) -> float:
+    """Summed log-probability of a token route under a lexicon."""
+    return sum(map(oracle_log_prob(lexicon), tokens))
+
+
+def with_entry(lexicon: Lexicon, surface: str, frequency: int) -> Lexicon:
+    """The lexicon with `frequency` added to `surface`'s count."""
+    merged = dict(lexicon.entries)
+    merged[surface] = merged.get(surface, 0) + frequency
+    return Lexicon(merged)
+
+
 def brute_force_best_route(text: str, lexicon: Lexicon):
     """Enumerate every valid segmentation (entries or single-char fallback),
     maximize summed log-probability, prefer the longer first token on ties."""
     n = len(text)
     best = None
+    log_prob = oracle_log_prob(lexicon)
 
     def walk(i, tokens, score):
         nonlocal best
@@ -36,10 +64,8 @@ def brute_force_best_route(text: str, lexicon: Lexicon):
             return
         for j in range(i + 1, n + 1):
             word = text[i:j]
-            if j == i + 1 or lexicon.freq(word) > 0:
-                lp = (lexicon.log_prob(word) if lexicon.freq(word) > 0
-                      else lexicon.floor_log_prob())
-                walk(j, tokens + [word], score + lp)
+            if j == i + 1 or word in lexicon.entries:
+                walk(j, tokens + [word], score + log_prob(word))
 
     walk(0, [], 0.0)
     assert best is not None
@@ -102,28 +128,18 @@ def test_lossless_coverage(text):
 
 def two_pass_segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
     """The earlier segmenter, kept as an oracle: build the DAG of lexicon
-    matches first, then run the right-to-left DP over it."""
+    matches first (every substring that is an entry, no prefix index), then
+    run the right-to-left DP over it."""
     n = len(chunk)
-    dag: list[list[int]] = []
-    for i in range(n):
-        ends = []
-        j = i + 1
-        while j <= n and lexicon.is_prefix(chunk[i:j]):
-            if lexicon.freq(chunk[i:j]) > 0:
-                ends.append(j)
-            j += 1
-        if not ends:
-            ends.append(i + 1)
-        dag.append(ends)
+    dag = [[j for j in range(i + 1, n + 1) if chunk[i:j] in lexicon.entries] or [i + 1]
+           for i in range(n)]
 
-    floor = lexicon.floor_log_prob()
+    log_prob = oracle_log_prob(lexicon)
     route: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
     for i in range(n - 1, -1, -1):
         best = None
         for j in dag[i]:
-            word = chunk[i:j]
-            lp = lexicon.log_prob(word) if lexicon.freq(word) > 0 else floor
-            cand = (lp + route[j][0], j)
+            cand = (log_prob(chunk[i:j]) + route[j][0], j)
             if best is None or cand > best:
                 best = cand
         route[i] = best
@@ -177,7 +193,7 @@ def test_adding_entry_never_worsens_route_score(seed):
     old_route = segment_words(text, lexicon).tokens
     i = rng.randrange(len(text))
     j = rng.randint(i + 1, min(len(text), i + 3))
-    grown = lexicon.with_entry(text[i:j], rng.randint(1, 100))
+    grown = with_entry(lexicon, text[i:j], rng.randint(1, 100))
     new_route = segment_words(text, grown).tokens
     assert route_score(new_route, grown) >= route_score(old_route, grown) - 1e-12
 
@@ -194,10 +210,24 @@ def test_load_lexicon(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("人工智能 100 n\n智能 50\n人工智能 20 v\n", encoding="utf-8")
     lexicon = load_lexicon(path)
-    assert lexicon.freq("人工智能") == 120  # duplicate surfaces sum
-    assert lexicon.freq("智能") == 50
-    assert lexicon.total_frequency == 170
-    assert lexicon.is_prefix("人工")
+    assert lexicon.entries == {"人工智能": 120, "智能": 50}  # duplicate surfaces sum
+    assert sum(lexicon.entries.values()) == 170
+    assert any(surface.startswith("人工") for surface in lexicon.entries)
+
+
+def test_lexicon_table_matches_entries():
+    lexicon = default_lexicon()
+    total = sum(lexicon.entries.values())
+    assert lexicon.log_probs == {w: math.log(f) - math.log(total)
+                                 for w, f in lexicon.entries.items()}
+    assert lexicon.floor == -math.log(total)
+    assert lexicon.prefixes == {w[:i] for w in lexicon.entries for i in range(1, len(w) + 1)}
+
+
+@pytest.mark.parametrize("entries", [{}, {"甲": 0}, {"甲": -3, "乙": 5}])
+def test_lexicon_rejects_empty_or_non_positive(entries):
+    with pytest.raises(LexiconError):
+        Lexicon(entries)
 
 
 def test_load_lexicon_rejects_bad_lines(tmp_path):
