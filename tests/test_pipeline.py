@@ -255,12 +255,24 @@ def test_http_backend_empty_completion_errors():
         server.server_close()
 
 
+def test_http_backend_raw_wire_format():
+    state = StubState(body="plain 译文", raw=True)
+    server = make_stub_server(state)
+    try:
+        config = http_config(server.server_address[1], wire_format="raw")
+        backend = HttpBackend(config, sleep=lambda s: None)
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "plain 译文"
+        assert isinstance(state.seen_payloads[-1], str)  # not chat JSON
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.mark.parametrize("content_type", [
-    "application/json",
     "text/plain",  # no charset: still UTF-8, as the request was
     "text/plain; charset=utf-8",
 ])
-def test_http_backend_raw_wire_format(content_type):
+def test_http_backend_raw_wire_format_text_content_types(content_type):
     state = StubState(body="plain 译文", raw=True, content_type=content_type)
     server = make_stub_server(state)
     try:
