@@ -363,7 +363,7 @@ class HttpBackend:
             return self._session.post(
                 self.config.endpoint,
                 data=prompt.encode("utf-8"),
-                headers={"Content-Type": "text/plain; charset=utf-8"},
+                headers={**self._headers(), "Content-Type": "text/plain; charset=utf-8"},
                 timeout=self.config.timeout,
             )
         payload = {

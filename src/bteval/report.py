@@ -131,7 +131,8 @@ def _box_summary(values: np.ndarray) -> dict:
     stats = descriptive_stats(values)
     iqr = stats.q75 - stats.q25
     low, high = stats.q25 - 1.5 * iqr, stats.q75 + 1.5 * iqr
-    outliers = sorted(float(v) for v in values if v < low or v > high)
+    # stable, so equal values such as -0.0 and 0.0 keep their input order
+    outliers = np.sort(values[(values < low) | (values > high)], kind="stable").tolist()
     return {
         "min": stats.minimum,
         "q25": stats.q25,
@@ -165,7 +166,7 @@ def build_plot_bundle(
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             mask = ~(np.isnan(flat[a]) | np.isnan(flat[b]))
-            points = [[float(x), float(y)] for x, y in zip(flat[a][mask], flat[b][mask])]
+            points = np.column_stack((flat[a][mask], flat[b][mask])).tolist()
             entry = annotation.get((a, b)) or annotation.get((b, a))
             scatter.append({
                 "metric_a": a,
@@ -177,16 +178,48 @@ def build_plot_bundle(
     return {"boxplots": boxplots, "scatter": scatter}
 
 
+def _json(value, level: int = 0) -> str:
+    """``value`` as sorted-key ``indent=2`` JSON, nested ``level`` deep.
+
+    JSON escapes every newline inside strings, so re-indenting the lines is safe.
+    """
+    text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + "  " * level)
+
+
+def _points_json(points: list, level: int) -> str:
+    """An ``indent=2`` list of [x, y] pairs, nested ``level`` deep.
+
+    The C encoder writes the compact form, whose only commas and brackets are
+    structural; the indentation is then put back with ``str.replace``.
+    """
+    if not points:
+        return "[]"
+    outer = "\n" + "  " * level
+    pair = outer + "  "
+    value = pair + "  "
+    body = json.dumps(points, separators=(",", ":"))[2:-2]
+    body = body.replace(",", "," + value).replace("]," + value + "[", pair + "]," + pair + "[" + value)
+    return "[" + pair + "[" + value + body + pair + "]" + outer + "]"
+
+
 def emit_plot_data(
     matrices: dict[str, ScoreMatrix],
     correlations: list[CorrelationEntry],
     path: str | Path,
 ) -> None:
+    """Write the plot bundle as ``json.dumps(bundle, ensure_ascii=False,
+    sort_keys=True, indent=2)`` would, without its pure-Python encoder."""
     bundle = build_plot_bundle(matrices, correlations)
-    Path(path).write_text(
-        json.dumps(bundle, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write('{\n  "boxplots": ' + _json(bundle["boxplots"], 1) + ',\n  "scatter": ')
+        separator = "[\n    "
+        for entry in bundle["scatter"]:
+            fields = [f'"{key}": {_json(entry[key])}' for key in ("adjusted_p", "metric_a", "metric_b")]
+            fields += [f'"points": {_points_json(entry["points"], 3)}', f'"rho": {_json(entry["rho"])}']
+            handle.write(separator + "{\n      " + ",\n      ".join(fields) + "\n    }")
+            separator = ",\n    "
+        handle.write("\n  ]\n}\n" if bundle["scatter"] else "[]\n}\n")
 
 
 def emit_stats_report(batteries: list[MetricBattery], path: str | Path) -> None:

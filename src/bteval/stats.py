@@ -175,25 +175,34 @@ def prepare_cell_means(matrix: ScoreMatrix, missing_policy: str = IMPUTE):
     raise StatsError(f"unknown missing policy {missing_policy!r}")
 
 
+def _block_ranks(grid: np.ndarray) -> np.ndarray:
+    """Ascending ranks 1..k along each row (block) of a 2-D float array; ties
+    share the mean of their positions.
+
+    Each NaN compares unequal to everything, so it forms its own tie run.
+    """
+    n, k = grid.shape
+    order = np.argsort(grid, axis=1, kind="stable")
+    ordered = np.take_along_axis(grid, order, axis=1)
+    starts = np.ones((n, k), dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # column 0 always starts a run, so no run crosses a row boundary
+    flat_starts = np.flatnonzero(starts)
+    lengths = np.diff(np.append(flat_starts, n * k))
+    first = flat_starts % k
+    last = first + lengths - 1
+    run_ranks = (first + last) / 2.0 + 1.0
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(n, k), axis=1)
+    return ranks
+
+
 def rank_with_ties(values) -> list[float]:
     """Ascending ranks 1..m; ties share the mean of their rank positions."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise StatsError("cannot rank an empty list")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks.tolist()
-
-
-def _block_ranks(means: np.ndarray) -> np.ndarray:
-    return np.array([rank_with_ties(row) for row in means])
+    return _block_ranks(arr.reshape(1, -1))[0].tolist()
 
 
 def friedman(means) -> StatTestResult:
@@ -294,27 +303,23 @@ def dunn_posthoc(
     ]
 
 
-def spearman(x, y) -> tuple[float, float]:
-    """Rank correlation with the t-approximation p-value (df = n - 2)."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    if len(xs) != len(ys):
-        raise StatsError("inputs must have equal length")
-    n = len(xs)
-    if n < 3:
-        raise StatsError("spearman needs at least 3 points")
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
-        raise StatsError("constant input: rho undefined")
-    rx = np.array(rank_with_ties(xs))
-    ry = np.array(rank_with_ties(ys))
-    rx -= rx.mean()
-    ry -= ry.mean()
+def _spearman_ranked(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
+    """Rho and its t-approximation p-value from two checked rank vectors."""
+    n = rx.size
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
     rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         return rho, 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     return rho, 2.0 * tails.t_sf(abs(t), n - 2)
+
+
+def spearman(x, y) -> tuple[float, float]:
+    """Rank correlation with the t-approximation p-value (df = n - 2)."""
+    entry = spearman_battery({"x": x, "y": y}, NO_CORRECTION)[0]
+    return entry.rho, entry.raw_p
 
 
 @dataclass(frozen=True)
@@ -327,10 +332,28 @@ class CorrelationEntry:
 
 
 def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list[CorrelationEntry]:
-    """Spearman over every unordered pair of named series, jointly adjusted."""
+    """Spearman over every unordered pair of named series, jointly adjusted.
+
+    Pairs are checked in order, raising what ``spearman`` would for the first
+    bad pair; each series is then ranked once and shared by its pairs.
+    """
     names = list(series)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    results = [spearman(series[a], series[b]) for a, b in pairs]
+    checked: dict[str, tuple[list[float], bool]] = {}  # name -> (floats, constant)
+    for a, b in pairs:
+        for name in (a, b):
+            if name not in checked:
+                xs = [float(v) for v in series[name]]
+                checked[name] = xs, len(set(xs)) == 1
+        (xs, x_constant), (ys, y_constant) = checked[a], checked[b]
+        if len(xs) != len(ys):
+            raise StatsError("inputs must have equal length")
+        if len(xs) < 3:
+            raise StatsError("spearman needs at least 3 points")
+        if x_constant or y_constant:
+            raise StatsError("constant input: rho undefined")
+    ranks = {name: np.array(rank_with_ties(xs)) for name, (xs, _) in checked.items()}
+    results = [_spearman_ranked(ranks[a], ranks[b]) for a, b in pairs]
     adjusted = adjust_p([p for _, p in results], correction)
     return [
         CorrelationEntry(a, b, rho, p, adj)
@@ -451,9 +474,15 @@ def descriptive_stats(values) -> DescriptiveStats:
     if arr.size == 0:
         raise StatsError("empty input")
     n = int(arr.size)
-    mean = math.fsum(arr) / n
+    plain = arr.tolist()
+    mean = math.fsum(plain) / n
     if n > 1:
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in arr) / (n - 1))
+        try:
+            squares = math.fsum((v - mean) ** 2 for v in plain)
+        except OverflowError:
+            # a float square past the range raises; numpy scalars give inf, as before
+            squares = math.fsum((v - mean) ** 2 for v in arr)
+        std = math.sqrt(squares / (n - 1))
     else:
         std = 0.0
     ordered = np.sort(arr)

@@ -176,6 +176,7 @@ class StubState:
         self.raw = raw
         self.content_type = content_type
         self.seen_payloads = []
+        self.seen_headers = []
 
 
 def make_stub_server(state: StubState):
@@ -184,6 +185,7 @@ def make_stub_server(state: StubState):
             length = int(self.headers.get("Content-Length", 0))
             raw = self.rfile.read(length)
             state.calls += 1
+            state.seen_headers.append(dict(self.headers))
             try:
                 state.seen_payloads.append(json.loads(raw))
             except ValueError:
@@ -280,6 +282,33 @@ def test_http_backend_raw_wire_format_text_content_types(content_type):
         backend = HttpBackend(config, sleep=lambda s: None)
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "plain 译文"
         assert isinstance(state.seen_payloads[-1], str)  # not chat JSON
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("wire_format", ["chat", "raw"])
+@pytest.mark.parametrize("key", ["sk-test-key", None])
+def test_http_backend_sends_api_key_in_every_wire_format(monkeypatch, wire_format, key):
+    if key is None:
+        monkeypatch.delenv("BTEVAL_TEST_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("BTEVAL_TEST_API_KEY", key)
+    state = StubState(body="译文", raw=wire_format == "raw")
+    server = make_stub_server(state)
+    try:
+        config = http_config(server.server_address[1], wire_format=wire_format,
+                             api_key_env="BTEVAL_TEST_API_KEY")
+        backend = HttpBackend(config, sleep=lambda s: None)
+        try:
+            assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+        finally:
+            backend.close()
+        headers = state.seen_headers[-1]
+        if key is None:
+            assert "Authorization" not in headers
+        else:
+            assert headers["Authorization"] == f"Bearer {key}"
     finally:
         server.shutdown()
         server.server_close()

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import math
+import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from bteval.stats import (
+    CorrelationEntry,
     ExperimentDesign,
     MetricBattery,
     PairwiseComparison,
@@ -14,6 +19,7 @@ from bteval.stats import (
     StatTestResult,
 )
 from bteval.report import (
+    _box_summary,
     build_plot_bundle,
     emit_correlations_csv,
     emit_pairwise_csv,
@@ -203,6 +209,84 @@ def test_plot_bundle_emission_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     bundle = json.loads(a.read_text(encoding="utf-8"))
     assert set(bundle) == {"boxplots", "scatter"}
+
+
+def reference_plot_json(matrices, correlations) -> bytes:
+    bundle = build_plot_bundle(matrices, correlations)
+    return (json.dumps(bundle, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def emitted_plot_json(matrices, correlations) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plot_bundle.json"
+        emit_plot_data(matrices, correlations, path)
+        return path.read_bytes()
+
+
+# exponent reprs, signed zeros, the smallest subnormal; NaN marks a missing cell.
+# Magnitudes stop at 1e300: near the float maximum, descriptive_stats' fsum
+# overflows and raises before anything is emitted.
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1e-05, 5e-324, 1e300, -2.5e-08, math.nan]),
+    st.floats(-1e300, 1e300),
+)
+P_VALUES = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 1e-05, 5e-324]), st.floats(0, 1))
+# non-ASCII, quotes, backslashes, control characters and a line separator
+NAMES = st.text(alphabet=st.sampled_from('aZ_é译"\\\n\t\x00\x1f\x7f\u2028 '), max_size=6)
+
+
+@st.composite
+def plot_inputs(draw):
+    n, k, r = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    treatments = draw(st.lists(NAMES, min_size=k, max_size=k, unique=True))
+    matrices = {}
+    for metric in draw(st.lists(NAMES, max_size=4, unique=True)):
+        values = draw(st.lists(SCORES, min_size=n * k * r, max_size=n * k * r))
+        matrices[metric] = make_matrix(np.reshape(values, (n, k, r)), metric, treatments)
+    names = sorted(matrices)
+    correlations = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if draw(st.booleans()):
+                rho, adjusted = draw(P_VALUES), draw(P_VALUES)
+                correlations.append(CorrelationEntry(a, b, rho, adjusted, adjusted))
+    return matrices, correlations
+
+
+@given(plot_inputs())
+@settings(max_examples=300, deadline=None)
+def test_emit_plot_data_matches_reference_encoder(inputs):
+    matrices, correlations = inputs
+    with np.errstate(over="ignore"):  # squared deviations of 1e300 overflow to inf
+        assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
+
+
+def test_emit_plot_data_matches_reference_encoder_on_edge_cases():
+    quoted = 'q"\\ 译\x01'
+    values = np.array([[[1e-05]], [[5e-324]], [[math.nan]]])
+    matrices = {
+        "a": make_matrix(values, "a", treatments=["é\n"]),
+        quoted: make_matrix(np.array([[[0.5]], [[math.nan]], [[-0.0]]]), quoted, ["é\n"]),
+        "z": make_matrix(np.array([[[math.nan]], [[1.0]], [[math.nan]]]), "z", ["é\n"]),
+    }
+    correlations = [CorrelationEntry("a", quoted, None, None, None),
+                    CorrelationEntry("a", "z", 1e-05, 5e-324, 5e-324)]
+    scatter = build_plot_bundle(matrices, correlations)["scatter"]
+    assert sorted(len(entry["points"]) for entry in scatter) == [0, 1, 1]
+    assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
+    assert emitted_plot_json({}, []) == reference_plot_json({}, [])
+
+
+def test_box_outliers_keep_input_order_of_signed_zeros():
+    # q25 = q75 = 100, so every low value is an outlier; -0.0 and 0.0 tie, and
+    # sorted() keeps them in input order
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.choice([-1.0, -0.0, 0.0, 1.0], 200), np.full(2000, 100.0)])
+    rng.shuffle(values)
+    expected = sorted(v for v in values.tolist() if v < 50)
+    outliers = _box_summary(values)["outliers"]
+    assert [(v, math.copysign(1.0, v)) for v in outliers] == \
+        [(v, math.copysign(1.0, v)) for v in expected]
 
 
 def test_metric_correlations_skip_constant_columns(tmp_path):

@@ -3,16 +3,20 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
+from bteval import tails
 from bteval.stats import (
     DROP,
     ExperimentDesign,
     ScoreMatrix,
     StatsError,
+    _block_ranks,
     benjamini_hochberg,
     bonferroni,
     cell_means,
@@ -57,6 +61,59 @@ def permutation_p(grid):
     return count / total
 
 
+def oracle_rank_with_ties(values):
+    """Per-element tie runs over a stable argsort, one run at a time."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise StatsError("cannot rank an empty list")
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.size)
+    i = 0
+    while i < arr.size:
+        j = i
+        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks.tolist()
+
+
+def oracle_spearman(x, y):
+    """Per-pair Spearman from float lists and the loop oracle's ranks."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys):
+        raise StatsError("inputs must have equal length")
+    n = len(xs)
+    if n < 3:
+        raise StatsError("spearman needs at least 3 points")
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
+        raise StatsError("constant input: rho undefined")
+    rx = np.array(oracle_rank_with_ties(xs))
+    ry = np.array(oracle_rank_with_ties(ys))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
+    rho = max(-1.0, min(1.0, rho))
+    if abs(rho) == 1.0:
+        return rho, 0.0
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return rho, 2.0 * tails.t_sf(abs(t), n - 2)
+
+
+def oracle_spearman_battery(series):
+    """Per-pair oracle Spearman, then one joint BH adjustment: (a, b, rho, raw p, adjusted p)."""
+    names = list(series)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    results = [oracle_spearman(series[a], series[b]) for a, b in pairs]
+    adjusted = benjamini_hochberg([p for _, p in results])
+    return [(a, b, rho, p, adj) for (a, b), (rho, p), adj in zip(pairs, results, adjusted)]
+
+
+# heavy ties: few distinct values, signed zeros and NaN among them
+TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.nan])
+
+
 # ---------------------------------------------------------------- ranking
 
 def test_rank_with_ties_examples():
@@ -65,6 +122,26 @@ def test_rank_with_ties_examples():
     assert rank_with_ties([2, 2, 2]) == [2, 2, 2]
     with pytest.raises(StatsError):
         rank_with_ties([])
+
+
+@given(st.lists(TIED, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_rank_with_ties_matches_loop_oracle(values):
+    assert rank_with_ties(values) == oracle_rank_with_ties(values)
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda k: st.lists(st.lists(TIED, min_size=k, max_size=k), min_size=1, max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_block_ranks_match_loop_oracle_per_row(grid):
+    ranks = _block_ranks(np.array(grid))
+    assert ranks.shape == (len(grid), len(grid[0]))
+    assert [row.tolist() for row in ranks] == [oracle_rank_with_ties(row) for row in grid]
+
+
+def test_rank_with_ties_signed_zeros_and_nan_runs():
+    # -0.0 == 0.0 ties; each NaN is its own run, after every number
+    assert rank_with_ties([0.0, -0.0, math.nan, -1.0, math.nan]) == [2.5, 2.5, 4.0, 1.0, 5.0]
 
 
 # ---------------------------------------------------------------- friedman
@@ -286,6 +363,49 @@ def test_spearman_battery_adjusts_jointly():
     assert all(e.adjusted_p >= e.raw_p - 1e-15 for e in entries)
 
 
+SERIES_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+EQUAL_LENGTH_SERIES = st.integers(3, 40).flatmap(lambda n: st.dictionaries(
+    st.sampled_from("abcde"), st.lists(SERIES_VALUES, min_size=n, max_size=n),
+    min_size=2, max_size=5))
+# short, tied, possibly constant or unequal series: the error cases
+SMALL_SERIES = st.dictionaries(
+    st.sampled_from("abcd"), st.lists(st.sampled_from([0.0, 1.0, 2.0]), max_size=5), max_size=4)
+
+
+@given(st.one_of(EQUAL_LENGTH_SERIES, SMALL_SERIES))
+@settings(max_examples=400, deadline=None)
+def test_spearman_battery_matches_per_pair_spearman(series):
+    try:
+        expected = oracle_spearman_battery(series)
+    except StatsError as exc:
+        with pytest.raises(StatsError, match=f"^{re.escape(str(exc))}$"):
+            spearman_battery(series)
+        return
+    got = [(e.series_a, e.series_b, e.rho, e.raw_p, e.adjusted_p) for e in spearman_battery(series)]
+    assert got == expected
+    assert [spearman(series[a], series[b]) for a, b, *_ in got] == [(e[2], e[3]) for e in expected]
+
+
+@pytest.mark.parametrize("series, message", [
+    ({"a": [1, 2, 3], "b": [5, 5, 5]}, "constant input"),
+    ({"a": [1, 2, 3], "b": [1, 2, 3, 4]}, "equal length"),
+    ({"a": [1, 2], "b": [2, 1]}, "at least 3 points"),
+    # the first bad pair decides: (a, b) has unequal lengths before c is constant
+    ({"a": [1, 2, 3], "b": [1, 2], "c": [4, 4, 4]}, "equal length"),
+])
+def test_spearman_battery_errors(series, message):
+    with pytest.raises(StatsError, match=message):
+        spearman_battery(series)
+
+
+def test_spearman_battery_with_fewer_than_two_series_is_empty():
+    assert spearman_battery({}) == []
+    assert spearman_battery({"a": [1, 1]}) == []  # never checked: no pair
+
+
 def test_unknown_correction_rejected_by_both_adjusted_tests():
     rng = np.random.default_rng(9)
     series = {name: rng.random(30).tolist() for name in "abc"}
@@ -397,6 +517,20 @@ def test_descriptive_matches_spreadsheet_oracle():
 def test_descriptive_empty_rejected():
     with pytest.raises(StatsError):
         descriptive_stats([])
+
+
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 1e-05, 5e-324, 1e200, -1e300]),
+                          st.floats(-1e300, 1e300)), min_size=1, max_size=30))
+@example([0.3578680612554048, -0.3578680612554048])  # libm pow(x, 2) != x * x here
+@settings(max_examples=300, deadline=None)
+def test_descriptive_mean_and_std_match_numpy_scalar_sums(values):
+    # exact sums over numpy scalars: a square past the float range is inf, not an error
+    arr = np.asarray(values, dtype=float)
+    mean = math.fsum(arr) / arr.size
+    with np.errstate(over="ignore"):
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in arr) / (arr.size - 1)) if arr.size > 1 else 0.0
+        got = descriptive_stats(values)
+    assert (got.mean, got.std) == (mean, std)
 
 
 # ---------------------------------------------------------------- matrices
