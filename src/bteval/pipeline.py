@@ -11,22 +11,25 @@ mock configuration.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
+import http.client
 import json
+import math
 import os
+import queue
 import random
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict
-from http.cookiejar import DefaultCookiePolicy
 from itertools import repeat
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
 
 from .corpus import Corpus, TextSample
 from .metrics import (
@@ -104,8 +107,8 @@ class BackendConfig:
             raise ConfigError(
                 f"backend {self.id}: mock model_name must be identity, lexicon, or noise"
             )
-        if self.kind == "http_llm" and not self.endpoint:
-            raise ConfigError(f"backend {self.id}: http_llm requires an endpoint")
+        if self.kind == "http_llm":
+            _check_endpoint(self.id, self.endpoint)
         if self.wire_format not in ("chat", "raw"):
             raise ConfigError(f"backend {self.id}: unknown wire format {self.wire_format!r}")
         for name in ("prompt_template_forward", "prompt_template_backward"):
@@ -124,6 +127,9 @@ class BackendConfig:
         for name in ("rate_limit_rps", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"backend {self.id}: {name} must be > 0")
+        if not math.isfinite(self.temperature):
+            # a chat body is strict JSON, which has no NaN or infinity
+            raise ConfigError(f"backend {self.id}: temperature must be finite")
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackendConfig":
@@ -132,6 +138,22 @@ class BackendConfig:
         if unknown:
             raise ConfigError(f"unknown backend fields: {sorted(unknown)}")
         return cls(**data)
+
+
+def _check_endpoint(backend_id: str, endpoint: str) -> None:
+    """An http_llm endpoint must be an http(s) URL with a host and a valid port."""
+    if not endpoint:
+        raise ConfigError(f"backend {backend_id}: http_llm requires an endpoint")
+    parts = urlsplit(endpoint)
+    if parts.scheme not in ("http", "https"):
+        raise ConfigError(
+            f"backend {backend_id}: endpoint {endpoint!r} must be an http or https URL")
+    if not parts.hostname:
+        raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r} has no host")
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r}: {exc}") from exc
 
 
 @dataclass
@@ -308,27 +330,40 @@ class NoiseMock:
 class HttpBackend:
     """Chat-completion (or raw text) endpoint with retries and rate limiting.
 
-    Requests go through one keep-alive session holding up to max_workers
-    connections; it stores no cookies, so every request is as stateless as a
-    bare requests.post.
+    Requests go over stdlib keep-alive connections, at most one per calling
+    thread, so a backend run on max_workers threads holds up to max_workers;
+    an idle one waits in a queue for the next request. No cookies are kept,
+    no proxy is used and no redirect is followed. HTTPS certificates are
+    checked against the system trust store. A reused connection the server
+    has dropped is reopened once without counting as a retry.
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep) -> None:
         self.config = config
-        self._session = requests.Session()
-        self._session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
-        adapter = HTTPAdapter(pool_maxsize=config.max_workers)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        parts = urlsplit(config.endpoint)
+        if parts.scheme == "https":
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, parts.hostname, parts.port or http.client.HTTPS_PORT,
+                timeout=config.timeout, context=ssl.create_default_context())
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, parts.hostname, parts.port or http.client.HTTP_PORT,
+                timeout=config.timeout)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle: queue.SimpleQueue = queue.SimpleQueue()
         self._sleep = sleep
         self._bucket = TokenBucket(config.rate_limit_rps, sleep=sleep)
 
     def close(self) -> None:
-        """Close the keep-alive session's connections."""
-        self._session.close()
+        """Close every idle keep-alive connection."""
+        while True:
+            try:
+                self._idle.get_nowait().close()
+            except queue.Empty:
+                return
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+    def _headers(self, content_type: str) -> dict:
+        headers = {"Content-Type": content_type}
         key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -336,19 +371,30 @@ class HttpBackend:
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         prompt = _template_for(self.config, direction, variant).replace("{text}", text)
+        if self.config.wire_format == "raw":
+            body = prompt.encode("utf-8")
+            headers = self._headers("text/plain; charset=utf-8")
+        else:
+            payload = {
+                "model": self.config.model_name,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": self.config.temperature,
+                "seed": seed,
+            }
+            body = json.dumps(payload, allow_nan=False).encode()
+            headers = self._headers("application/json")
         # retry jitter derives from the request seed so the schedule replays
         jitter_rng = random.Random(seed * 4 + 3)
         last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
             self._bucket.acquire()
             try:
-                response = self._request(prompt, seed)
-            except (requests.RequestException, OSError) as exc:
+                status, reply_headers, reply = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
             else:
-                status = response.status_code
                 if 200 <= status < 300:
-                    completion = self._extract(response)
+                    completion = self._extract(reply_headers, reply)
                     if completion:
                         return completion
                     last_error = "empty completion"
@@ -358,36 +404,42 @@ class HttpBackend:
                 self._sleep((2 ** attempt) * 0.5 + jitter_rng.random() * 0.1)
         raise BackendError(f"{self.config.id}: {last_error}")
 
-    def _request(self, prompt: str, seed: int):
-        if self.config.wire_format == "raw":
-            return self._session.post(
-                self.config.endpoint,
-                data=prompt.encode("utf-8"),
-                headers={**self._headers(), "Content-Type": "text/plain; charset=utf-8"},
-                timeout=self.config.timeout,
-            )
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "seed": seed,
-        }
-        return self._session.post(
-            self.config.endpoint,
-            json=payload,
-            headers=self._headers(),
-            timeout=self.config.timeout,
-        )
-
-    def _extract(self, response) -> str:
-        if self.config.wire_format == "raw":
-            # requests decodes text/* without a charset as ISO-8859-1; the prompt
-            # goes out as UTF-8, so decode the reply as UTF-8 unless it names one
-            if "charset" not in response.headers.get("Content-Type", "").lower():
-                response.encoding = "utf-8"
-            return response.text.strip()
+    def _post(self, body: bytes, headers: dict):
+        """One POST over a pooled connection: (status, headers, body bytes)."""
         try:
-            data = response.json()
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            conn = self._connect()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError: the server closed
+                # an idle keep-alive connection before this request reached it
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            reply = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._idle.put(conn)
+        return response.status, response.headers, reply
+
+    def _extract(self, headers, reply: bytes) -> str:
+        if self.config.wire_format == "raw":
+            # the prompt goes out as UTF-8, so the reply is UTF-8 unless it names a charset
+            charset = headers.get_content_charset() or "utf-8"
+            try:
+                return reply.decode(charset, errors="replace").strip()
+            except LookupError:
+                return reply.decode("utf-8", errors="replace").strip()
+        try:
+            data = json.loads(reply)
             return data["choices"][0]["message"]["content"].strip()
         except (KeyError, IndexError, TypeError, ValueError):
             return ""

@@ -475,16 +475,21 @@ def descriptive_stats(values) -> DescriptiveStats:
         raise StatsError("empty input")
     n = int(arr.size)
     plain = arr.tolist()
-    mean = math.fsum(plain) / n
-    if n > 1:
-        try:
-            squares = math.fsum((v - mean) ** 2 for v in plain)
-        except OverflowError:
-            # a float square past the range raises; numpy scalars give inf, as before
-            squares = math.fsum((v - mean) ** 2 for v in arr)
-        std = math.sqrt(squares / (n - 1))
-    else:
-        std = 0.0
+    try:
+        mean = math.fsum(plain) / n
+        if n > 1:
+            try:
+                squares = math.fsum((v - mean) ** 2 for v in plain)
+            except OverflowError:
+                # a float square past the range raises; numpy scalars give inf, as before
+                squares = math.fsum((v - mean) ** 2 for v in arr)
+            std = math.sqrt(squares / (n - 1))
+        else:
+            std = 0.0
+    except OverflowError as exc:
+        # fsum raises when finite values sum past the largest float
+        raise StatsError(
+            f"values or their squared deviations sum past the largest float: {exc}") from exc
     ordered = np.sort(arr)
 
     def quantile(p: float) -> float:

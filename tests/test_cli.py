@@ -1,6 +1,9 @@
 """Subcommand behavior, exit codes, and on-disk run artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -261,6 +264,10 @@ def one_mock_backend(**fields):
     return {"backends": [dict(MOCK_BACKENDS[0], **fields)]}
 
 
+def one_http_backend(**fields):
+    return {"backends": [dict({"id": "h1", "kind": "http_llm", "model_name": "x"}, **fields)]}
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"scoring": {"bogus": 1}}, "unknown scoring fields"),
     ({"scoring": {"level": "sentence"}}, "scoring level"),
@@ -277,11 +284,18 @@ def one_mock_backend(**fields):
     (one_mock_backend(rate_limit_rps=0), "rate_limit_rps must be > 0"),
     (one_mock_backend(max_workers=0), "max_workers must be an integer >= 1"),
     (one_mock_backend(timeout=0), "timeout must be > 0"),
+    (one_http_backend(endpoint="127.0.0.1:9/v1"), "must be an http or https URL"),
+    (one_http_backend(endpoint="ftp://127.0.0.1/v1"), "must be an http or https URL"),
+    (one_http_backend(endpoint="http:///v1"), "has no host"),
+    (one_http_backend(endpoint="http://127.0.0.1:abc/v1"), "Port could not be cast"),
+    (one_http_backend(endpoint="http://127.0.0.1:9/v1", temperature=float("nan")),
+     "temperature must be finite"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
         "smoothing-epsilon-zero", "zero-repetitions", "drop-prob-above-one",
         "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
-        "zero-timeout"])
+        "zero-timeout", "endpoint-without-scheme", "ftp-endpoint", "endpoint-without-host",
+        "endpoint-non-integer-port", "nan-temperature"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -363,6 +377,18 @@ def test_report_over_run_dir(capsys, tmp_path, tiny_corpus_path):
         assert (report_dir / name).is_file()
 
 
+def test_report_sum_past_float_max_exits_2(capsys, tmp_path):
+    from bteval.stats import ExperimentDesign, ScoreMatrix
+    import numpy as np
+
+    values = np.array([[[1e308], [0.5]], [[1.79e308], [0.5]]])
+    matrix = ScoreMatrix(ExperimentDesign(2, 2, 1), "bleu", values, ["b0", "b1"], ["x", "y"])
+    (tmp_path / "matrix_bleu.json").write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "sum past the largest float" in err
+
+
 def test_report_missing_dir_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "report", str(tmp_path / "ghost"),
                           "--out", str(tmp_path / "o"))
@@ -373,3 +399,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["segment"])  # missing positional argument
     assert exc.value.code == EXIT_USAGE
+
+
+def test_import_does_not_load_requests_or_cookiejar():
+    code = ('import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
+            'assert "http.cookiejar" not in sys.modules')
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Round-trip pipeline: mocks, HTTP backend behavior, flags, and replay."""
 
 import json
+import socketserver
 import sys
 import threading
 import time
@@ -61,6 +62,25 @@ def test_backend_config_validation():
     with pytest.raises(ConfigError, match="unknown backend fields"):
         BackendConfig.from_dict({"id": "x", "kind": "mock", "model_name": "identity",
                                  "surprise": 1})
+
+
+@pytest.mark.parametrize("endpoint, message", [
+    ("127.0.0.1:9/v1", "must be an http or https URL"),
+    ("ftp://127.0.0.1/v1", "must be an http or https URL"),
+    ("http:///v1", "has no host"),
+    ("http://127.0.0.1:abc/v1", "Port could not be cast"),
+    ("https://127.0.0.1:70000/v1", "Port out of range"),
+], ids=["no-scheme", "ftp", "no-host", "non-integer-port", "port-out-of-range"])
+def test_http_endpoint_validated_at_load(endpoint, message):
+    with pytest.raises(ConfigError, match=message):
+        BackendConfig(id="x", kind="http_llm", endpoint=endpoint)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_non_finite_temperature_rejected(temperature):
+    with pytest.raises(ConfigError, match="temperature must be finite"):
+        BackendConfig(id="x", kind="http_llm", endpoint="http://127.0.0.1/v1",
+                      temperature=temperature)
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -321,6 +341,142 @@ def test_http_backend_unreachable_raises_backend_error():
     backend = HttpBackend(config, sleep=lambda s: None)
     with pytest.raises(BackendError):
         backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+
+
+def serve_canned(replies, drop_after_reply=False):
+    """HTTP/1.1 stub sending replies[i] = (status, content_type, body) to the i-th request.
+
+    seen["connections"] counts accepted connections and seen["bodies"] holds
+    each request body. With drop_after_reply the server closes every
+    connection after its first reply without sending Connection: close, as a
+    server does when a keep-alive connection idles out; seen["closed"] is
+    released once per closed connection.
+    """
+    seen = {"connections": 0, "bodies": [], "closed": threading.Semaphore(0)}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            with lock:
+                seen["connections"] += 1
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            with lock:
+                status, content_type, reply = replies[len(seen["bodies"])]
+                seen["bodies"].append(body)
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+            self.close_connection = drop_after_reply
+
+        def finish(self):
+            super().finish()
+            seen["closed"].release()
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, seen
+
+
+def chat_reply(content):
+    return 200, "application/json", json.dumps(
+        {"choices": [{"message": {"content": content}}]}).encode("utf-8")
+
+
+def test_http_backend_reopens_a_dropped_keep_alive_connection():
+    server, seen = serve_canned([chat_reply("一"), chat_reply("二")], drop_after_reply=True)
+    backend = HttpBackend(http_config(server.server_address[1], max_retries=0),
+                          sleep=lambda s: None)
+    try:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "一"
+        assert seen["closed"].acquire(timeout=5)  # the idle connection is gone
+        assert backend.translate("化学", ZH_TO_EN, seed=2, variant=0) == "二"
+    finally:
+        backend.close()
+        stop(server)
+    assert seen["connections"] == 2 and len(seen["bodies"]) == 2
+
+
+@pytest.mark.parametrize("status_line", [
+    b"NOT HTTP AT ALL\r\n\r\n",
+    b"",  # closed with no reply: RemoteDisconnected on a fresh connection
+], ids=["garbage", "no-reply"])
+def test_http_backend_bad_reply_is_a_transport_error(status_line):
+    attempts = []
+
+    class Garbage(socketserver.StreamRequestHandler):
+        def handle(self):
+            headers = {}
+            for line in iter(self.rfile.readline, b"\r\n"):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.lower()] = value.strip()
+            self.rfile.read(int(headers["content-length"]))
+            attempts.append(1)
+            self.wfile.write(status_line)
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Garbage)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    backend = HttpBackend(http_config(server.server_address[1], max_retries=2),
+                          sleep=lambda s: None)
+    try:
+        with pytest.raises(BackendError, match="transport error"):
+            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+    finally:
+        backend.close()
+        stop(server)
+    assert len(attempts) == 3  # max_retries + 1, none of them reopened for free
+
+
+def test_http_backend_reuses_its_connection_after_an_error_status():
+    server, seen = serve_canned([(500, "text/plain", b"overloaded"), chat_reply("译文")])
+    backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
+                          sleep=lambda s: None)
+    try:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+    finally:
+        backend.close()
+        stop(server)
+    assert seen["connections"] == 1 and len(seen["bodies"]) == 2
+
+
+def test_http_backend_chat_body_is_compact_json():
+    server, seen = serve_canned([chat_reply("译文")])
+    config = http_config(server.server_address[1], temperature=0.25)
+    backend = HttpBackend(config, sleep=lambda s: None)
+    try:
+        backend.translate("化学", ZH_TO_EN, seed=9, variant=1)
+    finally:
+        backend.close()
+        stop(server)
+    payload = {
+        "model": "stub-model",
+        "messages": [{"role": "user", "content": pipeline.PROMPT_VARIANTS[ZH_TO_EN][1]
+                      .replace("{text}", "化学")}],
+        "temperature": 0.25,
+        "seed": 9,
+    }
+    assert seen["bodies"] == [json.dumps(payload, allow_nan=False).encode()]
+
+
+def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8():
+    reply = "译文".encode("utf-8") + b"\xff"
+    server, _ = serve_canned([(200, "text/plain; charset=x-no-such-codec", reply)])
+    config = http_config(server.server_address[1], wire_format="raw")
+    backend = HttpBackend(config, sleep=lambda s: None)
+    try:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文\ufffd"
+    finally:
+        backend.close()
+        stop(server)
 
 
 def test_token_bucket_with_fake_clock():
