@@ -1,18 +1,19 @@
 """Pairwise scores for an (original, back-translation) pair: two BLEU
 weightings, character-n-gram F-score, token edit rate, and TF-IDF cosine
-similarity. All five share one segmentation pass via score_tokens.
+similarity. All five share one segmentation pass, and PreparedReference
+counts a reference once for any number of candidates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .segmentation import (
     WORD,
     CHARACTER,
     Lexicon,
-    ngrams,
     tokenize,
 )
 
@@ -129,14 +130,34 @@ class ScoringConfig:
 DEFAULT_SCORING = ScoringConfig()
 
 
+def _grams(seq, orders) -> Counter:
+    """Every window of each order of a str or tuple, counted in one multiset.
+
+    Windows of different orders differ in length, so they never collide.
+    """
+    return Counter(seq[i:i + n] for n in orders for i in range(len(seq) - n + 1))
+
+
+def _matches(cand_grams: Counter, ref_grams: dict, top: int) -> list[int]:
+    """Clipped matches per order 0..top: each shared window counts min(cand, ref) times."""
+    matched = [0] * (top + 1)
+    for gram in cand_grams.keys() & ref_grams.keys():
+        c, r = cand_grams[gram], ref_grams[gram]
+        matched[len(gram)] += c if c < r else r
+    return matched
+
+
+def _windows(length: int, n: int) -> int:
+    return max(0, length - n + 1)
+
+
 def modified_precision(candidate, reference, n: int) -> tuple[int, int]:
     """Clipped n-gram matches and candidate n-gram total."""
     if not 1 <= n <= 4:
         raise MetricError("n must lie in [1, 4]")
-    cand = ngrams(candidate, n)
-    ref = ngrams(reference, n)
-    matched = sum(min(count, ref.get(gram, 0)) for gram, count in cand.items())
-    return matched, sum(cand.values())
+    cand = tuple(candidate)
+    matched = _matches(_grams(cand, (n,)), _grams(tuple(reference), (n,)), n)
+    return matched[n], _windows(len(cand), n)
 
 
 def brevity_penalty(candidate_len: int, reference_len: int) -> float:
@@ -147,6 +168,33 @@ def brevity_penalty(candidate_len: int, reference_len: int) -> float:
     if candidate_len >= reference_len:
         return 1.0
     return math.exp(1.0 - reference_len / candidate_len)
+
+
+def _weighted_orders(*weightings) -> tuple[int, ...]:
+    return tuple(n for n in range(1, 5) if any(w[n - 1] for w in weightings))
+
+
+def _bleu(weights, epsilon: float | None, matched: list[int], cand_len: int,
+          ref_len: int) -> float:
+    """The geometric mean of the per-order precisions, times the brevity penalty."""
+    bp = brevity_penalty(cand_len, ref_len)
+    if bp == 0.0:
+        return 0.0
+    log_sum = 0.0
+    for n, weight in enumerate(weights, start=1):
+        if weight == 0.0:
+            continue
+        total = _windows(cand_len, n)
+        if total == 0 and ref_len < n:
+            continue
+        if matched[n] == 0:
+            if epsilon is None or total == 0:
+                return 0.0
+            p = epsilon / total
+        else:
+            p = matched[n] / total
+        log_sum += weight * math.log(p)
+    return bp * math.exp(log_sum)
 
 
 def bleu(candidate, reference, config: BleuConfig = BleuConfig()) -> float:
@@ -161,32 +209,29 @@ def bleu(candidate, reference, config: BleuConfig = BleuConfig()) -> float:
     ref = tuple(reference)
     if not ref:
         raise MetricError("reference must be non-empty")
-    bp = brevity_penalty(len(cand), len(ref))
-    if bp == 0.0:
+    orders = _weighted_orders(config.weights)
+    matched = _matches(_grams(cand, orders), _grams(ref, orders), 4)
+    return _bleu(config.weights, config.smoothing_epsilon, matched, len(cand), len(ref))
+
+
+def _f_beta(matched: int, cand_total: int, ref_total: int, beta_sq: float) -> float:
+    precision = matched / cand_total if cand_total else 0.0
+    recall = matched / ref_total if ref_total else 0.0
+    if precision == 0.0 and recall == 0.0:
         return 0.0
-    log_sum = 0.0
-    for n, weight in enumerate(config.weights, start=1):
-        if weight == 0.0:
-            continue
-        matched, total = modified_precision(cand, ref, n)
-        if total == 0 and len(ref) < n:
-            continue
-        if matched == 0:
-            if config.smoothing_epsilon is None or total == 0:
-                return 0.0
-            p = config.smoothing_epsilon / total
-        else:
-            p = matched / total
-        log_sum += weight * math.log(p)
-    return bp * math.exp(log_sum)
+    return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
 
 
-def _char_grams(text: str, n: int) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for i in range(len(text) - n + 1):
-        gram = text[i:i + n]
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _chrf(cand: str, ref_grams: dict, ref_len: int, max_n: int, beta: float) -> float:
+    """Mean F-beta over the orders 1..max_n that either whitespace-free text reaches."""
+    orders = range(1, max_n + 1)
+    matched = _matches(_grams(cand, orders), ref_grams, max_n)
+    beta_sq = beta * beta
+    scores = [
+        _f_beta(matched[n], _windows(len(cand), n), _windows(ref_len, n), beta_sq)
+        for n in orders if len(cand) >= n or ref_len >= n
+    ]
+    return sum(scores) / len(scores) if scores else 0.0
 
 
 def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> float:
@@ -199,44 +244,22 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
     ref = "".join(reference.split())
     if not ref:
         raise MetricError("reference must be non-empty")
-    beta_sq = beta * beta
-    scores = []
-    for n in range(1, max_n + 1):
-        if len(cand) < n and len(ref) < n:
-            continue
-        cand_grams = _char_grams(cand, n)
-        ref_grams = _char_grams(ref, n)
-        matched = sum(min(c, ref_grams.get(g, 0)) for g, c in cand_grams.items())
-        cand_total = sum(cand_grams.values())
-        ref_total = sum(ref_grams.values())
-        precision = matched / cand_total if cand_total else 0.0
-        recall = matched / ref_total if ref_total else 0.0
-        if precision == 0.0 and recall == 0.0:
-            scores.append(0.0)
-        else:
-            scores.append((1 + beta_sq) * precision * recall / (beta_sq * precision + recall))
-    return sum(scores) / len(scores) if scores else 0.0
+    return _chrf(cand, _grams(ref, range(1, max_n + 1)), len(ref), max_n, beta)
 
 
-def edit_distance(candidate, reference) -> int:
-    """Unit-cost insert/delete/substitute distance between token sequences.
-
-    Exact bit-parallel Levenshtein (Myers 1999, JACM 46(3); Hyyrö 2003):
-    one Python int holds one DP column as vertical +1/-1 deltas, one bit
-    per reference token, so the reference may have any length.
-    """
-    cand = tuple(candidate)
-    ref = tuple(reference)
-    if not cand:
-        return len(ref)
-    if not ref:
-        return len(cand)
+def _peq(reference: tuple) -> dict:
+    """Per token, the bitmask of the reference positions that hold it."""
     peq: dict = {}
-    for i, tok in enumerate(ref):
+    for i, tok in enumerate(reference):
         peq[tok] = peq.get(tok, 0) | (1 << i)
-    mask = (1 << len(ref)) - 1
-    last = 1 << (len(ref) - 1)
-    pv, mv, dist = mask, 0, len(ref)
+    return peq
+
+
+def _edit_distance(cand: tuple, peq: dict, ref_len: int) -> int:
+    """Bit-parallel Levenshtein distance to a non-empty reference given by its peq."""
+    mask = (1 << ref_len) - 1
+    last = 1 << (ref_len - 1)
+    pv, mv, dist = mask, 0, ref_len
     for tok in cand:
         eq = peq.get(tok, 0)
         xv = eq | mv
@@ -253,6 +276,20 @@ def edit_distance(candidate, reference) -> int:
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv & mask
     return dist
+
+
+def edit_distance(candidate, reference) -> int:
+    """Unit-cost insert/delete/substitute distance between token sequences.
+
+    Exact bit-parallel Levenshtein (Myers 1999, JACM 46(3); Hyyrö 2003):
+    one Python int holds one DP column as vertical +1/-1 deltas, one bit
+    per reference token, so the reference may have any length.
+    """
+    cand = tuple(candidate)
+    ref = tuple(reference)
+    if not ref:
+        return len(cand)
+    return _edit_distance(cand, _peq(ref), len(ref))
 
 
 def ter(candidate, reference) -> float:
@@ -276,24 +313,27 @@ def fit_idf(documents) -> IdfModel:
 
 
 def _tfidf_vector(tokens, idf: IdfModel) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
-    return {token: count * idf.idf(token) for token, count in counts.items()}
+    return {token: count * idf.idf(token) for token, count in Counter(tokens).items()}
+
+
+def _norm(vector: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in vector.values()))
+
+
+def _cosine(cand_vec: dict[str, float], ref_vec: dict[str, float], ref_norm: float) -> float:
+    if cand_vec == ref_vec:
+        return 1.0 if cand_vec else 0.0
+    dot = sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
+    norm_c = _norm(cand_vec)
+    if norm_c == 0.0 or ref_norm == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / (norm_c * ref_norm)))
 
 
 def semantic_similarity(candidate, reference, idf: IdfModel) -> float:
     """Cosine of the TF-IDF vectors; 0 when either vector is all-zero."""
-    cand_vec = _tfidf_vector(candidate, idf)
     ref_vec = _tfidf_vector(reference, idf)
-    if cand_vec == ref_vec:
-        return 1.0 if cand_vec else 0.0
-    dot = sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
-    norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
-    norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))
-    if norm_c == 0.0 or norm_r == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, dot / (norm_c * norm_r)))
+    return _cosine(_tfidf_vector(candidate, idf), ref_vec, _norm(ref_vec))
 
 
 def score_pair(
@@ -316,15 +356,48 @@ def score_pair(
     return score_tokens(cand_tokens, ref_tokens, config, idf)
 
 
+class PreparedReference:
+    """One reference with everything the five metrics read from it built once:
+    the word n-gram counts of every weighted BLEU order, the whitespace-free
+    text and its character n-gram counts, the TF-IDF vector and its norm, and
+    the edit-distance bitmasks. score() rates any number of candidates
+    against it; each candidate is counted once per order, and both BLEU
+    weightings read the same counts.
+    """
+
+    def __init__(self, ref_tokens, config: ScoringConfig, idf: IdfModel) -> None:
+        ref = tuple(ref_tokens)
+        # chrF reads the joined tokens, which differ from the texts only by
+        # whitespace that chrF strips anyway
+        text = "".join("".join(ref).split())
+        if not ref or not text:
+            raise MetricError("reference must be non-empty")
+        self._config = config
+        self._idf = idf
+        self._len = len(ref)
+        self._orders = _weighted_orders(config.bleu_weights, config.bleu_unif_weights)
+        self._word_grams = _grams(ref, self._orders)
+        self._text_len = len(text)
+        self._char_grams = _grams(text, range(1, config.chrf_max_n + 1))
+        self._vector = _tfidf_vector(ref, idf)
+        self._norm = _norm(self._vector)
+        self._peq = _peq(ref)
+
+    def score(self, cand_tokens) -> MetricVector:
+        config = self._config
+        cand = tuple(cand_tokens)
+        matched = _matches(_grams(cand, self._orders), self._word_grams, 4)
+        epsilon = config.smoothing_epsilon
+        return MetricVector(
+            bleu=_bleu(config.bleu_weights, epsilon, matched, len(cand), self._len),
+            bleu_unif=_bleu(config.bleu_unif_weights, epsilon, matched, len(cand), self._len),
+            chrf=_chrf("".join("".join(cand).split()), self._char_grams, self._text_len,
+                       config.chrf_max_n, config.chrf_beta),
+            ter=_edit_distance(cand, self._peq, self._len) / self._len,
+            semantic_similarity=_cosine(_tfidf_vector(cand, self._idf), self._vector, self._norm),
+        )
+
+
 def score_tokens(cand_tokens, ref_tokens, config: ScoringConfig, idf: IdfModel) -> MetricVector:
-    """All five metrics for one tokenized pair. chrF reads the joined tokens, which
-    differ from the texts only by whitespace that chrF strips anyway."""
-    technical = BleuConfig(config.bleu_weights, config.smoothing_epsilon, config.level)
-    uniform = BleuConfig(config.bleu_unif_weights, config.smoothing_epsilon, config.level)
-    return MetricVector(
-        bleu=bleu(cand_tokens, ref_tokens, technical),
-        bleu_unif=bleu(cand_tokens, ref_tokens, uniform),
-        chrf=chrf("".join(cand_tokens), "".join(ref_tokens), config.chrf_max_n, config.chrf_beta),
-        ter=ter(cand_tokens, ref_tokens),
-        semantic_similarity=semantic_similarity(cand_tokens, ref_tokens, idf),
-    )
+    """All five metrics for one tokenized pair."""
+    return PreparedReference(ref_tokens, config, idf).score(cand_tokens)

@@ -25,7 +25,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import attrgetter
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -35,11 +36,11 @@ from .corpus import Corpus, TextSample
 from .metrics import (
     METRIC_NAMES,
     BleuConfig,
+    PreparedReference,
     ScoringConfig,
     DEFAULT_SCORING,
     bleu,
     fit_idf,
-    score_tokens,
 )
 from .segmentation import (
     DEFAULT_TRADITIONAL_THRESHOLD,
@@ -291,11 +292,17 @@ class LexiconMapperMock:
     def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None) -> None:
         self.config = config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        # the forward leg is a pure function of the text, so each text is
+        # segmented once; threads that race on a text compute the same value
+        self._english: dict[str, str] = {}
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         if direction == ZH_TO_EN:
-            tokens = segment_words(text, self.lexicon).tokens
-            return " ".join(BILINGUAL_TABLE.get(t, t) for t in tokens)
+            english = self._english.get(text)
+            if english is None:
+                tokens = segment_words(text, self.lexicon).tokens
+                english = self._english[text] = " ".join(BILINGUAL_TABLE.get(t, t) for t in tokens)
+            return english
         return "".join(_REVERSE_TABLE.get(t, t) for t in text.split(" "))
 
 
@@ -439,10 +446,11 @@ class HttpBackend:
             except LookupError:
                 return reply.decode("utf-8", errors="replace").strip()
         try:
-            data = json.loads(reply)
-            return data["choices"][0]["message"]["content"].strip()
+            content = json.loads(reply)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError):
             return ""
+        # a refusal or tool call carries null content: an empty completion
+        return content.strip() if isinstance(content, str) else ""
 
 
 def make_backend(config: BackendConfig, lexicon: Lexicon | None = None):
@@ -565,6 +573,7 @@ def run_experiment(
                 batches.append(map(_roundtrip, *legs))
         for batch in batches:
             records.extend(batch)
+        batches.clear()  # the drained maps hold the backends, and the mocks' memos, until cleared
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     # IDF refits on this batch: every original plus every non-error back-translation.
@@ -582,16 +591,21 @@ def run_experiment(
     block_index = {s.id: i for i, s in enumerate(corpus)}
     treatment_index = {b.id: j for j, b in enumerate(backends)}
     grids = {name: np.full((design.n, design.k, design.r), np.nan) for name in METRIC_NAMES}
-    for rec in scored:
-        vector = score_tokens(tokens[rec.zhy], tokens[rec.zhx], scoring, idf)
-        if verbatim_from_bleu:
-            rec.verbatim_flag = vector.bleu >= verbatim_threshold
-        else:
-            _, rec.verbatim_flag = detect_verbatim(rec.zhx, rec.zhy, lexicon, verbatim_threshold)
-        _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table, traditional_threshold)
-        b, t, rep = block_index[rec.sample_id], treatment_index[rec.backend_id], rec.repetition - 1
-        for name in METRIC_NAMES:
-            grids[name][b, t, rep] = vector[name]
+    # Records are sorted by sample, so each original's back-translations are
+    # consecutive: prepare it once for all of them, and hold one at a time.
+    for zhx, group in groupby(scored, key=attrgetter("zhx")):
+        reference = PreparedReference(tokens[zhx], scoring, idf)
+        for rec in group:
+            vector = reference.score(tokens[rec.zhy])
+            if verbatim_from_bleu:
+                rec.verbatim_flag = vector.bleu >= verbatim_threshold
+            else:
+                _, rec.verbatim_flag = detect_verbatim(zhx, rec.zhy, lexicon, verbatim_threshold)
+            _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table,
+                                                         traditional_threshold)
+            b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
+            for name in METRIC_NAMES:
+                grids[name][b, t, rec.repetition - 1] = vector[name]
 
     matrices = {
         name: ScoreMatrix(

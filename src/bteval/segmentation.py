@@ -11,6 +11,7 @@ probability 1/total, so any input is segmentable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -175,11 +176,6 @@ def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
     return counts
 
 
-def is_han(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
-
-
 def load_variant_table(path: str | Path) -> dict[str, str]:
     """Load "traditional simplified" character pairs, one per line."""
     table: dict[str, str] = {}
@@ -193,6 +189,12 @@ def load_variant_table(path: str | Path) -> dict[str, str]:
                 raise LexiconError(f"{path}: line {lineno}: expected 'traditional simplified'")
             table[parts[0]] = parts[1]
     return table
+
+
+@lru_cache(maxsize=1)
+def _han_char():
+    # compiling the class takes milliseconds, so an import that never checks a text skips it
+    return re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]")
 
 
 @lru_cache(maxsize=1)
@@ -210,12 +212,7 @@ def detect_traditional(
     """Fraction of Han characters that are traditional-only, and whether it exceeds the threshold."""
     if table is None:
         table = default_variant_table()
-    han = 0
-    traditional = 0
-    for ch in text:
-        if is_han(ch):
-            han += 1
-            if ch in table:
-                traditional += 1
-    ratio = traditional / han if han else 0.0
+    han = _han_char().findall(text)
+    traditional = sum(map(table.__contains__, han))
+    ratio = traditional / len(han) if han else 0.0
     return ratio, ratio > threshold

@@ -490,6 +490,9 @@ def descriptive_stats(values) -> DescriptiveStats:
         # fsum raises when finite values sum past the largest float
         raise StatsError(
             f"values or their squared deviations sum past the largest float: {exc}") from exc
+    except ValueError as exc:
+        # fsum raises on inf + -inf, which has no sum
+        raise StatsError(f"values hold both +inf and -inf: {exc}") from exc
     ordered = np.sort(arr)
 
     def quantile(p: float) -> float:

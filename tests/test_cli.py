@@ -389,6 +389,18 @@ def test_report_sum_past_float_max_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and "sum past the largest float" in err
 
 
+def test_report_opposite_infinities_exit_2(capsys, tmp_path):
+    from bteval.stats import ExperimentDesign, ScoreMatrix
+    import numpy as np
+
+    values = np.array([[[np.inf], [0.5]], [[-np.inf], [0.5]]])
+    matrix = ScoreMatrix(ExperimentDesign(2, 2, 1), "bleu", values, ["b0", "b1"], ["x", "y"])
+    (tmp_path / "matrix_bleu.json").write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "both +inf and -inf" in err
+
+
 def test_report_missing_dir_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "report", str(tmp_path / "ghost"),
                           "--out", str(tmp_path / "o"))

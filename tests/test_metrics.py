@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bteval.metrics import (
     BleuConfig,
     MetricError,
+    MetricVector,
+    PreparedReference,
     ScoringConfig,
     bleu,
     brevity_penalty,
@@ -18,12 +20,13 @@ from bteval.metrics import (
     fit_idf,
     modified_precision,
     score_pair,
+    score_tokens,
     semantic_similarity,
     ter,
 )
 from bteval.corpus import parse_corpus
 from bteval.pipeline import BackendConfig, run_experiment
-from bteval.segmentation import Lexicon, tokenize
+from bteval.segmentation import CHARACTER, Lexicon, ngrams, tokenize
 
 from conftest import FIXTURES
 
@@ -68,6 +71,107 @@ def oracle_edit_distance(a, b):
                 d[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1),
             )
     return d[m][n]
+
+
+# The per-pair scoring the prepared reference replaced: every call counts
+# both sides again. The prepared path must equal these bit for bit.
+
+def pair_bleu(candidate, reference, config):
+    cand = tuple(candidate)
+    ref = tuple(reference)
+    if not ref:
+        raise MetricError("reference must be non-empty")
+    bp = brevity_penalty(len(cand), len(ref))
+    if bp == 0.0:
+        return 0.0
+    log_sum = 0.0
+    for n, weight in enumerate(config.weights, start=1):
+        if weight == 0.0:
+            continue
+        cand_grams = ngrams(cand, n)
+        ref_grams = ngrams(ref, n)
+        matched = sum(min(count, ref_grams.get(gram, 0)) for gram, count in cand_grams.items())
+        total = sum(cand_grams.values())
+        if total == 0 and len(ref) < n:
+            continue
+        if matched == 0:
+            if config.smoothing_epsilon is None or total == 0:
+                return 0.0
+            p = config.smoothing_epsilon / total
+        else:
+            p = matched / total
+        log_sum += weight * math.log(p)
+    return bp * math.exp(log_sum)
+
+
+def pair_char_grams(text, n):
+    counts = {}
+    for i in range(len(text) - n + 1):
+        gram = text[i:i + n]
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def pair_chrf(candidate, reference, max_n=6, beta=2.0):
+    cand = "".join(candidate.split())
+    ref = "".join(reference.split())
+    if not ref:
+        raise MetricError("reference must be non-empty")
+    beta_sq = beta * beta
+    scores = []
+    for n in range(1, max_n + 1):
+        if len(cand) < n and len(ref) < n:
+            continue
+        cand_grams = pair_char_grams(cand, n)
+        ref_grams = pair_char_grams(ref, n)
+        matched = sum(min(c, ref_grams.get(g, 0)) for g, c in cand_grams.items())
+        cand_total = sum(cand_grams.values())
+        ref_total = sum(ref_grams.values())
+        precision = matched / cand_total if cand_total else 0.0
+        recall = matched / ref_total if ref_total else 0.0
+        if precision == 0.0 and recall == 0.0:
+            scores.append(0.0)
+        else:
+            scores.append((1 + beta_sq) * precision * recall / (beta_sq * precision + recall))
+    return sum(scores) / len(scores) if scores else 0.0
+
+
+def pair_tfidf_vector(tokens, idf):
+    counts = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    return {token: count * idf.idf(token) for token, count in counts.items()}
+
+
+def pair_semantic_similarity(candidate, reference, idf):
+    cand_vec = pair_tfidf_vector(candidate, idf)
+    ref_vec = pair_tfidf_vector(reference, idf)
+    if cand_vec == ref_vec:
+        return 1.0 if cand_vec else 0.0
+    dot = sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
+    norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
+    norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))
+    if norm_c == 0.0 or norm_r == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / (norm_c * norm_r)))
+
+
+def pair_score_tokens(cand_tokens, ref_tokens, config, idf):
+    """TER reads the full-matrix oracle below, which the bit-parallel kernel equals exactly."""
+    technical = BleuConfig(config.bleu_weights, config.smoothing_epsilon, config.level)
+    uniform = BleuConfig(config.bleu_unif_weights, config.smoothing_epsilon, config.level)
+    ref = tuple(ref_tokens)
+    return MetricVector(
+        bleu=pair_bleu(cand_tokens, ref, technical),
+        bleu_unif=pair_bleu(cand_tokens, ref, uniform),
+        chrf=pair_chrf("".join(cand_tokens), "".join(ref), config.chrf_max_n, config.chrf_beta),
+        ter=oracle_edit_distance(tuple(cand_tokens), ref) / len(ref),
+        semantic_similarity=pair_semantic_similarity(cand_tokens, ref, idf),
+    )
+
+
+def hexed(vector):
+    return {name: value.hex() for name, value in vector.as_dict().items()}
 
 
 def random_pair(rng):
@@ -364,3 +468,100 @@ def test_ter_upper_bound():
     for _ in range(100):
         cand, ref = random_pair(rng)
         assert ter(cand, ref) <= max(1.0, len(cand) / len(ref)) + 1e-12
+
+
+# ------------------------------------------------- prepared reference
+
+PREPARED_CONFIGS = {
+    "default": ScoringConfig(),
+    "epsilon": ScoringConfig(smoothing_epsilon=0.1),
+    "character": ScoringConfig(level=CHARACTER),
+    "chrf-1": ScoringConfig(chrf_max_n=1),
+    "chrf-8": ScoringConfig(chrf_max_n=8, chrf_beta=1.0),
+    "high-orders": ScoringConfig(bleu_weights=(0, 0, 0.5, 0.5),
+                                 bleu_unif_weights=(0, 0.5, 0, 0.5)),
+    "high-orders-epsilon": ScoringConfig(bleu_weights=(0, 0, 0.5, 0.5), smoothing_epsilon=0.5),
+}
+
+# few distinct tokens, so grams repeat; "a b" carries whitespace that chrF strips
+PREPARED_POOL = ("a", "b", "ab", "的", "化学", "工程", "化学工程", "a b")
+
+
+@st.composite
+def reference_and_candidates(draw):
+    """One reference and several candidates, including the empty one, ones shorter
+    than every order, one sharing only a prefix, and the reference itself."""
+    config = PREPARED_CONFIGS[draw(st.sampled_from(sorted(PREPARED_CONFIGS)))]
+    tokens = st.sampled_from(PREPARED_POOL)
+    ref = draw(st.lists(tokens, min_size=1, max_size=30))
+    cands = draw(st.lists(st.lists(tokens, max_size=30), min_size=1, max_size=5))
+    cands += [[], ref[:1], ref[:3], list(ref), ref + ref[:2]]
+    if config.level == CHARACTER:
+        ref = list("".join(ref).replace(" ", ""))
+        cands = [list("".join(c).replace(" ", "")) for c in cands]
+    return config, ref, cands
+
+
+@given(reference_and_candidates())
+@settings(max_examples=300, deadline=None)
+def test_prepared_reference_equals_per_pair_oracles(case):
+    config, ref, cands = case
+    idf = fit_idf([ref] + cands)
+    prepared = PreparedReference(ref, config, idf)
+    for cand in cands:
+        expected = hexed(pair_score_tokens(cand, ref, config, idf))
+        assert hexed(prepared.score(cand)) == expected
+        assert hexed(score_tokens(cand, ref, config, idf)) == expected
+
+
+@given(reference_and_candidates())
+@settings(max_examples=200, deadline=None)
+def test_public_metrics_equal_per_pair_oracles(case):
+    config, ref, cands = case
+    idf = fit_idf([ref] + cands)
+    weighting = BleuConfig(config.bleu_weights, config.smoothing_epsilon)
+    ref_text = " ".join(ref)
+    for cand in cands:
+        assert bleu(cand, ref, weighting).hex() == pair_bleu(cand, ref, weighting).hex()
+        cand_text = " ".join(cand)
+        assert (chrf(cand_text, ref_text, config.chrf_max_n, config.chrf_beta).hex()
+                == pair_chrf(cand_text, ref_text, config.chrf_max_n, config.chrf_beta).hex())
+        assert (semantic_similarity(cand, ref, idf).hex()
+                == pair_semantic_similarity(cand, ref, idf).hex())
+        # an empty reference vector scores 0 against anything
+        assert semantic_similarity(cand, [], idf) == pair_semantic_similarity(cand, [], idf)
+        for n in range(1, 5):
+            cand_grams, ref_grams = ngrams(cand, n), ngrams(ref, n)
+            assert modified_precision(cand, ref, n) == (
+                sum(min(c, ref_grams.get(g, 0)) for g, c in cand_grams.items()),
+                sum(cand_grams.values()))
+
+
+def test_prepared_reference_rejects_empty_reference():
+    idf = fit_idf([["a"], ["b"]])
+    for ref in ([], [" "]):
+        with pytest.raises(MetricError, match="reference must be non-empty"):
+            PreparedReference(ref, ScoringConfig(), idf)
+
+
+def test_chrf_orders_outside_one_through_max_n():
+    # max_n below 1 leaves no order to average
+    assert chrf("abc", "abc", max_n=0) == pair_chrf("abc", "abc", max_n=0) == 0.0
+
+
+@pytest.mark.parametrize("config", [ScoringConfig(), ScoringConfig(level=CHARACTER)],
+                         ids=["word", "character"])
+def test_run_experiment_scores_equal_per_pair_oracles(config):
+    corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
+    backend = BackendConfig(id="noisy", kind="mock", model_name="noise",
+                            drop_prob=0.1, swap_prob=0.05)
+    matrices, records, _ = run_experiment(corpus, [backend], r=2, scoring=config, master_seed=11)
+    assert all(rec.error is None for rec in records)
+    tokens = {text: tokenize(text, config.level)
+              for text in [s.text for s in corpus] + [rec.zhy for rec in records]}
+    idf = fit_idf([tokens[s.text] for s in corpus] + [tokens[rec.zhy] for rec in records])
+    blocks = {s.id: i for i, s in enumerate(corpus)}
+    for rec in records:
+        expected = hexed(pair_score_tokens(tokens[rec.zhy], tokens[rec.zhx], config, idf))
+        cell = (blocks[rec.sample_id], 0, rec.repetition - 1)
+        assert {name: float(m.values[cell]).hex() for name, m in matrices.items()} == expected

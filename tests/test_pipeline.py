@@ -117,6 +117,27 @@ def test_lexicon_mock_is_invertible_on_arbitrary_text():
     assert backend.translate(en, EN_TO_ZH, 0, 0) == text
 
 
+def test_mapper_mocks_segment_each_forward_text_once(monkeypatch):
+    calls = Counter()
+    original = pipeline.segment_words
+
+    def counting(text, lexicon=None):
+        calls[text] += 1
+        return original(text, lexicon)
+
+    monkeypatch.setattr(pipeline, "segment_words", counting)
+    text = "化学工程领域的研究与分析和实验过程"
+    for model in ("lexicon", "noise"):
+        calls.clear()
+        config = mock_config(model, drop_prob=0.3, swap_prob=0.2)
+        backend = make_backend(config)
+        legs = [backend.translate(text, ZH_TO_EN, seed, 0) for seed in range(4)]
+        assert calls[text] == 1
+        # the memo only skips work: a fresh instance gives the same legs
+        assert legs == [make_backend(config).translate(text, ZH_TO_EN, seed, 0)
+                        for seed in range(4)]
+
+
 def test_noise_mock_is_seed_deterministic():
     config = mock_config("noise", drop_prob=0.3, swap_prob=0.2)
     backend = make_backend(config)
@@ -275,6 +296,23 @@ def test_http_backend_empty_completion_errors():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_http_backend_null_content_is_an_empty_completion():
+    # OpenAI-style APIs send null content for refusals and tool calls
+    server, seen = serve_canned([chat_reply(None)] * 4)
+    try:
+        backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
+                              sleep=lambda s: None)
+        with pytest.raises(BackendError, match="empty completion"):
+            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+        assert len(seen["bodies"]) == 2  # retried once
+        backend.close()
+        config = http_config(server.server_address[1], max_retries=0)
+        _, records, _ = run_experiment(tiny_corpus(), [config], r=1)
+        assert [rec.error for rec in records] == ["h1: empty completion"] * 2
+    finally:
+        stop(server)
 
 
 def test_http_backend_raw_wire_format():

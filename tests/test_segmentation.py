@@ -10,7 +10,9 @@ from bteval.segmentation import (
     Lexicon,
     LexiconError,
     TokenList,
+    DEFAULT_TRADITIONAL_THRESHOLD,
     default_lexicon,
+    default_variant_table,
     detect_traditional,
     load_lexicon,
     ngrams,
@@ -259,6 +261,48 @@ def test_detect_traditional_threshold():
     assert not flagged
     _, flagged = detect_traditional(text, table, threshold=0.005)
     assert flagged
+
+
+HAN_RANGES = ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF), (0x20000, 0x2FA1F))
+
+
+def oracle_is_han(ch):
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in HAN_RANGES)
+
+
+def oracle_detect_traditional(text, table, threshold):
+    """Per-character scan: the share of Han characters found in the table."""
+    han = 0
+    traditional = 0
+    for ch in text:
+        if oracle_is_han(ch):
+            han += 1
+            if ch in table:
+                traditional += 1
+    ratio = traditional / han if han else 0.0
+    return ratio, ratio > threshold
+
+
+HAN_BOUNDARIES = "".join(chr(cp) for pair in (
+    (0x33FF, 0x3400), (0x4DBF, 0x4DC0), (0x9FFF, 0xA000), (0xF8FF, 0xF900),
+    (0xFAFF, 0xFB00), (0x1FFFF, 0x20000), (0x2FA1F, 0x2FA20)) for cp in pair)
+
+# a user table whose keys include characters outside the Han ranges, which must not count
+MIXED_TABLE = {"觀": "观", "點": "点", "A": "a", chr(0x33FF): "x", chr(0xA000): "y",
+               chr(0x2FA20): "z", chr(0x3400): "w", chr(0x2FA1F): "v"}
+
+
+@given(st.text(alphabet=HAN_BOUNDARIES + "觀點观点元素 A1。", max_size=40),
+       st.sampled_from(["default", "mixed"]),
+       st.sampled_from([0.0, DEFAULT_TRADITIONAL_THRESHOLD, 0.5]))
+@settings(max_examples=300, deadline=None)
+@example("A" * 10 + chr(0x3400), "mixed", 0.5)
+@example(chr(0x33FF) + chr(0xA000) + chr(0x2FA20), "mixed", 0.0)
+def test_detect_traditional_equals_per_character_oracle(text, table_name, threshold):
+    table = default_variant_table() if table_name == "default" else MIXED_TABLE
+    assert (detect_traditional(text, table, threshold)
+            == oracle_detect_traditional(text, table, threshold))
 
 
 def test_token_list_behaves_like_sequence():
