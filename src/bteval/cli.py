@@ -111,19 +111,54 @@ def _scoring_from_path(path: str) -> ScoringConfig:
     return ScoringConfig.from_dict(data.get("scoring", data))
 
 
+RUN_CONFIG_KEYS = frozenset({
+    "corpus", "backends", "lexicon", "variant_table", "scoring", "repetitions",
+    "master_seed", "verbatim_threshold", "traditional_threshold", "max_missing_fraction",
+})
+
+
 def _load_run_config(path: str) -> dict:
     config = _read_json(path, "config")
     if "corpus" not in config or "backends" not in config:
         raise CliError("run config requires 'corpus' and 'backends'")
+    unknown = set(config) - RUN_CONFIG_KEYS
+    if unknown:
+        raise CliError(f"unknown run config keys: {sorted(unknown)}")
+    backends = config["backends"]
+    if not (isinstance(backends, list) and backends
+            and all(isinstance(b, dict) for b in backends)):
+        raise CliError("run config 'backends' must be a non-empty array of objects")
     return config
 
 
-def _config_value(config: dict, key: str, default, kind):
-    """config[key] (or default) converted by kind; a value kind rejects is a CliError."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_int(config: dict, key: str, default: int) -> int:
+    """config[key] (or default) if it is integral; anything else is a CliError."""
+    value = config.get(key, default)
+    if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
+        raise CliError(f"run config {key!r} must be int, got {value!r}")
+    return int(value)
+
+
+def _config_fraction(config: dict, key: str, default: float) -> float:
+    """config[key] (or default) if it is a number in [0, 1]; anything else is a CliError."""
+    value = config.get(key, default)
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise CliError(f"run config {key!r} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _alpha(text: str) -> float:
+    """A significance level: a number strictly between 0 and 1."""
     try:
-        return kind(config.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"run config {key!r} must be {kind.__name__}, got {config[key]!r}") from exc
+        if 0.0 < (value := float(text)) < 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
 
 
 def cmd_run(args) -> int:
@@ -139,9 +174,13 @@ def cmd_run(args) -> int:
     except (pipeline_mod.ConfigError, TypeError) as exc:
         raise CliError(f"bad backend config: {exc}") from exc
     scoring = ScoringConfig.from_dict(config.get("scoring", {}))
-    master_seed = (args.seed if args.seed is not None
-                   else _config_value(config, "master_seed", 0, int))
-    repetitions = _config_value(config, "repetitions", 1, int)
+    master_seed = args.seed if args.seed is not None else _config_int(config, "master_seed", 0)
+    repetitions = _config_int(config, "repetitions", 1)
+    verbatim_threshold = _config_fraction(config, "verbatim_threshold",
+                                          pipeline_mod.DEFAULT_VERBATIM_THRESHOLD)
+    traditional_threshold = _config_fraction(config, "traditional_threshold",
+                                             DEFAULT_TRADITIONAL_THRESHOLD)
+    max_missing_fraction = _config_fraction(config, "max_missing_fraction", 1.0)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
         loaded,
@@ -151,10 +190,8 @@ def cmd_run(args) -> int:
         master_seed,
         lexicon=lexicon,
         variant_table=table,
-        verbatim_threshold=_config_value(config, "verbatim_threshold",
-                                         pipeline_mod.DEFAULT_VERBATIM_THRESHOLD, float),
-        traditional_threshold=_config_value(config, "traditional_threshold",
-                                            DEFAULT_TRADITIONAL_THRESHOLD, float),
+        verbatim_threshold=verbatim_threshold,
+        traditional_threshold=traditional_threshold,
     )
 
     pipeline_mod.write_records(records, out_dir / "records.jsonl")
@@ -171,7 +208,6 @@ def cmd_run(args) -> int:
 
     errors = sum(1 for rec in records if rec.error is not None)
     missing_fraction = max(m.missing_fraction() for m in matrices.values())
-    threshold = _config_value(config, "max_missing_fraction", 1.0, float)
     print(
         f"{len(records)} records, {errors} errors, "
         f"missing fraction {missing_fraction:.3f}",
@@ -180,8 +216,8 @@ def cmd_run(args) -> int:
     if errors == len(records):
         print("degraded: every round-trip failed, nothing was scored", file=sys.stderr)
         return EXIT_DEGRADED
-    if missing_fraction > threshold:
-        print(f"degradation threshold exceeded ({missing_fraction:.3f} > {threshold})",
+    if missing_fraction > max_missing_fraction:
+        print(f"degradation threshold exceeded ({missing_fraction:.3f} > {max_missing_fraction})",
               file=sys.stderr)
         return EXIT_DEGRADED
     return EXIT_OK
@@ -283,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=stats_mod.DEFAULT_ALPHA)
     p.add_argument("--correction", default=stats_mod.BENJAMINI_HOCHBERG,
                    choices=[stats_mod.BENJAMINI_HOCHBERG, stats_mod.BONFERRONI,
                             stats_mod.NO_CORRECTION])
@@ -292,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="run the significance battery on saved matrices")
     p.add_argument("matrices", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=stats_mod.DEFAULT_ALPHA)
     p.add_argument("--correction", default=stats_mod.BENJAMINI_HOCHBERG,
                    choices=[stats_mod.BENJAMINI_HOCHBERG, stats_mod.BONFERRONI,
                             stats_mod.NO_CORRECTION])

@@ -29,7 +29,7 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class BleuConfig:
-    """Weight scheme over 1..4-grams plus smoothing and segmentation level.
+    """Weight scheme over 1..4-grams plus smoothing.
 
     smoothing_epsilon None means unsmoothed: a zero precision at any
     positively weighted order zeroes the whole score.
@@ -37,7 +37,6 @@ class BleuConfig:
 
     weights: tuple[float, float, float, float] = TECHNICAL_WEIGHTS
     smoothing_epsilon: float | None = None
-    level: str = WORD
 
     def __post_init__(self) -> None:
         if len(self.weights) != 4:
@@ -100,7 +99,7 @@ class ScoringConfig:
         if not self.chrf_beta > 0:
             raise MetricError(f"chrf_beta must be > 0, not {self.chrf_beta!r}")
         for weights in (self.bleu_weights, self.bleu_unif_weights):
-            BleuConfig(weights, self.smoothing_epsilon, self.level)
+            BleuConfig(weights, self.smoothing_epsilon)
 
     def as_dict(self) -> dict:
         return {

@@ -44,6 +44,7 @@ from .metrics import (
 )
 from .segmentation import (
     DEFAULT_TRADITIONAL_THRESHOLD,
+    WORD,
     Lexicon,
     default_lexicon,
     detect_traditional,
@@ -582,10 +583,15 @@ def run_experiment(
     tokens = {text: tokenize(text, scoring.level, lexicon) for text in dict.fromkeys(texts)}
     documents = [tokens[text] for text in texts]
     idf = fit_idf(documents) if len(documents) >= 2 else None
-    # The default technical BLEU is the verbatim detector's own quantity.
+    # The verbatim similarity is detect_verbatim's word-level BLEU. The default
+    # technical BLEU is that very quantity; any other scoring reads it from one
+    # word table, which at the word level is the scoring tokens themselves.
     verbatim_from_bleu = (
-        BleuConfig(scoring.bleu_weights, scoring.smoothing_epsilon, scoring.level) == BleuConfig()
+        scoring.level == WORD
+        and BleuConfig(scoring.bleu_weights, scoring.smoothing_epsilon) == BleuConfig()
     )
+    words = (tokens if scoring.level == WORD
+             else {text: segment_words(text, lexicon) for text in tokens})
 
     design = ExperimentDesign(n=len(corpus), k=len(backends), r=r)
     block_index = {s.id: i for i, s in enumerate(corpus)}
@@ -597,10 +603,8 @@ def run_experiment(
         reference = PreparedReference(tokens[zhx], scoring, idf)
         for rec in group:
             vector = reference.score(tokens[rec.zhy])
-            if verbatim_from_bleu:
-                rec.verbatim_flag = vector.bleu >= verbatim_threshold
-            else:
-                _, rec.verbatim_flag = detect_verbatim(zhx, rec.zhy, lexicon, verbatim_threshold)
+            similarity = vector.bleu if verbatim_from_bleu else bleu(words[rec.zhy], words[zhx])
+            rec.verbatim_flag = similarity >= verbatim_threshold
             _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table,
                                                          traditional_threshold)
             b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]

@@ -91,11 +91,7 @@ class ScoreMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreMatrix":
         design = ExperimentDesign(**data["design"])
-        values = np.array(
-            [[[math.nan if v is None else float(v) for v in cell] for cell in block]
-             for block in data["values"]],
-            dtype=float,
-        )
+        values = np.array(data["values"], dtype=float)  # null decodes to NaN
         return cls(design, data["metric"], values, list(data["block_ids"]),
                    list(data["treatment_ids"]))
 
@@ -209,7 +205,7 @@ def friedman(means) -> StatTestResult:
     """Friedman chi-square over an n x k grid of cell means.
 
     Uses the standard tie-correction divisor; a grid whose blocks are all
-    fully tied yields statistic 0 and p = 1.
+    fully tied yields statistic 0 and p = 1. A NaN mean has no rank.
     """
     grid = np.asarray(means, dtype=float)
     if grid.ndim != 2:
@@ -217,13 +213,15 @@ def friedman(means) -> StatTestResult:
     n, k = grid.shape
     if n < 2 or k < 2:
         raise StatsError("friedman requires n >= 2 and k >= 2")
+    if np.isnan(grid).any():
+        raise StatsError("friedman cell means must not be NaN")
     ranks = _block_ranks(grid)
     rank_sums = ranks.sum(axis=0)
     classic = 12.0 / (n * k * (k + 1)) * float((rank_sums ** 2).sum()) - 3.0 * n * (k + 1)
-    ties = 0.0
-    for row in grid:
-        _, counts = np.unique(row, return_counts=True)
-        ties += float((counts ** 3 - counts).sum())
+    # Per block, mean ranks over tie runs of lengths t have sum of squares
+    # k(k+1)(2k+1)/6 - sum(t^3 - t)/12; the ranks are half-integers, so the
+    # tie term this gives is exact.
+    ties = 2.0 * n * k * (k + 1) * (2 * k + 1) - 12.0 * float((ranks ** 2).sum())
     correction = 1.0 - ties / (n * k * (k * k - 1))
     if correction <= 0.0:
         return StatTestResult("friedman", 0.0, k - 1, 1.0)

@@ -290,12 +290,24 @@ def one_http_backend(**fields):
     (one_http_backend(endpoint="http://127.0.0.1:abc/v1"), "Port could not be cast"),
     (one_http_backend(endpoint="http://127.0.0.1:9/v1", temperature=float("nan")),
      "temperature must be finite"),
+    ({"repetitons": 3}, "unknown run config keys: ['repetitons']"),
+    ({"backends": []}, "'backends' must be a non-empty array of objects"),
+    ({"backends": {"id": "a"}}, "'backends' must be a non-empty array of objects"),
+    ({"repetitions": 2.7}, "'repetitions' must be int, got 2.7"),
+    ({"repetitions": True}, "'repetitions' must be int, got True"),
+    ({"master_seed": 1.5}, "'master_seed' must be int, got 1.5"),
+    ({"verbatim_threshold": float("nan")}, "'verbatim_threshold' must be a number in [0, 1]"),
+    ({"traditional_threshold": 1.5}, "'traditional_threshold' must be a number in [0, 1]"),
+    ({"max_missing_fraction": -0.1}, "'max_missing_fraction' must be a number in [0, 1]"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
         "smoothing-epsilon-zero", "zero-repetitions", "drop-prob-above-one",
         "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
         "zero-timeout", "endpoint-without-scheme", "ftp-endpoint", "endpoint-without-host",
-        "endpoint-non-integer-port", "nan-temperature"])
+        "endpoint-non-integer-port", "nan-temperature", "unknown-top-level-key",
+        "empty-backends", "backends-object", "fractional-repetitions", "bool-repetitions",
+        "fractional-master-seed", "nan-verbatim-threshold", "traditional-threshold-above-one",
+        "negative-max-missing-fraction"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -304,6 +316,17 @@ def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_p
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
     assert not (out_dir / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "run.json", "--out", "out", "--alpha", "7"],
+    ["stats", "matrix_bleu.json", "--out", "out", "--alpha", "0"],
+], ids=["run-alpha-above-one", "stats-alpha-zero"])
+def test_alpha_outside_unit_interval_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "error: argument --alpha: must lie in (0, 1)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- stats/report
@@ -357,7 +380,9 @@ def test_stats_missing_matrix_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("content, message", [
     ('{"metric": "bleu", "design": {"n": 2,', "invalid JSON matrix"),
     ('{"metric": "bleu"}', "KeyError: 'design'"),
-], ids=["truncated", "missing-design"])
+    ('{"metric": "bleu", "design": {"n": 1, "k": 2, "r": 2}, "block_ids": ["b"], '
+     '"treatment_ids": ["x", "y"], "values": [[[0.1, 0.2], [0.3]]]}', "ValueError"),
+], ids=["truncated", "missing-design", "ragged-grid"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")

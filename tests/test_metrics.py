@@ -158,8 +158,8 @@ def pair_semantic_similarity(candidate, reference, idf):
 
 def pair_score_tokens(cand_tokens, ref_tokens, config, idf):
     """TER reads the full-matrix oracle below, which the bit-parallel kernel equals exactly."""
-    technical = BleuConfig(config.bleu_weights, config.smoothing_epsilon, config.level)
-    uniform = BleuConfig(config.bleu_unif_weights, config.smoothing_epsilon, config.level)
+    technical = BleuConfig(config.bleu_weights, config.smoothing_epsilon)
+    uniform = BleuConfig(config.bleu_unif_weights, config.smoothing_epsilon)
     ref = tuple(ref_tokens)
     return MetricVector(
         bleu=pair_bleu(cand_tokens, ref, technical),

@@ -13,7 +13,7 @@ import pytest
 
 from bteval import metrics, pipeline, segmentation
 from bteval.corpus import Corpus, TextSample, parse_corpus
-from bteval.metrics import ScoringConfig, fit_idf, semantic_similarity
+from bteval.metrics import UNIFORM_WEIGHTS, ScoringConfig, fit_idf, semantic_similarity
 from bteval.pipeline import (
     EN_TO_ZH,
     ZH_TO_EN,
@@ -597,8 +597,14 @@ NOISY = [mock_config("noise", backend_id="mild", drop_prob=0.05, swap_prob=0.02)
          mock_config("noise", backend_id="harsh", drop_prob=0.4, swap_prob=0.2)]
 
 
-@pytest.mark.parametrize("scoring", [ScoringConfig(), ScoringConfig(smoothing_epsilon=0.1)],
-                         ids=["flag-from-bleu", "detector-fallback"])
+SCORING_VARIANTS = [ScoringConfig(), ScoringConfig(smoothing_epsilon=0.1),
+                    ScoringConfig(bleu_weights=UNIFORM_WEIGHTS), ScoringConfig(level="character")]
+SCORING_VARIANT_IDS = ["default", "smoothed", "uniform-weights", "character-level"]
+
+
+# the smoothed config is the first whose flag cannot be read from the scoring BLEU
+@pytest.mark.parametrize("scoring", SCORING_VARIANTS, ids=["flag-from-bleu", "detector-fallback",
+                                                           "uniform-weights", "character-level"])
 def test_run_experiment_verbatim_flag_matches_detector(scoring):
     _, records, _ = run_experiment(cnki_head(), NOISY, r=2, scoring=scoring, master_seed=5)
     flags = [rec.verbatim_flag for rec in records if rec.error is None]
@@ -607,7 +613,8 @@ def test_run_experiment_verbatim_flag_matches_detector(scoring):
         assert rec.verbatim_flag == detect_verbatim(rec.zhx, rec.zhy)[1]
 
 
-def test_run_experiment_segments_each_distinct_original_once(monkeypatch):
+@pytest.mark.parametrize("scoring", SCORING_VARIANTS, ids=SCORING_VARIANT_IDS)
+def test_run_experiment_segments_each_distinct_original_once(monkeypatch, scoring):
     calls = []
     original = segmentation.segment_words
 
@@ -620,7 +627,7 @@ def test_run_experiment_segments_each_distinct_original_once(monkeypatch):
             monkeypatch.setattr(module, "segment_words", counting)
     texts = ("化学工程领域的研究与分析。", "元素观点：物质由元素组成。", "化学工程领域的研究与分析。")
     configs = [mock_config("identity", backend_id="i1"), mock_config("identity", backend_id="i2")]
-    run_experiment(tiny_corpus(texts), configs, r=3, master_seed=2)
+    run_experiment(tiny_corpus(texts), configs, r=3, scoring=scoring, master_seed=2)
     assert sorted(calls) == sorted(set(texts))
 
 

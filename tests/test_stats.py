@@ -61,6 +61,35 @@ def permutation_p(grid):
     return count / total
 
 
+def oracle_friedman(grid):
+    """friedman's formula with the tie term counted directly: t^3 - t per distinct
+    value of each block, as np.unique groups them."""
+    grid = np.asarray(grid, dtype=float)
+    n, k = grid.shape
+    rank_sums = _block_ranks(grid).sum(axis=0)
+    classic = 12.0 / (n * k * (k + 1)) * float((rank_sums ** 2).sum()) - 3.0 * n * (k + 1)
+    ties = 0.0
+    for row in grid:
+        _, counts = np.unique(row, return_counts=True)
+        ties += float((counts ** 3 - counts).sum())
+    correction = 1.0 - ties / (n * k * (k * k - 1))
+    if correction <= 0.0:
+        return 0.0, 1.0
+    statistic = classic / correction
+    if statistic <= 0.0:
+        return max(statistic, 0.0), 1.0
+    return statistic, tails.chi2_sf(statistic, k - 1)
+
+
+def oracle_matrix_values(data):
+    """The serialized grid decoded one value at a time: null is NaN."""
+    return np.array(
+        [[[math.nan if v is None else float(v) for v in cell] for cell in block]
+         for block in data["values"]],
+        dtype=float,
+    )
+
+
 def oracle_rank_with_ties(values):
     """Per-element tie runs over a stable argsort, one run at a time."""
     arr = np.asarray(values, dtype=float)
@@ -195,6 +224,31 @@ def test_friedman_invariant_block_permutation():
     grid = rng.random((8, 3))
     shuffled = grid[rng.permutation(8)]
     assert friedman(grid).statistic == pytest.approx(friedman(shuffled).statistic)
+
+
+TIE_HEAVY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.5, 1.0, 2.0]),
+                     st.floats(allow_nan=False))
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, 6))
+    return draw(st.lists(st.lists(TIE_HEAVY, min_size=k, max_size=k), min_size=n, max_size=n))
+
+
+@given(tie_heavy_grids())
+@example([[0.0, -0.0, 0.0], [math.inf, math.inf, math.inf], [-0.0, -0.0, 0.0]])  # all tied
+@example([[-math.inf, 0.0, math.inf], [math.inf, -0.0, 0.0]])
+@settings(max_examples=300, deadline=None)
+def test_friedman_tie_term_from_ranks_equals_counted_ties(grid):
+    result = friedman(grid)
+    assert (result.statistic, result.p_value) == oracle_friedman(grid)
+
+
+def test_friedman_nan_mean_rejected():
+    with pytest.raises(StatsError, match="NaN"):
+        friedman([[0.1, 0.2, math.nan], [0.3, 0.1, 0.2]])
 
 
 # ---------------------------------------------------------------- dunn
@@ -522,13 +576,20 @@ def test_descriptive_empty_rejected():
 @given(st.lists(st.one_of(st.sampled_from([-0.0, 1e-05, 5e-324, 1e200, -1e300]),
                           st.floats(-1e300, 1e300)), min_size=1, max_size=30))
 @example([0.3578680612554048, -0.3578680612554048])  # libm pow(x, 2) != x * x here
+@example([-0.0, -0.0, 2.8442255724327534e+154])  # squared deviations sum past the float max
 @settings(max_examples=300, deadline=None)
 def test_descriptive_mean_and_std_match_numpy_scalar_sums(values):
     # exact sums over numpy scalars: a square past the float range is inf, not an error
     arr = np.asarray(values, dtype=float)
     mean = math.fsum(arr) / arr.size
     with np.errstate(over="ignore"):
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in arr) / (arr.size - 1)) if arr.size > 1 else 0.0
+        try:
+            std = math.sqrt(math.fsum((v - mean) ** 2 for v in arr) / (arr.size - 1)) if arr.size > 1 else 0.0
+        except OverflowError:
+            # finite squared deviations summing past the largest float have no std
+            with pytest.raises(StatsError):
+                descriptive_stats(values)
+            return
         got = descriptive_stats(values)
     assert (got.mean, got.std) == (mean, std)
 
@@ -591,6 +652,19 @@ def test_score_matrix_serialization_round_trip():
     assert again.metric == "chrf"
     assert np.array_equal(again.values, matrix.values, equal_nan=True)
     assert again.block_ids == matrix.block_ids
+
+
+@given(st.lists(st.one_of(st.none(), st.just(-0.0), st.integers(-2 ** 53, 2 ** 53),
+                          st.floats(allow_nan=False)), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_score_matrix_from_dict_decodes_like_per_value_oracle(flat):
+    data = {"metric": "bleu", "design": {"n": 1, "k": 2, "r": 3},
+            "block_ids": ["b0"], "treatment_ids": ["t0", "t1"],
+            "values": [[flat[:3], flat[3:]]]}
+    got = ScoreMatrix.from_dict(data).values
+    expected = oracle_matrix_values(data)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_run_metric_battery_significant_path():
