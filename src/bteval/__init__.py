@@ -21,7 +21,6 @@ from .pipeline import (
     BackendConfig,
     RunManifest,
     TranslationRecord,
-    backtranslate,
     detect_verbatim,
     run_experiment,
     translate,
@@ -31,7 +30,6 @@ from .segmentation import (
     TokenList,
     detect_traditional,
     load_lexicon,
-    ngrams,
     segment_chars,
     segment_words,
 )

@@ -52,16 +52,27 @@ def _load_variant_table_arg(path: str | None):
     return load_variant_table(_require_file(path, "variant table")) if path else None
 
 
-def _read_text_arg(value: str) -> str:
-    path = Path(value)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    return value
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; any other encoding is a CliError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"input file {path} is not UTF-8: {exc}") from exc
+
+
+def _out_dir(path) -> Path:
+    """The output directory, created if missing; a path that cannot be one is a CliError."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {path}: {exc}") from exc
+    return out_dir
 
 
 def cmd_segment(args) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
-    text = _read_text_arg(args.text)
+    text = _read_text(args.text) if Path(args.text).is_file() else args.text
     tokens = tokenize(text, CHARACTER if args.level == "char" else args.level, lexicon).tokens
     sep = "\n" if args.lines else "/"
     print(sep.join(tokens))
@@ -71,8 +82,8 @@ def cmd_segment(args) -> int:
 def cmd_score(args) -> int:
     for path in (args.original, args.candidate):
         _require_file(path, "input")
-    original = Path(args.original).read_text(encoding="utf-8").strip()
-    candidate = Path(args.candidate).read_text(encoding="utf-8").strip()
+    original = _read_text(args.original).strip()
+    candidate = _read_text(args.candidate).strip()
     if not original:
         raise CliError(f"empty original file: {args.original}")
     if not candidate:
@@ -86,9 +97,8 @@ def cmd_score(args) -> int:
 
 def cmd_validate(args) -> int:
     loaded = corpus_mod.parse_corpus(_require_file(args.corpus, "corpus"))
-    policy = corpus_mod.ValidationPolicy(traditional_threshold=args.threshold)
     table = _load_variant_table_arg(args.variant_table)
-    warnings = corpus_mod.validate_corpus(loaded, policy, table)
+    warnings = corpus_mod.validate_corpus(loaded, args.threshold, table)
     for warning in warnings:
         print(warning)
     print(f"{len(loaded)} samples, {len(warnings)} warnings", file=sys.stderr)
@@ -163,9 +173,6 @@ def _alpha(text: str) -> float:
 
 def cmd_run(args) -> int:
     config = _load_run_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     loaded = corpus_mod.parse_corpus(_require_file(config["corpus"], "corpus"))
     lexicon = _load_lexicon_arg(config.get("lexicon"))
     table = _load_variant_table_arg(config.get("variant_table"))
@@ -181,6 +188,8 @@ def cmd_run(args) -> int:
     traditional_threshold = _config_fraction(config, "traditional_threshold",
                                              DEFAULT_TRADITIONAL_THRESHOLD)
     max_missing_fraction = _config_fraction(config, "max_missing_fraction", 1.0)
+    pipeline_mod.check_run_design(backends, repetitions)
+    out_dir = _out_dir(args.out)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
         loaded,
@@ -244,10 +253,10 @@ def _emit_report(matrices, out_dir: Path) -> None:
     for name in sorted(set(matrices) - set(summarized)):
         print(f"summary skipped for {name}: matrix has no observations", file=sys.stderr)
     correlations = report_mod.metric_correlations(matrices)
-    report_mod.emit_summaries_csv(report_mod.summarize_all(summarized),
-                                  out_dir / "summaries.csv")
+    summaries = report_mod.summarize_all(summarized)
+    report_mod.emit_summaries_csv(summaries, out_dir / "summaries.csv")
     report_mod.emit_correlations_csv(correlations, out_dir / "correlations.csv")
-    report_mod.emit_plot_data(matrices, correlations, out_dir / "plot_bundle.json")
+    report_mod.emit_plot_data(matrices, correlations, summaries, out_dir / "plot_bundle.json")
 
 
 def _load_matrices(paths) -> dict:
@@ -264,8 +273,7 @@ def _load_matrices(paths) -> dict:
 
 def cmd_stats(args) -> int:
     matrices = _load_matrices(args.matrices)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     batteries = _emit_stats(matrices, out_dir, args.alpha, args.correction)
     total = sum(len(b.significant_pairs) for b in batteries)
     print(f"{len(batteries)} metrics tested, {total} significant pairs", file=sys.stderr)
@@ -280,8 +288,7 @@ def cmd_report(args) -> int:
     if not paths:
         raise CliError(f"no matrix_*.json files in {args.run_dir}")
     matrices = _load_matrices(paths)
-    out_dir = Path(args.out) if args.out else run_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out or run_dir)
     _emit_report(matrices, out_dir)
     print(f"report written to {out_dir}", file=sys.stderr)
     return EXIT_OK

@@ -94,9 +94,13 @@ def parse_corpus(path: str | Path) -> Corpus:
     """Parse a JSONL corpus, preserving line order; errors carry 1-based line numbers."""
     path = Path(path)
     raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 ({exc})") from exc
     samples: list[TextSample] = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(raw.decode("utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -140,14 +144,9 @@ def serialize_corpus(corpus: Corpus, path: str | Path) -> None:
 MIN_CHARS = 2  # below this, 2-gram precision is empty and BLEU collapses
 
 
-@dataclass(frozen=True)
-class ValidationPolicy:
-    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD
-
-
 def validate_corpus(
     corpus: Corpus,
-    policy: ValidationPolicy = ValidationPolicy(),
+    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD,
     variant_table: dict[str, str] | None = None,
 ) -> list[str]:
     """Non-mutating checks; returns human-readable warnings."""
@@ -158,11 +157,11 @@ def validate_corpus(
             warnings.append(f"{sample.id}: sample too short for 2-gram BLEU")
         if sample.variant == SIMPLIFIED:
             ratio, flagged = detect_traditional(
-                sample.text, variant_table, policy.traditional_threshold
+                sample.text, variant_table, traditional_threshold
             )
             if flagged:
                 warnings.append(
                     f"{sample.id}: traditional characters detected "
-                    f"(ratio {ratio:.3f} exceeds {policy.traditional_threshold})"
+                    f"(ratio {ratio:.3f} exceeds {traditional_threshold})"
                 )
     return warnings

@@ -150,15 +150,6 @@ def _windows(length: int, n: int) -> int:
     return max(0, length - n + 1)
 
 
-def modified_precision(candidate, reference, n: int) -> tuple[int, int]:
-    """Clipped n-gram matches and candidate n-gram total."""
-    if not 1 <= n <= 4:
-        raise MetricError("n must lie in [1, 4]")
-    cand = tuple(candidate)
-    matched = _matches(_grams(cand, (n,)), _grams(tuple(reference), (n,)), n)
-    return matched[n], _windows(len(cand), n)
-
-
 def brevity_penalty(candidate_len: int, reference_len: int) -> float:
     if reference_len < 1:
         raise MetricError("reference must be non-empty")

@@ -509,23 +509,12 @@ def _roundtrip(backend, config: BackendConfig, sample: TextSample, repetition: i
     return record
 
 
-def backtranslate(
-    backend_config: BackendConfig,
-    sample: TextSample,
-    r: int,
-    master_seed: int,
-    lexicon: Lexicon | None = None,
-    variant_table: dict[str, str] | None = None,
-    verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD,
-    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD,
-    backend=None,
-) -> list[TranslationRecord]:
-    """r independent round-trips with distinct derived seeds and cycled prompts."""
-    _, records, _ = run_experiment(
-        Corpus(sample.id, [sample]), [backend_config], r, DEFAULT_SCORING, master_seed,
-        lexicon, variant_table, verbatim_threshold, traditional_threshold,
-        None if backend is None else {backend_config.id: backend})
-    return records
+def check_run_design(backends: list[BackendConfig], r: int) -> None:
+    """A run needs at least one repetition and one id per backend."""
+    if r < 1:
+        raise ConfigError("repetitions must be >= 1")
+    if len({b.id for b in backends}) != len(backends):
+        raise ConfigError("backend ids must be unique within a run")
 
 
 def run_experiment(
@@ -545,11 +534,7 @@ def run_experiment(
     Backend failures become error records and missing score cells; only
     corpus or configuration problems abort the run.
     """
-    if r < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if len({b.id for b in backends}) != len(backends):
-        raise ConfigError("backend ids must be unique within a run")
-
+    check_run_design(backends, r)
     samples = [sample for sample in corpus for _ in range(r)]
     reps = [rep for _ in corpus for rep in range(1, r + 1)]
     records: list[TranslationRecord] = []

@@ -43,18 +43,23 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
+def _columns(matrix: ScoreMatrix):
+    """(treatment, its non-missing observations) for each treatment that has any."""
+    for j, treatment in enumerate(matrix.treatment_ids):
+        column = matrix.values[:, j, :].reshape(-1)
+        column = column[~np.isnan(column)]
+        if column.size:
+            yield treatment, column
+
+
 def summarize(matrix: ScoreMatrix) -> list[SummaryRow]:
     """Global row over repetition-level observations, then one row per treatment."""
     observations = matrix.observations()
     if observations.size == 0:
         raise StatsError(f"matrix {matrix.metric} has no observations")
     rows = [SummaryRow(matrix.metric, GLOBAL_SCOPE, descriptive_stats(observations))]
-    for j, treatment in enumerate(matrix.treatment_ids):
-        column = matrix.values[:, j, :].reshape(-1)
-        column = column[~np.isnan(column)]
-        if column.size == 0:
-            continue
-        rows.append(SummaryRow(matrix.metric, treatment, descriptive_stats(column)))
+    rows += [SummaryRow(matrix.metric, treatment, descriptive_stats(column))
+             for treatment, column in _columns(matrix)]
     return rows
 
 
@@ -127,8 +132,8 @@ def metric_correlations(matrices: dict[str, ScoreMatrix]) -> list[CorrelationEnt
     return entries
 
 
-def _box_summary(values: np.ndarray) -> dict:
-    stats = descriptive_stats(values)
+def _box_summary(stats: DescriptiveStats, values: np.ndarray) -> dict:
+    """Box summary of ``values``, whose ``descriptive_stats`` are ``stats``."""
     iqr = stats.q75 - stats.q25
     low, high = stats.q25 - 1.5 * iqr, stats.q75 + 1.5 * iqr
     # stable, so equal values such as -0.0 and 0.0 keep their input order
@@ -146,18 +151,21 @@ def _box_summary(values: np.ndarray) -> dict:
 def build_plot_bundle(
     matrices: dict[str, ScoreMatrix],
     correlations: list[CorrelationEntry],
+    summaries: list[SummaryRow],
 ) -> dict:
-    """Plot-ready data only: no rendering instructions."""
-    boxplots: dict[str, dict] = {}
-    for metric in sorted(matrices):
-        matrix = matrices[metric]
-        per_model = {}
-        for j, treatment in enumerate(matrix.treatment_ids):
-            column = matrix.values[:, j, :].reshape(-1)
-            column = column[~np.isnan(column)]
-            if column.size:
-                per_model[treatment] = _box_summary(column)
-        boxplots[metric] = per_model
+    """Plot-ready data only: no rendering instructions.
+
+    ``summaries`` holds ``summarize``'s rows for every matrix with observations;
+    the box summaries read their statistics from it.
+    """
+    # a treatment's row follows its metric's global row, so a treatment named
+    # like the global scope keeps its own statistics
+    stats = {(row.metric, row.scope): row.stats for row in summaries}
+    boxplots = {
+        metric: {treatment: _box_summary(stats[metric, treatment], column)
+                 for treatment, column in _columns(matrices[metric])}
+        for metric in sorted(matrices)
+    }
 
     names = sorted(matrices)
     flat = {name: matrices[name].values.reshape(-1) for name in names}
@@ -206,11 +214,12 @@ def _points_json(points: list, level: int) -> str:
 def emit_plot_data(
     matrices: dict[str, ScoreMatrix],
     correlations: list[CorrelationEntry],
+    summaries: list[SummaryRow],
     path: str | Path,
 ) -> None:
     """Write the plot bundle as ``json.dumps(bundle, ensure_ascii=False,
     sort_keys=True, indent=2)`` would, without its pure-Python encoder."""
-    bundle = build_plot_bundle(matrices, correlations)
+    bundle = build_plot_bundle(matrices, correlations, summaries)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{\n  "boxplots": ' + _json(bundle["boxplots"], 1) + ',\n  "scatter": ')
         separator = "[\n    "

@@ -37,10 +37,9 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class TokenList:
-    """An ordered token sequence tagged with its segmentation level."""
+    """An ordered token sequence."""
 
     tokens: tuple[str, ...]
-    level: str = WORD
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.tokens)
@@ -50,9 +49,6 @@ class TokenList:
 
     def __getitem__(self, i):
         return self.tokens[i]
-
-    def join(self, sep: str = "") -> str:
-        return sep.join(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,34 @@ class Lexicon:
             w[:i] for w in self.entries for i in range(1, len(w) + 1)))
 
 
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(1-based number, line) for each line of a UTF-8 file; any other
+    encoding is a LexiconError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 ({exc})") from exc
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load a "surface frequency [tag]" lexicon file; duplicate surfaces sum."""
     entries: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) < 2:
-                raise LexiconError(f"{path}: line {lineno}: expected 'surface frequency [tag]'")
-            surface = parts[0]
-            try:
-                frequency = int(parts[1])
-            except ValueError as exc:
-                raise LexiconError(f"{path}: line {lineno}: bad frequency {parts[1]!r}") from exc
-            if frequency <= 0:
-                raise LexiconError(f"{path}: line {lineno}: non-positive frequency")
-            entries[surface] = entries.get(surface, 0) + frequency
+    for lineno, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise LexiconError(f"{path}: line {lineno}: expected 'surface frequency [tag]'")
+        surface = parts[0]
+        try:
+            frequency = int(parts[1])
+        except ValueError as exc:
+            raise LexiconError(f"{path}: line {lineno}: bad frequency {parts[1]!r}") from exc
+        if frequency <= 0:
+            raise LexiconError(f"{path}: line {lineno}: non-positive frequency")
+        entries[surface] = entries.get(surface, 0) + frequency
     if not entries:
         raise LexiconError(f"{path}: empty lexicon")
     return Lexicon(entries)
@@ -149,12 +154,12 @@ def segment_words(text: str, lexicon: Lexicon | None = None) -> TokenList:
     tokens: list[str] = []
     for chunk in text.split():
         tokens.extend(_segment_chunk(chunk, lexicon))
-    return TokenList(tuple(tokens), WORD)
+    return TokenList(tuple(tokens))
 
 
 def segment_chars(text: str) -> TokenList:
     """One token per non-whitespace Unicode scalar value."""
-    return TokenList(tuple(ch for ch in text if not ch.isspace()), CHARACTER)
+    return TokenList(tuple(ch for ch in text if not ch.isspace()))
 
 
 def tokenize(text: str, level: str = WORD, lexicon: Lexicon | None = None) -> TokenList:
@@ -164,30 +169,17 @@ def tokenize(text: str, level: str = WORD, lexicon: Lexicon | None = None) -> To
     return segment_words(text, lexicon)
 
 
-def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
-    """Multiset of contiguous n-token windows; empty when the sequence is shorter than n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    seq = tuple(tokens)
-    counts: dict[tuple[str, ...], int] = {}
-    for i in range(len(seq) - n + 1):
-        gram = seq[i:i + n]
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
 def load_variant_table(path: str | Path) -> dict[str, str]:
     """Load "traditional simplified" character pairs, one per line."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or len(parts[0]) != 1 or len(parts[1]) != 1:
-                raise LexiconError(f"{path}: line {lineno}: expected 'traditional simplified'")
-            table[parts[0]] = parts[1]
+    for lineno, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or len(parts[0]) != 1 or len(parts[1]) != 1:
+            raise LexiconError(f"{path}: line {lineno}: expected 'traditional simplified'")
+        table[parts[0]] = parts[1]
     return table
 
 

@@ -4,8 +4,8 @@ Bonferroni adjustment, Spearman correlation, and the Shapiro-Wilk /
 Brown-Forsythe diagnostics used to justify the non-parametric route.
 
 Repetitions collapse to per-cell means before ranking; missing cells are
-mean-imputed within their block (with an audit flag) or the whole block
-is dropped, keeping the design balanced either way.
+mean-imputed within their block (with an audit flag), keeping the design
+balanced.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ DEFAULT_ALPHA = 0.05
 BENJAMINI_HOCHBERG = "benjamini_hochberg"
 BONFERRONI = "bonferroni"
 NO_CORRECTION = "none"
-
-IMPUTE = "impute"
-DROP = "drop"
 
 
 class StatsError(ValueError):
@@ -137,38 +134,25 @@ def cell_means(matrix: ScoreMatrix) -> np.ndarray:
     return prepare_cell_means(matrix)[0]
 
 
-def prepare_cell_means(matrix: ScoreMatrix, missing_policy: str = IMPUTE):
-    """Cell means with missing cells resolved; returns (grid, block_ids, audit)."""
+def prepare_cell_means(matrix: ScoreMatrix):
+    """Cell means, each missing cell imputed with its block's mean; returns (grid, audit)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         grid = np.nanmean(matrix.values, axis=2)
     audit: list[str] = []
-    if not np.isnan(grid).any():
-        return grid, list(matrix.block_ids), audit
-    if missing_policy == IMPUTE:
-        for b in range(grid.shape[0]):
-            row = grid[b]
-            missing = np.isnan(row)
-            if missing.all():
-                raise StatsError(f"block {matrix.block_ids[b]} has no observations at all")
-            if missing.any():
-                fill = row[~missing].mean()
-                for t in np.flatnonzero(missing):
-                    audit.append(
-                        f"imputed block mean {fill:.6f} for "
-                        f"({matrix.block_ids[b]}, {matrix.treatment_ids[t]})"
-                    )
-                row[missing] = fill
-        return grid, list(matrix.block_ids), audit
-    if missing_policy == DROP:
-        keep = ~np.isnan(grid).any(axis=1)
-        for b in np.flatnonzero(~keep):
-            audit.append(f"dropped block {matrix.block_ids[b]} (missing cells)")
-        if keep.sum() < 2:
-            raise StatsError("fewer than 2 complete blocks remain after dropping")
-        ids = [bid for bid, k in zip(matrix.block_ids, keep) if k]
-        return grid[keep], ids, audit
-    raise StatsError(f"unknown missing policy {missing_policy!r}")
+    for b in np.flatnonzero(np.isnan(grid).any(axis=1)):
+        row = grid[b]
+        missing = np.isnan(row)
+        if missing.all():
+            raise StatsError(f"block {matrix.block_ids[b]} has no observations at all")
+        fill = row[~missing].mean()
+        for t in np.flatnonzero(missing):
+            audit.append(
+                f"imputed block mean {fill:.6f} for "
+                f"({matrix.block_ids[b]}, {matrix.treatment_ids[t]})"
+            )
+        row[missing] = fill
+    return grid, audit
 
 
 def _block_ranks(grid: np.ndarray) -> np.ndarray:
@@ -231,14 +215,23 @@ def friedman(means) -> StatTestResult:
     return StatTestResult("friedman", statistic, k - 1, tails.chi2_sf(statistic, k - 1))
 
 
-def benjamini_hochberg(p_values) -> list[float]:
-    """Step-up false-discovery-rate adjustment, order preserved."""
+def adjust_p(p_values, correction: str = BENJAMINI_HOCHBERG) -> list[float]:
+    """Multiple-comparison adjustment selected by name, order preserved.
+
+    Benjamini-Hochberg is the step-up false-discovery-rate adjustment;
+    Bonferroni multiplies each p-value by their count; none returns them as
+    floats. Every correction checks that the p-values lie in [0, 1].
+    """
+    if correction not in (BENJAMINI_HOCHBERG, BONFERRONI, NO_CORRECTION):
+        raise StatsError(f"unknown correction {correction!r}")
     ps = [float(p) for p in p_values]
     if any(p < 0.0 or p > 1.0 for p in ps):
         raise StatsError("p-values must lie in [0, 1]")
     m = len(ps)
-    if m == 0:
-        return []
+    if correction == NO_CORRECTION:
+        return ps
+    if correction == BONFERRONI:
+        return [min(1.0, m * p) for p in ps]
     order = sorted(range(m), key=lambda i: ps[i])
     adjusted = [0.0] * m
     running = 1.0
@@ -249,22 +242,9 @@ def benjamini_hochberg(p_values) -> list[float]:
     return adjusted
 
 
-def bonferroni(p_values) -> list[float]:
-    ps = [float(p) for p in p_values]
-    if any(p < 0.0 or p > 1.0 for p in ps):
-        raise StatsError("p-values must lie in [0, 1]")
-    return [min(1.0, len(ps) * p) for p in ps]
-
-
-def adjust_p(p_values, correction: str = BENJAMINI_HOCHBERG) -> list[float]:
-    """Multiple-comparison adjustment selected by name, order preserved."""
-    if correction == BENJAMINI_HOCHBERG:
-        return benjamini_hochberg(p_values)
-    if correction == BONFERRONI:
-        return bonferroni(p_values)
-    if correction == NO_CORRECTION:
-        return list(p_values)
-    raise StatsError(f"unknown correction {correction!r}")
+def benjamini_hochberg(p_values) -> list[float]:
+    """Step-up false-discovery-rate adjustment, order preserved."""
+    return adjust_p(p_values, BENJAMINI_HOCHBERG)
 
 
 def dunn_posthoc(
@@ -541,10 +521,9 @@ def run_metric_battery(
     matrix: ScoreMatrix,
     alpha: float = DEFAULT_ALPHA,
     correction: str = BENJAMINI_HOCHBERG,
-    missing_policy: str = IMPUTE,
 ) -> MetricBattery:
     """The omnibus-then-posthoc procedure for one metric."""
-    grid, _, audit = prepare_cell_means(matrix, missing_policy)
+    grid, audit = prepare_cell_means(matrix)
     result = friedman(grid)
     if result.p_value < alpha:
         result.pairwise = dunn_posthoc(grid, correction, list(matrix.treatment_ids))

@@ -82,13 +82,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return _gamma_cf(a, x)
 
 
-def erf(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    v = reg_lower_gamma(0.5, x * x)
-    return v if x > 0.0 else -v
-
-
 def erfc(x: float) -> float:
     if x >= 0.0:
         return reg_upper_gamma(0.5, x * x) if x > 0.0 else 1.0
@@ -158,10 +151,6 @@ def chi2_sf(x: float, df: float) -> float:
     if x <= 0.0:
         return 1.0
     return reg_upper_gamma(df / 2.0, x / 2.0)
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * erfc(-z / math.sqrt(2.0))
 
 
 def normal_sf(z: float) -> float:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
@@ -257,7 +258,7 @@ def test_run_missing_variant_table_exits_2(capsys, tmp_path, tiny_corpus_path):
     code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "variant table file not found" in err
-    assert not (out_dir / "records.jsonl").exists()
+    assert not out_dir.exists()
 
 
 def one_mock_backend(**fields):
@@ -278,6 +279,7 @@ def one_http_backend(**fields):
     ({"scoring": {"bleu_unif_weights": [0.5, 0.5]}}, "exactly 4 n-gram weights"),
     ({"scoring": {"smoothing_epsilon": 0}}, "smoothing_epsilon must be > 0"),
     ({"repetitions": 0}, "repetitions must be >= 1"),
+    ({"backends": MOCK_BACKENDS[:1] * 2}, "backend ids must be unique within a run"),
     (one_mock_backend(drop_prob=2.0), "drop_prob must lie in [0, 1]"),
     (one_mock_backend(swap_prob=-0.1), "swap_prob must lie in [0, 1]"),
     (one_mock_backend(max_retries=-1), "max_retries must be an integer >= 0"),
@@ -301,7 +303,8 @@ def one_http_backend(**fields):
     ({"max_missing_fraction": -0.1}, "'max_missing_fraction' must be a number in [0, 1]"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
-        "smoothing-epsilon-zero", "zero-repetitions", "drop-prob-above-one",
+        "smoothing-epsilon-zero", "zero-repetitions", "duplicate-backend-ids",
+        "drop-prob-above-one",
         "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
         "zero-timeout", "endpoint-without-scheme", "ftp-endpoint", "endpoint-without-host",
         "endpoint-non-integer-port", "nan-temperature", "unknown-top-level-key",
@@ -315,7 +318,66 @@ def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_p
     code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
-    assert not (out_dir / "records.jsonl").exists()
+    assert not out_dir.exists()  # a rejected run leaves no output directory behind
+
+
+NOT_UTF8 = "元素".encode("gbk") + b" 5\n"
+
+
+def not_utf8_file(tmp_path, name="bad.txt"):
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def not_utf8_run(tmp_path, corpus):
+    config = write_run_config(tmp_path, not_utf8_file(tmp_path, "bad.jsonl"), MOCK_BACKENDS)
+    return ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp, corpus: ["validate", not_utf8_file(tmp, "bad.jsonl")],
+    lambda tmp, corpus: ["validate", str(corpus), "--variant-table", not_utf8_file(tmp)],
+    lambda tmp, corpus: ["segment", "--lexicon", not_utf8_file(tmp), "化学"],
+    not_utf8_run,
+    lambda tmp, corpus: ["score", not_utf8_file(tmp), str(FIXTURES / "hua_yao" / "original.txt")],
+    lambda tmp, corpus: ["segment", not_utf8_file(tmp)],
+], ids=["validate-corpus", "validate-variant-table", "segment-lexicon", "run-corpus",
+        "score-original", "segment-text"])
+def test_input_not_utf8_exits_2(capsys, tmp_path, tiny_corpus_path, make_argv):
+    code, out, err = invoke(capsys, *make_argv(tmp_path, tiny_corpus_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "not UTF-8" in err and "bad." in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def matrix_file(tmp_path):
+    from bteval.stats import ExperimentDesign, ScoreMatrix
+    matrix = ScoreMatrix(ExperimentDesign(3, 2, 1), "bleu", np.arange(6.0).reshape(3, 2, 1),
+                         ["b0", "b1", "b2"], ["t0", "t1"])
+    path = tmp_path / "matrix_bleu.json"
+    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "stats", "report"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2(capsys, tmp_path, tiny_corpus_path,
+                                                 command, out):
+    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+    out_path = str(tmp_path / out)
+    argv = {
+        "run": ["run", "--config",
+                str(write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS))],
+        "stats": ["stats", matrix_file(tmp_path)],
+        "report": ["report", str(Path(matrix_file(tmp_path)).parent)],
+    }[command]
+    code, _, err = invoke(capsys, *argv, "--out", out_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "cannot create output directory" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "taken\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from bteval.corpus import (
     Corpus,
     CorpusError,
     TextSample,
-    ValidationPolicy,
     parse_corpus,
     serialize_corpus,
     validate_corpus,
@@ -94,7 +93,7 @@ def test_parse_is_deterministic(tmp_path):
 
 def test_validate_clean_corpus_has_no_warnings():
     corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
-    assert validate_corpus(corpus, ValidationPolicy()) == []
+    assert validate_corpus(corpus) == []
 
 
 def test_validate_flags_traditional_in_declared_simplified():
@@ -104,6 +103,22 @@ def test_validate_flags_traditional_in_declared_simplified():
     warnings = validate_corpus(corpus)
     assert len(warnings) == 1
     assert "traditional characters detected" in warnings[0]
+
+
+def test_validate_threshold_is_a_plain_argument():
+    sample = TextSample(id="t1", domain="chemistry",
+                        text="元素觀點：物質由元素組成", variant="simplified")
+    corpus = Corpus(name="test", samples=[sample])
+    assert validate_corpus(corpus, traditional_threshold=0.99) == []
+    assert "exceeds 0.2" in validate_corpus(corpus, 0.2)[0]
+
+
+def test_parse_rejects_a_corpus_that_is_not_utf8(tmp_path):
+    path = tmp_path / "gbk.jsonl"
+    path.write_bytes(json.dumps({"id": "a", "domain": "d", "text": "元素"},
+                                ensure_ascii=False).encode("gbk") + b"\n")
+    with pytest.raises(CorpusError, match=r"gbk\.jsonl: not UTF-8"):
+        parse_corpus(path)
 
 
 def test_validate_flags_too_short_sample():

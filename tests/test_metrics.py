@@ -13,12 +13,13 @@ from bteval.metrics import (
     MetricVector,
     PreparedReference,
     ScoringConfig,
+    _grams,
+    _matches,
     bleu,
     brevity_penalty,
     chrf,
     edit_distance,
     fit_idf,
-    modified_precision,
     score_pair,
     score_tokens,
     semantic_similarity,
@@ -26,12 +27,32 @@ from bteval.metrics import (
 )
 from bteval.corpus import parse_corpus
 from bteval.pipeline import BackendConfig, run_experiment
-from bteval.segmentation import CHARACTER, Lexicon, ngrams, tokenize
+from bteval.segmentation import CHARACTER, Lexicon, tokenize
 
 from conftest import FIXTURES
 
 
 # ---------------------------------------------------------------- oracles
+
+def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
+    """Multiset of contiguous n-token windows; empty when the sequence is shorter than n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seq = tuple(tokens)
+    counts: dict[tuple[str, ...], int] = {}
+    for i in range(len(seq) - n + 1):
+        gram = seq[i:i + n]
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def modified_precision(candidate, reference, n: int) -> tuple[int, int]:
+    """Clipped n-gram matches and candidate n-gram total, through the scorers'
+    private kernels ``_grams`` and ``_matches``."""
+    cand = tuple(candidate)
+    matched = _matches(_grams(cand, (n,)), _grams(tuple(reference), (n,)), n)
+    return matched[n], max(0, len(cand) - n + 1)
+
 
 def oracle_bleu(candidate, reference, weights):
     """Direct-from-definition BLEU: explicit window enumeration and clipping."""
@@ -182,6 +203,14 @@ def random_pair(rng):
 
 
 # ---------------------------------------------------------------- BLEU
+
+def test_ngrams_examples():
+    assert ngrams(["a", "b", "c"], 2) == {("a", "b"): 1, ("b", "c"): 1}
+    assert ngrams(["a", "a", "a"], 1) == {("a",): 3}
+    assert ngrams(["a", "b"], 3) == {}
+    with pytest.raises(ValueError):
+        ngrams(["a"], 0)
+
 
 def test_modified_precision_examples():
     assert modified_precision(["a", "b", "c"], ["a", "b", "c", "d"], 1) == (3, 3)

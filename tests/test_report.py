@@ -17,6 +17,7 @@ from bteval.stats import (
     PairwiseComparison,
     ScoreMatrix,
     StatTestResult,
+    descriptive_stats,
 )
 from bteval.report import (
     _box_summary,
@@ -158,9 +159,36 @@ def test_csv_numbers_are_half_even_4dp(tmp_path):
 
 # ---------------------------------------------------------------- plots
 
+def summaries_of(matrices):
+    """summarize's rows for every matrix with observations, as a run passes them."""
+    return summarize_all({m: x for m, x in matrices.items() if x.observations().size})
+
+
+def plot_bundle(matrices, correlations):
+    return build_plot_bundle(matrices, correlations, summaries_of(matrices))
+
+
+def emit_plot(matrices, correlations, path):
+    emit_plot_data(matrices, correlations, summaries_of(matrices), path)
+
+
+def oracle_boxplots(matrices):
+    """Box summaries recomputed from each column's own descriptive statistics."""
+    boxplots = {}
+    for metric in sorted(matrices):
+        matrix, per_model = matrices[metric], {}
+        for j, treatment in enumerate(matrix.treatment_ids):
+            column = matrix.values[:, j, :].reshape(-1)
+            column = column[~np.isnan(column)]
+            if column.size:
+                per_model[treatment] = _box_summary(descriptive_stats(column), column)
+        boxplots[metric] = per_model
+    return boxplots
+
+
 def test_plot_bundle_identical_scores_zero_width():
     matrices = {"bleu": make_matrix(np.full((4, 2, 2), 0.6))}
-    bundle = build_plot_bundle(matrices, [])
+    bundle = plot_bundle(matrices, [])
     box = bundle["boxplots"]["bleu"]["t0"]
     assert box["q25"] == box["median"] == box["q75"] == 0.6
     assert box["outliers"] == []
@@ -170,7 +198,7 @@ def test_plot_bundle_single_extreme_outlier():
     values = np.full((9, 1, 1), 0.5)
     values[3, 0, 0] = 0.9  # hand check: q25 = q75 = 0.5, fences collapse to 0.5
     matrices = {"bleu": make_matrix(values)}
-    bundle = build_plot_bundle(matrices, [])
+    bundle = plot_bundle(matrices, [])
     assert bundle["boxplots"]["bleu"]["t0"]["outliers"] == [0.9]
 
 
@@ -179,7 +207,7 @@ def test_plot_bundle_outliers_match_iqr_rule_exactly():
     column = rng.normal(0.5, 0.1, size=(40, 1, 1))
     column[0, 0, 0] = 1.5
     matrices = {"bleu": make_matrix(column)}
-    bundle = build_plot_bundle(matrices, [])
+    bundle = plot_bundle(matrices, [])
     box = bundle["boxplots"]["bleu"]["t0"]
     iqr = box["q75"] - box["q25"]
     low, high = box["q25"] - 1.5 * iqr, box["q75"] + 1.5 * iqr
@@ -192,7 +220,7 @@ def test_plot_bundle_has_ten_metric_pairs():
     matrices = {m: make_matrix(rng.random((5, 2, 2)), metric=m)
                 for m in ("bleu", "bleu_unif", "chrf", "ter", "semantic_similarity")}
     correlations = metric_correlations(matrices)
-    bundle = build_plot_bundle(matrices, correlations)
+    bundle = plot_bundle(matrices, correlations)
     assert len(bundle["scatter"]) == 10
     annotated = [s for s in bundle["scatter"] if s["rho"] is not None]
     assert len(annotated) == 10
@@ -204,22 +232,22 @@ def test_plot_bundle_emission_deterministic(tmp_path):
     matrices = {m: make_matrix(rng.random((4, 2, 2)), metric=m) for m in ("bleu", "ter")}
     correlations = metric_correlations(matrices)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    emit_plot_data(matrices, correlations, a)
-    emit_plot_data(matrices, correlations, b)
+    emit_plot(matrices, correlations, a)
+    emit_plot(matrices, correlations, b)
     assert a.read_bytes() == b.read_bytes()
     bundle = json.loads(a.read_text(encoding="utf-8"))
     assert set(bundle) == {"boxplots", "scatter"}
 
 
 def reference_plot_json(matrices, correlations) -> bytes:
-    bundle = build_plot_bundle(matrices, correlations)
+    bundle = plot_bundle(matrices, correlations)
     return (json.dumps(bundle, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def emitted_plot_json(matrices, correlations) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plot_bundle.json"
-        emit_plot_data(matrices, correlations, path)
+        emit_plot(matrices, correlations, path)
         return path.read_bytes()
 
 
@@ -259,6 +287,7 @@ def test_emit_plot_data_matches_reference_encoder(inputs):
     matrices, correlations = inputs
     with np.errstate(over="ignore"):  # squared deviations of 1e300 overflow to inf
         assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
+        assert plot_bundle(matrices, correlations)["boxplots"] == oracle_boxplots(matrices)
 
 
 def test_emit_plot_data_matches_reference_encoder_on_edge_cases():
@@ -271,10 +300,18 @@ def test_emit_plot_data_matches_reference_encoder_on_edge_cases():
     }
     correlations = [CorrelationEntry("a", quoted, None, None, None),
                     CorrelationEntry("a", "z", 1e-05, 5e-324, 5e-324)]
-    scatter = build_plot_bundle(matrices, correlations)["scatter"]
+    scatter = plot_bundle(matrices, correlations)["scatter"]
     assert sorted(len(entry["points"]) for entry in scatter) == [0, 1, 1]
     assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
     assert emitted_plot_json({}, []) == reference_plot_json({}, [])
+
+
+def test_plot_bundle_treatment_named_global_keeps_its_own_box():
+    values = np.stack([np.full((6, 2), 0.1), np.arange(12.0).reshape(6, 2)], axis=1)
+    matrices = {"bleu": make_matrix(values, treatments=["a", "global"])}
+    boxplots = plot_bundle(matrices, [])["boxplots"]
+    assert boxplots == oracle_boxplots(matrices)
+    assert boxplots["bleu"]["global"]["max"] == 11.0
 
 
 def test_box_outliers_keep_input_order_of_signed_zeros():
@@ -284,7 +321,7 @@ def test_box_outliers_keep_input_order_of_signed_zeros():
     values = np.concatenate([rng.choice([-1.0, -0.0, 0.0, 1.0], 200), np.full(2000, 100.0)])
     rng.shuffle(values)
     expected = sorted(v for v in values.tolist() if v < 50)
-    outliers = _box_summary(values)["outliers"]
+    outliers = _box_summary(descriptive_stats(values), values)["outliers"]
     assert [(v, math.copysign(1.0, v)) for v in outliers] == \
         [(v, math.copysign(1.0, v)) for v in expected]
 

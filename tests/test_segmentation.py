@@ -15,7 +15,7 @@ from bteval.segmentation import (
     default_variant_table,
     detect_traditional,
     load_lexicon,
-    ngrams,
+    load_variant_table,
     segment_chars,
     segment_words,
 )
@@ -123,7 +123,7 @@ def test_dp_matches_brute_force_on_short_texts(seed):
 def test_lossless_coverage(text):
     lexicon = Lexicon({"化学": 100, "工程": 80, "人工智能": 50, "智能": 30, "药": 5})
     tokens = segment_words(text, lexicon)
-    assert tokens.join() == "".join(text.split())
+    assert "".join(tokens) == "".join(text.split())
     chars = segment_chars(text)
     assert len(chars) == sum(1 for c in text if not c.isspace())
 
@@ -200,14 +200,6 @@ def test_adding_entry_never_worsens_route_score(seed):
     assert route_score(new_route, grown) >= route_score(old_route, grown) - 1e-12
 
 
-def test_ngrams_examples():
-    assert ngrams(["a", "b", "c"], 2) == {("a", "b"): 1, ("b", "c"): 1}
-    assert ngrams(["a", "a", "a"], 1) == {("a",): 3}
-    assert ngrams(["a", "b"], 3) == {}
-    with pytest.raises(ValueError):
-        ngrams(["a"], 0)
-
-
 def test_load_lexicon(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("人工智能 100 n\n智能 50\n人工智能 20 v\n", encoding="utf-8")
@@ -241,6 +233,14 @@ def test_load_lexicon_rejects_bad_lines(tmp_path):
     malformed.write_text("只有一列\n", encoding="utf-8")
     with pytest.raises(LexiconError, match="line 1"):
         load_lexicon(malformed)
+
+
+@pytest.mark.parametrize("load", [load_lexicon, load_variant_table])
+def test_loaders_reject_files_that_are_not_utf8(tmp_path, load):
+    path = tmp_path / "gbk.txt"
+    path.write_bytes("智能 5\n".encode("gbk"))
+    with pytest.raises(LexiconError, match=r"gbk\.txt: not UTF-8"):
+        load(path)
 
 
 def test_detect_traditional_fixture_strings():
@@ -306,7 +306,7 @@ def test_detect_traditional_equals_per_character_oracle(text, table_name, thresh
 
 
 def test_token_list_behaves_like_sequence():
-    tokens = TokenList(("a", "b"), "word")
+    tokens = TokenList(("a", "b"))
     assert list(tokens) == ["a", "b"]
     assert len(tokens) == 2
     assert tokens[0] == "a"

@@ -12,13 +12,15 @@ from scipy import stats as sps
 
 from bteval import tails
 from bteval.stats import (
-    DROP,
+    BENJAMINI_HOCHBERG,
+    BONFERRONI,
+    NO_CORRECTION,
     ExperimentDesign,
     ScoreMatrix,
     StatsError,
     _block_ranks,
+    adjust_p,
     benjamini_hochberg,
-    bonferroni,
     cell_means,
     descriptive_stats,
     dunn_posthoc,
@@ -362,8 +364,24 @@ def test_benjamini_hochberg_rejects_out_of_range():
 
 
 def test_bonferroni():
-    assert bonferroni([0.01, 0.4]) == [0.02, 0.8]
-    assert bonferroni([0.9, 0.9]) == [1.0, 1.0]
+    assert adjust_p([0.01, 0.4], BONFERRONI) == [0.02, 0.8]
+    assert adjust_p([0.9, 0.9], BONFERRONI) == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("correction", [BENJAMINI_HOCHBERG, BONFERRONI, NO_CORRECTION])
+def test_adjust_p_checks_range_and_returns_floats(correction):
+    for bad in ([0.5, 1.5], [-0.1]):
+        with pytest.raises(StatsError, match=r"must lie in \[0, 1\]"):
+            adjust_p(bad, correction)
+    adjusted = adjust_p(np.array([0.25, 0.5]), correction)
+    assert all(type(p) is float for p in adjusted)
+    assert adjust_p([], correction) == []
+
+
+def test_adjust_p_none_is_identity_and_unknown_name_rejected():
+    assert adjust_p([0.3, 0.01, 1.0], NO_CORRECTION) == [0.3, 0.01, 1.0]
+    with pytest.raises(StatsError, match="unknown correction"):
+        adjust_p([0.5], "holm")
 
 
 # ---------------------------------------------------------------- spearman
@@ -629,19 +647,17 @@ def test_prepare_cell_means_imputes_with_audit():
     values = np.full((3, 3, 2), 0.5)
     values[1, 2, :] = np.nan
     values[1, 0, :] = 0.2
-    grid, block_ids, audit = prepare_cell_means(make_matrix(values))
+    grid, audit = prepare_cell_means(make_matrix(values))
+    assert grid.shape == (3, 3)
     assert grid[1, 2] == pytest.approx((0.2 + 0.5) / 2)  # block mean
-    assert len(audit) == 1 and "imputed" in audit[0]
-    assert block_ids == ["b0", "b1", "b2"]
+    assert audit == ["imputed block mean 0.350000 for (b1, t2)"]
 
 
-def test_prepare_cell_means_drop_policy():
+def test_prepare_cell_means_rejects_an_empty_block():
     values = np.full((3, 2, 2), 0.5)
-    values[0, 1, :] = np.nan
-    grid, block_ids, audit = prepare_cell_means(make_matrix(values), DROP)
-    assert grid.shape == (2, 2)
-    assert block_ids == ["b1", "b2"]
-    assert any("dropped" in entry for entry in audit)
+    values[2] = np.nan
+    with pytest.raises(StatsError, match="block b2 has no observations at all"):
+        prepare_cell_means(make_matrix(values))
 
 
 def test_score_matrix_serialization_round_trip():

