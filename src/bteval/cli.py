@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,8 +39,8 @@ class CliError(Exception):
 
 
 def _require_file(path, what: str):
-    """path, if it names a file; otherwise a CliError."""
-    if not Path(path).is_file():
+    """path, if it names a file (a name too long to stat names none); otherwise a CliError."""
+    if not os.path.isfile(path):
         raise CliError(f"{what} file not found: {path}")
     return path
 
@@ -52,12 +53,12 @@ def _load_variant_table_arg(path: str | None):
     return load_variant_table(_require_file(path, "variant table")) if path else None
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 input file; any other encoding is a CliError."""
+def _read_text(path, what: str = "input") -> str:
+    """The text of a UTF-8 file; a missing file or any other encoding is a CliError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(_require_file(path, what)).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(f"input file {path} is not UTF-8: {exc}") from exc
+        raise CliError(f"{what} file {path} is not UTF-8: {exc}") from exc
 
 
 def _out_dir(path) -> Path:
@@ -72,7 +73,7 @@ def _out_dir(path) -> Path:
 
 def cmd_segment(args) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
-    text = _read_text(args.text) if Path(args.text).is_file() else args.text
+    text = _read_text(args.text) if os.path.isfile(args.text) else args.text
     tokens = tokenize(text, CHARACTER if args.level == "char" else args.level, lexicon).tokens
     sep = "\n" if args.lines else "/"
     print(sep.join(tokens))
@@ -80,8 +81,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_score(args) -> int:
-    for path in (args.original, args.candidate):
-        _require_file(path, "input")
     original = _read_text(args.original).strip()
     candidate = _read_text(args.candidate).strip()
     if not original:
@@ -108,8 +107,8 @@ def cmd_validate(args) -> int:
 def _read_json(path, what: str) -> dict:
     """The JSON object in a config or matrix file; anything else is a CliError."""
     try:
-        data = json.loads(Path(_require_file(path, what)).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = json.loads(_read_text(path, what))
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise CliError(f"invalid JSON {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} file {path} must hold a JSON object")
@@ -118,115 +117,66 @@ def _read_json(path, what: str) -> dict:
 
 def _scoring_from_path(path: str) -> ScoringConfig:
     data = _read_json(path, "config")
-    return ScoringConfig.from_dict(data.get("scoring", data))
+    return pipeline_mod.config_from_json(ScoringConfig, data.get("scoring", data), "scoring")
 
 
-RUN_CONFIG_KEYS = frozenset({
-    "corpus", "backends", "lexicon", "variant_table", "scoring", "repetitions",
-    "master_seed", "verbatim_threshold", "traditional_threshold", "max_missing_fraction",
-})
+def _unit_interval(closed: bool):
+    """An argparse type: a number in [0, 1], or strictly between 0 and 1 if not closed."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            if (0.0 <= value <= 1.0) if closed else (0.0 < value < 1.0):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must lie in {'[0, 1]' if closed else '(0, 1)'}, got {text!r}")
+    return parse
 
 
-def _load_run_config(path: str) -> dict:
-    config = _read_json(path, "config")
-    if "corpus" not in config or "backends" not in config:
-        raise CliError("run config requires 'corpus' and 'backends'")
-    unknown = set(config) - RUN_CONFIG_KEYS
-    if unknown:
-        raise CliError(f"unknown run config keys: {sorted(unknown)}")
-    backends = config["backends"]
-    if not (isinstance(backends, list) and backends
-            and all(isinstance(b, dict) for b in backends)):
-        raise CliError("run config 'backends' must be a non-empty array of objects")
-    return config
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _config_int(config: dict, key: str, default: int) -> int:
-    """config[key] (or default) if it is integral; anything else is a CliError."""
-    value = config.get(key, default)
-    if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
-        raise CliError(f"run config {key!r} must be int, got {value!r}")
-    return int(value)
-
-
-def _config_fraction(config: dict, key: str, default: float) -> float:
-    """config[key] (or default) if it is a number in [0, 1]; anything else is a CliError."""
-    value = config.get(key, default)
-    if not (_is_number(value) and 0.0 <= value <= 1.0):
-        raise CliError(f"run config {key!r} must be a number in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _alpha(text: str) -> float:
-    """A significance level: a number strictly between 0 and 1."""
-    try:
-        if 0.0 < (value := float(text)) < 1.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+_alpha = _unit_interval(closed=False)  # a significance level
+_fraction = _unit_interval(closed=True)  # a ratio threshold
 
 
 def cmd_run(args) -> int:
-    config = _load_run_config(args.config)
-    loaded = corpus_mod.parse_corpus(_require_file(config["corpus"], "corpus"))
-    lexicon = _load_lexicon_arg(config.get("lexicon"))
-    table = _load_variant_table_arg(config.get("variant_table"))
-    try:
-        backends = [pipeline_mod.BackendConfig.from_dict(b) for b in config["backends"]]
-    except (pipeline_mod.ConfigError, TypeError) as exc:
-        raise CliError(f"bad backend config: {exc}") from exc
-    scoring = ScoringConfig.from_dict(config.get("scoring", {}))
-    master_seed = args.seed if args.seed is not None else _config_int(config, "master_seed", 0)
-    repetitions = _config_int(config, "repetitions", 1)
-    verbatim_threshold = _config_fraction(config, "verbatim_threshold",
-                                          pipeline_mod.DEFAULT_VERBATIM_THRESHOLD)
-    traditional_threshold = _config_fraction(config, "traditional_threshold",
-                                             DEFAULT_TRADITIONAL_THRESHOLD)
-    max_missing_fraction = _config_fraction(config, "max_missing_fraction", 1.0)
-    pipeline_mod.check_run_design(backends, repetitions)
+    config = pipeline_mod.config_from_json(pipeline_mod.RunConfig,
+                                           _read_json(args.config, "config"), "run config")
+    loaded = corpus_mod.parse_corpus(_require_file(config.corpus, "corpus"))
+    lexicon = _load_lexicon_arg(config.lexicon)
+    table = _load_variant_table_arg(config.variant_table)
     out_dir = _out_dir(args.out)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
         loaded,
-        backends,
-        repetitions,
-        scoring,
-        master_seed,
+        config.backends,
+        config.repetitions,
+        config.scoring,
+        config.master_seed if args.seed is None else args.seed,
         lexicon=lexicon,
         variant_table=table,
-        verbatim_threshold=verbatim_threshold,
-        traditional_threshold=traditional_threshold,
+        verbatim_threshold=config.verbatim_threshold,
+        traditional_threshold=config.traditional_threshold,
     )
 
     pipeline_mod.write_records(records, out_dir / "records.jsonl")
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+        json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     for name, matrix in matrices.items():
         (out_dir / f"matrix_{name}.json").write_text(
-            json.dumps(matrix.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+            json.dumps(matrix.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8")
     _emit_stats(matrices, out_dir, args.alpha, args.correction)
     _emit_report(matrices, out_dir)
 
     errors = sum(1 for rec in records if rec.error is not None)
     missing_fraction = max(m.missing_fraction() for m in matrices.values())
-    print(
-        f"{len(records)} records, {errors} errors, "
-        f"missing fraction {missing_fraction:.3f}",
-        file=sys.stderr,
-    )
+    print(f"{len(records)} records, {errors} errors, missing fraction {missing_fraction:.3f}",
+          file=sys.stderr)
     if errors == len(records):
         print("degraded: every round-trip failed, nothing was scored", file=sys.stderr)
         return EXIT_DEGRADED
-    if missing_fraction > max_missing_fraction:
-        print(f"degradation threshold exceeded ({missing_fraction:.3f} > {max_missing_fraction})",
+    if missing_fraction > config.max_missing_fraction:
+        print(f"degradation threshold exceeded "
+              f"({missing_fraction:.3f} > {config.max_missing_fraction})",
               file=sys.stderr)
         return EXIT_DEGRADED
     return EXIT_OK
@@ -282,7 +232,7 @@ def cmd_stats(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
+    if not os.path.isdir(run_dir):
         raise CliError(f"run directory not found: {args.run_dir}")
     paths = sorted(run_dir.glob("matrix_*.json"))
     if not paths:
@@ -300,6 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Back-translation evaluation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    battery = argparse.ArgumentParser(add_help=False)
+    battery.add_argument("--alpha", type=_alpha, default=stats_mod.DEFAULT_ALPHA)
+    battery.add_argument("--correction", default=stats_mod.BENJAMINI_HOCHBERG,
+                         choices=[stats_mod.BENJAMINI_HOCHBERG, stats_mod.BONFERRONI,
+                                  stats_mod.NO_CORRECTION])
 
     p = sub.add_parser("segment", help="tokenize text or a file")
     p.add_argument("text", help="literal text or a path to a UTF-8 file")
@@ -317,28 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a JSONL corpus")
     p.add_argument("corpus")
-    p.add_argument("--threshold", type=float, default=DEFAULT_TRADITIONAL_THRESHOLD,
+    p.add_argument("--threshold", type=_fraction, default=DEFAULT_TRADITIONAL_THRESHOLD,
                    help="traditional-character ratio that triggers a warning")
     p.add_argument("--variant-table", dest="variant_table")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", help="execute a configured round-trip experiment")
+    p = sub.add_parser("run", parents=[battery],
+                       help="execute a configured round-trip experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.add_argument("--alpha", type=_alpha, default=stats_mod.DEFAULT_ALPHA)
-    p.add_argument("--correction", default=stats_mod.BENJAMINI_HOCHBERG,
-                   choices=[stats_mod.BENJAMINI_HOCHBERG, stats_mod.BONFERRONI,
-                            stats_mod.NO_CORRECTION])
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("stats", help="run the significance battery on saved matrices")
+    p = sub.add_parser("stats", parents=[battery],
+                       help="run the significance battery on saved matrices")
     p.add_argument("matrices", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=_alpha, default=stats_mod.DEFAULT_ALPHA)
-    p.add_argument("--correction", default=stats_mod.BENJAMINI_HOCHBERG,
-                   choices=[stats_mod.BENJAMINI_HOCHBERG, stats_mod.BONFERRONI,
-                            stats_mod.NO_CORRECTION])
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("report", help="summaries, correlations, and plot bundle for a run")
@@ -354,10 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (corpus_mod.CorpusError, LexiconError, MetricError,
+    except (CliError, corpus_mod.CorpusError, LexiconError, MetricError,
             stats_mod.StatsError, pipeline_mod.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -111,20 +111,6 @@ class ScoringConfig:
             "level": self.level,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoringConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise MetricError(f"unknown scoring fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        try:
-            for key in ("bleu_weights", "bleu_unif_weights"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return cls(**kwargs)
-        except TypeError as exc:  # a value of the wrong JSON type
-            raise MetricError(f"bad scoring config: {exc}") from exc
-
 
 DEFAULT_SCORING = ScoringConfig()
 

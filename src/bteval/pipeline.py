@@ -24,10 +24,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import groupby, repeat
 from operator import attrgetter
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -132,14 +133,6 @@ class BackendConfig:
         if not math.isfinite(self.temperature):
             # a chat body is strict JSON, which has no NaN or infinity
             raise ConfigError(f"backend {self.id}: temperature must be finite")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackendConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown backend fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 def _check_endpoint(backend_id: str, endpoint: str) -> None:
@@ -515,6 +508,77 @@ def check_run_design(backends: list[BackendConfig], r: int) -> None:
         raise ConfigError("repetitions must be >= 1")
     if len({b.id for b in backends}) != len(backends):
         raise ConfigError("backend ids must be unique within a run")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run config file: what a run reads, whom it asks, and how it scores and judges."""
+
+    corpus: str
+    backends: tuple[BackendConfig, ...]
+    lexicon: str | None = None
+    variant_table: str | None = None
+    scoring: ScoringConfig = DEFAULT_SCORING
+    repetitions: int = 1
+    master_seed: int = 0
+    verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD
+    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD
+    max_missing_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("verbatim_threshold", "traditional_threshold", "max_missing_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"run config {name!r} must be a number in [0, 1], got {value!r}")
+        check_run_design(self.backends, self.repetitions)
+
+
+def config_from_json(cls, data, what: str):
+    """The config dataclass cls read from parsed JSON, named what in errors.
+
+    Each key must name a field, and each value have its field's JSON type;
+    a nested config is read the same way. cls's own checks then run.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    hints = get_type_hints(cls)  # one per field
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} {'keys' if cls is RunConfig else 'fields'}: {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{what} requires {missing}")
+    return cls(**{key: _from_json(hints[key], value, what, key) for key, value in data.items()})
+
+
+_JSON_TYPES = {str: "a string", int: "int", float: "a number"}
+
+
+def _from_json(hint, value, what: str, key: str):
+    """value read as field key of type hint; a value of another JSON type is a ConfigError."""
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _from_json(args[0], value, what, key)
+    if is_dataclass(hint):
+        return config_from_json(hint, value, key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if get_origin(hint) is tuple:
+        if isinstance(value, list) and value:
+            return tuple(_from_json(args[0], item, what, f"{key}[{i}]")
+                         for i, item in enumerate(value))
+        expected = f"a non-empty array of {'objects' if is_dataclass(args[0]) else 'numbers'}"
+    else:
+        expected = _JSON_TYPES[hint]
+        if hint is str and isinstance(value, str):
+            return value
+        if hint is int and number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if hint is float and number:
+            try:
+                return float(value)
+            except OverflowError:  # an integer literal beyond the float range
+                pass
+    raise ConfigError(f"{what} {key!r} must be {expected}, got {value!r}")
 
 
 def run_experiment(

@@ -301,6 +301,17 @@ def one_http_backend(**fields):
     ({"verbatim_threshold": float("nan")}, "'verbatim_threshold' must be a number in [0, 1]"),
     ({"traditional_threshold": 1.5}, "'traditional_threshold' must be a number in [0, 1]"),
     ({"max_missing_fraction": -0.1}, "'max_missing_fraction' must be a number in [0, 1]"),
+    (one_mock_backend(id=5), "backends[0] 'id' must be a string, got 5"),
+    (one_http_backend(endpoint="http://127.0.0.1:9/v1", api_key_env=5),
+     "backends[0] 'api_key_env' must be a string, got 5"),
+    (one_http_backend(endpoint=5), "backends[0] 'endpoint' must be a string, got 5"),
+    (one_mock_backend(prompt_template_forward=5),
+     "backends[0] 'prompt_template_forward' must be a string, got 5"),
+    ({"corpus": 5}, "run config 'corpus' must be a string, got 5"),
+    ({"lexicon": 5}, "run config 'lexicon' must be a string, got 5"),
+    ({"scoring": [["level", "character"]]}, "scoring must be a JSON object"),
+    (one_mock_backend(max_workers=True), "backends[0] 'max_workers' must be int, got True"),
+    ({"scoring": []}, "scoring must be a JSON object, got []"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
         "smoothing-epsilon-zero", "zero-repetitions", "duplicate-backend-ids",
@@ -310,7 +321,9 @@ def one_http_backend(**fields):
         "endpoint-non-integer-port", "nan-temperature", "unknown-top-level-key",
         "empty-backends", "backends-object", "fractional-repetitions", "bool-repetitions",
         "fractional-master-seed", "nan-verbatim-threshold", "traditional-threshold-above-one",
-        "negative-max-missing-fraction"])
+        "negative-max-missing-fraction", "int-backend-id", "int-api-key-env", "int-endpoint",
+        "int-prompt-template", "int-corpus", "int-lexicon", "scoring-array", "bool-max-workers",
+        "empty-scoring-array"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -391,6 +404,36 @@ def test_alpha_outside_unit_interval_exits_2(capsys, argv):
     assert "error: argument --alpha: must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "7", "half"])
+def test_validate_threshold_outside_unit_interval_exits_2(capsys, threshold):
+    corpus = str(FIXTURES / "corpora" / "cnki_che_89.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", corpus, "--threshold", threshold])
+    assert exc.value.code == EXIT_USAGE
+    assert "error: argument --threshold: must lie in [0, 1]" in capsys.readouterr().err
+
+
+LONG_TEXT = "化学工程领域的研究与分析" * 10  # 120 characters, 360 UTF-8 bytes: too long for a path
+
+
+def test_segment_text_too_long_for_a_path(capsys):
+    code, out, _ = invoke(capsys, "segment", "--level", "char", LONG_TEXT)
+    assert code == EXIT_OK and out.strip() == "/".join(LONG_TEXT)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", LONG_TEXT, "--out", "out"],
+    ["score", LONG_TEXT, LONG_TEXT],
+    ["report", LONG_TEXT],
+], ids=["run-config", "score-input", "report-run-dir"])
+def test_path_too_long_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "not found" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- stats/report
 
 def test_stats_constant_matrix_empty_pairs(capsys, tmp_path):
@@ -444,7 +487,8 @@ def test_stats_missing_matrix_exits_2(capsys, tmp_path):
     ('{"metric": "bleu"}', "KeyError: 'design'"),
     ('{"metric": "bleu", "design": {"n": 1, "k": 2, "r": 2}, "block_ids": ["b"], '
      '"treatment_ids": ["x", "y"], "values": [[[0.1, 0.2], [0.3]]]}', "ValueError"),
-], ids=["truncated", "missing-design", "ragged-grid"])
+    ('{"metric": "bleu", "design": {"n": ' + "1" * 5000 + "}}", "invalid JSON matrix"),
+], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")

@@ -26,7 +26,7 @@ from bteval.metrics import (
     ter,
 )
 from bteval.corpus import parse_corpus
-from bteval.pipeline import BackendConfig, run_experiment
+from bteval.pipeline import BackendConfig, config_from_json, run_experiment
 from bteval.segmentation import CHARACTER, Lexicon, tokenize
 
 from conftest import FIXTURES
@@ -480,7 +480,7 @@ def test_score_pair_rejects_empty_original():
 
 def test_scoring_config_round_trip():
     config = ScoringConfig(chrf_max_n=4, smoothing_epsilon=0.01)
-    assert ScoringConfig.from_dict(config.as_dict()) == config
+    assert config_from_json(ScoringConfig, config.as_dict(), "scoring") == config
 
 
 def test_bleu_config_validation():

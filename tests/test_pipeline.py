@@ -1,6 +1,7 @@
 """Round-trip pipeline: mocks, HTTP backend behavior, flags, and replay."""
 
 import json
+import re
 import socketserver
 import sys
 import threading
@@ -21,7 +22,9 @@ from bteval.pipeline import (
     BackendError,
     ConfigError,
     HttpBackend,
+    RunConfig,
     TokenBucket,
+    config_from_json,
     derive_seed,
     detect_verbatim,
     make_backend,
@@ -31,7 +34,7 @@ from bteval.pipeline import (
     write_records,
 )
 
-from conftest import FIXTURES, HUA_YAO_MODELS, fixture_text
+from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text
 
 
 def mock_config(model="identity", backend_id="m1", **kwargs):
@@ -67,8 +70,36 @@ def test_backend_config_validation():
         BackendConfig(id="x", kind="mock", model_name="identity",
                       prompt_template_forward="no slot here")
     with pytest.raises(ConfigError, match="unknown backend fields"):
-        BackendConfig.from_dict({"id": "x", "kind": "mock", "model_name": "identity",
-                                 "surprise": 1})
+        config_from_json(BackendConfig, {"id": "x", "kind": "mock", "model_name": "identity",
+                                         "surprise": 1}, "backend")
+
+
+def test_config_reader_checks_each_json_type():
+    with pytest.raises(ConfigError, match=r"backend 'id' must be a string, got 5"):
+        config_from_json(BackendConfig, {"id": 5, "kind": "mock", "model_name": "identity"},
+                         "backend")
+    scoring = ScoringConfig()
+    assert config_from_json(ScoringConfig, scoring.as_dict(), "scoring") == scoring
+    # an integral float reads as int, an integer as float, and null as None
+    read = config_from_json(ScoringConfig, {"chrf_max_n": 3.0, "chrf_beta": 1,
+                                            "smoothing_epsilon": None}, "scoring")
+    assert (read.chrf_max_n, read.chrf_beta, read.smoothing_epsilon) == (3, 1.0, None)
+    assert type(read.chrf_max_n) is int and type(read.chrf_beta) is float
+    with pytest.raises(ConfigError, match="'chrf_beta' must be a number"):
+        config_from_json(ScoringConfig, {"chrf_beta": 10 ** 400}, "scoring")  # past float range
+    with pytest.raises(ConfigError, match=r"run config requires \['corpus'\]"):
+        config_from_json(RunConfig, {"backends": [{"id": "m", "kind": "mock"}]}, "run config")
+    with pytest.raises(ConfigError, match=r"backends\[1\] requires \['kind'\]"):
+        config_from_json(RunConfig, {"corpus": "c.jsonl", "backends": [
+            {"id": "m", "kind": "mock", "model_name": "identity"}, {"id": "n"}]}, "run config")
+
+
+def test_readme_run_config_loads():
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n### Run config\n", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = config_from_json(RunConfig, json.loads(block), "run config")
+    assert [b.id for b in config.backends] == ["mock-a", "remote"]
+    assert config.repetitions == 3 and config.scoring.chrf_max_n == 6
 
 
 @pytest.mark.parametrize("endpoint, message", [
