@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -90,7 +91,7 @@ def cmd_score(args) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
     scoring = _scoring_from_path(args.config) if args.config else ScoringConfig()
     vector = score_pair(original, candidate, lexicon, scoring)
-    print(json.dumps(vector.as_dict(), ensure_ascii=False))
+    print(json.dumps(asdict(vector), ensure_ascii=False))
     return EXIT_OK
 
 
@@ -160,7 +161,7 @@ def cmd_run(args) -> int:
 
     pipeline_mod.write_records(records, out_dir / "records.jsonl")
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(manifest), ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     for name, matrix in matrices.items():
         (out_dir / f"matrix_{name}.json").write_text(
             json.dumps(matrix.to_dict(), ensure_ascii=False) + "\n", encoding="utf-8")
@@ -210,14 +211,18 @@ def _emit_report(matrices, out_dir: Path) -> None:
 
 
 def _load_matrices(paths) -> dict:
-    matrices = {}
+    """Metric name -> matrix; two files holding one metric are a CliError."""
+    matrices, sources = {}, {}
     for path in paths:
         data = _read_json(path, "matrix")
         try:
             matrix = stats_mod.ScoreMatrix.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"malformed matrix file {path}: {type(exc).__name__}: {exc}") from exc
-        matrices[matrix.metric] = matrix
+        if matrix.metric in sources:
+            raise CliError(f"matrix files {sources[matrix.metric]} and {path} "
+                           f"both hold metric {matrix.metric!r}")
+        matrices[matrix.metric], sources[matrix.metric] = matrix, path
     return matrices
 
 

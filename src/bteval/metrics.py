@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .segmentation import (
     WORD,
@@ -19,8 +19,6 @@ from .segmentation import (
 
 TECHNICAL_WEIGHTS = (0.5, 0.5, 0.0, 0.0)
 UNIFORM_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
-
-METRIC_NAMES = ("bleu", "bleu_unif", "chrf", "ter", "semantic_similarity")
 
 
 class MetricError(ValueError):
@@ -57,17 +55,8 @@ class MetricVector:
     ter: float
     semantic_similarity: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "bleu": self.bleu,
-            "bleu_unif": self.bleu_unif,
-            "chrf": self.chrf,
-            "ter": self.ter,
-            "semantic_similarity": self.semantic_similarity,
-        }
 
-    def __getitem__(self, name: str) -> float:
-        return self.as_dict()[name]
+METRIC_NAMES = tuple(f.name for f in fields(MetricVector))
 
 
 @dataclass
@@ -100,16 +89,6 @@ class ScoringConfig:
             raise MetricError(f"chrf_beta must be > 0, not {self.chrf_beta!r}")
         for weights in (self.bleu_weights, self.bleu_unif_weights):
             BleuConfig(weights, self.smoothing_epsilon)
-
-    def as_dict(self) -> dict:
-        return {
-            "bleu_weights": list(self.bleu_weights),
-            "bleu_unif_weights": list(self.bleu_unif_weights),
-            "smoothing_epsilon": self.smoothing_epsilon,
-            "chrf_max_n": self.chrf_max_n,
-            "chrf_beta": self.chrf_beta,
-            "level": self.level,
-        }
 
 
 DEFAULT_SCORING = ScoringConfig()

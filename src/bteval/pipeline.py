@@ -165,13 +165,6 @@ class TranslationRecord:
     traditional_flag: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TranslationRecord":
-        return cls(**data)
-
 
 @dataclass
 class RunManifest:
@@ -187,9 +180,6 @@ class RunManifest:
     })
     verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD
     traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def derive_seed(master_seed: int, sample_id: str, backend_id: str, repetition: int) -> int:
@@ -658,7 +648,7 @@ def run_experiment(
                                                          traditional_threshold)
             b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
             for name in METRIC_NAMES:
-                grids[name][b, t, rec.repetition - 1] = vector[name]
+                grids[name][b, t, rec.repetition - 1] = getattr(vector, name)
 
     matrices = {
         name: ScoreMatrix(
@@ -674,8 +664,8 @@ def run_experiment(
         corpus_name=corpus.name,
         corpus_sha256=corpus.sha256 or "",
         backend_ids=[b.id for b in backends],
-        design={"n": design.n, "k": design.k, "r": design.r},
-        scoring=scoring.as_dict(),
+        design=asdict(design),
+        scoring=asdict(scoring),
         master_seed=master_seed,
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         verbatim_threshold=verbatim_threshold,
@@ -685,7 +675,7 @@ def run_experiment(
 
 
 def write_records(records: list[TranslationRecord], path: str | Path) -> None:
-    lines = [json.dumps(rec.to_dict(), ensure_ascii=False) for rec in records]
+    lines = [json.dumps(asdict(rec), ensure_ascii=False) for rec in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -693,5 +683,5 @@ def read_records(path: str | Path) -> list[TranslationRecord]:
     records = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.strip():
-            records.append(TranslationRecord.from_dict(json.loads(line)))
+            records.append(TranslationRecord(**json.loads(line)))
     return records

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,41 +70,29 @@ def summarize_all(matrices: dict[str, ScoreMatrix]) -> list[SummaryRow]:
     return rows
 
 
-def emit_summaries_csv(rows: list[SummaryRow], path: str | Path) -> None:
+def _write_csv(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    """UTF-8 CSV with LF line ends: the header, then each row with its floats in ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            s = row.stats
-            writer.writerow([
-                row.metric, row.scope, s.count,
-                _fmt(s.mean), _fmt(s.std), _fmt(s.minimum), _fmt(s.q25),
-                _fmt(s.median), _fmt(s.q75), _fmt(s.maximum),
-            ])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def emit_summaries_csv(rows: list[SummaryRow], path: str | Path) -> None:
+    _write_csv(path, SUMMARY_COLUMNS,
+               ((row.metric, row.scope, *astuple(row.stats)) for row in rows))
 
 
 def emit_pairwise_csv(batteries: list[MetricBattery], path: str | Path) -> None:
     """Only pairs that survived adjustment are written, mirroring the summary tables."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PAIRWISE_COLUMNS)
-        for battery in batteries:
-            for pair in battery.significant_pairs:
-                writer.writerow([
-                    battery.metric, pair.treatment_a, pair.treatment_b,
-                    _fmt(pair.mean_difference), _fmt(pair.adjusted_p), "true",
-                ])
+    _write_csv(path, PAIRWISE_COLUMNS, (
+        (battery.metric, pair.treatment_a, pair.treatment_b, pair.mean_difference,
+         pair.adjusted_p, "true")
+        for battery in batteries for pair in battery.significant_pairs))
 
 
 def emit_correlations_csv(entries: list[CorrelationEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CORRELATION_COLUMNS)
-        for entry in entries:
-            writer.writerow([
-                entry.series_a, entry.series_b,
-                _fmt(entry.rho), _fmt(entry.raw_p), _fmt(entry.adjusted_p),
-            ])
+    _write_csv(path, CORRELATION_COLUMNS, map(astuple, entries))
 
 
 def metric_correlations(matrices: dict[str, ScoreMatrix]) -> list[CorrelationEntry]:
@@ -233,7 +221,7 @@ def emit_plot_data(
 
 def emit_stats_report(batteries: list[MetricBattery], path: str | Path) -> None:
     """Machine-readable test battery: per-metric omnibus plus pairwise entries."""
-    payload = {battery.metric: battery.to_dict() for battery in batteries}
+    payload = {battery.metric: asdict(battery) for battery in batteries}
     Path(path).write_text(
         json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class ScoreMatrix:
         ]
         return {
             "metric": self.metric,
-            "design": {"n": self.design.n, "k": self.design.k, "r": self.design.r},
+            "design": asdict(self.design),
             "block_ids": list(self.block_ids),
             "treatment_ids": list(self.treatment_ids),
             "values": grid,
@@ -89,6 +89,11 @@ class ScoreMatrix:
     def from_dict(cls, data: dict) -> "ScoreMatrix":
         design = ExperimentDesign(**data["design"])
         values = np.array(data["values"], dtype=float)  # null decodes to NaN
+        if not isinstance(data["metric"], str):
+            raise TypeError(f"metric must be a string, not {data['metric']!r}")
+        for key in ("block_ids", "treatment_ids"):
+            if not isinstance(data[key], list) or not all(isinstance(v, str) for v in data[key]):
+                raise TypeError(f"{key} must be an array of strings")
         return cls(design, data["metric"], values, list(data["block_ids"]),
                    list(data["treatment_ids"]))
 
@@ -110,17 +115,6 @@ class StatTestResult:
     df: object  # int, tuple of ints, or None
     p_value: float
     pairwise: list[PairwiseComparison] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "test_name": self.test_name,
-            "statistic": self.statistic,
-            "df": list(self.df) if isinstance(self.df, tuple) else self.df,
-            "p_value": self.p_value,
-        }
-        if self.pairwise is not None:
-            out["pairwise"] = [vars(entry).copy() for entry in self.pairwise]
-        return out
 
 
 def cell_means(matrix: ScoreMatrix) -> np.ndarray:
@@ -302,6 +296,7 @@ def spearman(x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CorrelationEntry:
+    # field order is the column order of correlations.csv
     series_a: str
     series_b: str
     rho: float
@@ -424,6 +419,7 @@ def levene(groups) -> StatTestResult:
 
 @dataclass(frozen=True)
 class DescriptiveStats:
+    # field order is the column order of summaries.csv after metric and scope
     count: int
     mean: float
     std: float
@@ -432,13 +428,6 @@ class DescriptiveStats:
     median: float
     q75: float
     maximum: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count, "mean": self.mean, "std": self.std,
-            "min": self.minimum, "q25": self.q25, "median": self.median,
-            "q75": self.q75, "max": self.maximum,
-        }
 
 
 def descriptive_stats(values) -> DescriptiveStats:
@@ -506,15 +495,6 @@ class MetricBattery:
         if self.friedman.pairwise is None:
             return []
         return [p for p in self.friedman.pairwise if p.adjusted_p < self.alpha]
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "alpha": self.alpha,
-            "correction": self.correction,
-            "friedman": self.friedman.to_dict(),
-            "audit": list(self.audit),
-        }
 
 
 def run_metric_battery(

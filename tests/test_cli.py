@@ -482,19 +482,51 @@ def test_stats_missing_matrix_exits_2(capsys, tmp_path):
     assert code == EXIT_USAGE and "not found" in err
 
 
+ONE_CELL = ('{"metric": "bleu", "design": {"n": 1, "k": 1, "r": 1}, "block_ids": ["b"], '
+            '"treatment_ids": ["x"], "values": [[[0.5]]]}')
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"metric": "bleu", "design": {"n": 2,', "invalid JSON matrix"),
     ('{"metric": "bleu"}', "KeyError: 'design'"),
     ('{"metric": "bleu", "design": {"n": 1, "k": 2, "r": 2}, "block_ids": ["b"], '
      '"treatment_ids": ["x", "y"], "values": [[[0.1, 0.2], [0.3]]]}', "ValueError"),
     ('{"metric": "bleu", "design": {"n": ' + "1" * 5000 + "}}", "invalid JSON matrix"),
-], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit"])
+    (ONE_CELL.replace('"bleu"', '["bleu"]'), "malformed matrix file"),
+    (ONE_CELL.replace('"bleu"', "5"), "malformed matrix file"),
+    (ONE_CELL.replace('"bleu"', "null"), "malformed matrix file"),
+    (ONE_CELL.replace('["b"]', '"b"'), "malformed matrix file"),
+    (ONE_CELL.replace('["x"]', "[5]"), "malformed matrix file"),
+], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit",
+        "metric-array", "metric-number", "metric-null", "block-ids-string",
+        "treatment-id-number"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")
     code, _, err = invoke(capsys, "stats", str(path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
+
+
+def test_stats_matrix_metric_not_a_string_beside_a_good_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "matrix_five.json"
+    bad.write_text(ONE_CELL.replace('"bleu"', "5"), encoding="utf-8")
+    code, _, err = invoke(capsys, "stats", matrix_file(tmp_path), str(bad),
+                          "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: malformed matrix file") and str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_two_matrix_files_with_one_metric_exit_2(capsys, tmp_path, command):
+    first = matrix_file(tmp_path)
+    second = tmp_path / "matrix_bleu_again.json"
+    second.write_bytes(Path(first).read_bytes())
+    argv = [first, str(second)] if command == "stats" else [str(tmp_path)]
+    code, _, err = invoke(capsys, command, *argv, "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and first in err and str(second) in err
+    assert "'bleu'" in err and not (tmp_path / "o").exists()
 
 
 def test_report_over_run_dir(capsys, tmp_path, tiny_corpus_path):

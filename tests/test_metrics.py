@@ -1,8 +1,10 @@
 """Metric implementations against brute-force counting oracles."""
 
+import json
 import math
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -192,7 +194,7 @@ def pair_score_tokens(cand_tokens, ref_tokens, config, idf):
 
 
 def hexed(vector):
-    return {name: value.hex() for name, value in vector.as_dict().items()}
+    return {name: value.hex() for name, value in asdict(vector).items()}
 
 
 def random_pair(rng):
@@ -480,7 +482,8 @@ def test_score_pair_rejects_empty_original():
 
 def test_scoring_config_round_trip():
     config = ScoringConfig(chrf_max_n=4, smoothing_epsilon=0.01)
-    assert config_from_json(ScoringConfig, config.as_dict(), "scoring") == config
+    manifest_json = json.loads(json.dumps(asdict(config)))  # as a run manifest stores it
+    assert config_from_json(ScoringConfig, manifest_json, "scoring") == config
 
 
 def test_bleu_config_validation():

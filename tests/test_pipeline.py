@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -79,7 +80,8 @@ def test_config_reader_checks_each_json_type():
         config_from_json(BackendConfig, {"id": 5, "kind": "mock", "model_name": "identity"},
                          "backend")
     scoring = ScoringConfig()
-    assert config_from_json(ScoringConfig, scoring.as_dict(), "scoring") == scoring
+    assert config_from_json(ScoringConfig, json.loads(json.dumps(asdict(scoring))),
+                            "scoring") == scoring
     # an integral float reads as int, an integer as float, and null as None
     read = config_from_json(ScoringConfig, {"chrf_max_n": 3.0, "chrf_beta": 1,
                                             "smoothing_epsilon": None}, "scoring")
@@ -204,7 +206,7 @@ def test_backtranslate_noise_reproducible():
     config = mock_config("noise", drop_prob=0.3, swap_prob=0.1)
     first = backtranslate(config, sample, r=3, master_seed=7)
     second = backtranslate(config, sample, r=3, master_seed=7)
-    assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+    assert first == second
     assert len({r.zhy for r in first}) == 3  # distinct repetitions
 
 
@@ -620,7 +622,7 @@ def test_run_experiment_replay_equality():
     config = mock_config("noise", drop_prob=0.2, swap_prob=0.1)
     first = run_experiment(corpus, [config], r=3, master_seed=99)
     second = run_experiment(corpus, [config], r=3, master_seed=99)
-    assert [r.to_dict() for r in first[1]] == [r.to_dict() for r in second[1]]
+    assert first[1] == second[1]
     for metric in first[0]:
         assert np.array_equal(first[0][metric].values, second[0][metric].values,
                               equal_nan=True)
@@ -837,8 +839,8 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
     assert len(records) == 24 and all(rec.error is None for rec in records)
     merged = sorted((rec for _, run, _ in singles for rec in run),
                     key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
-    assert [rec.to_dict() for rec in records] == [rec.to_dict() for rec in merged]
-    assert [rec.to_dict() for rec in records] == [rec.to_dict() for rec in sequential_records]
+    assert records == merged
+    assert records == sequential_records
     # pair-level metrics equal the one-backend columns; IDF is fitted per run,
     # so semantic_similarity is compared with the same run on the old schedule
     for name in ("bleu", "bleu_unif", "chrf", "ter"):
@@ -855,9 +857,8 @@ def test_backtranslate_matches_run_experiment_and_detectors():
     for config in NOISY:
         for sample in corpus:
             records = backtranslate(config, sample, r=3, master_seed=6)
-            assert [rec.to_dict() for rec in records] == [
-                rec.to_dict() for rec in run_records
-                if (rec.sample_id, rec.backend_id) == (sample.id, config.id)]
+            assert records == [rec for rec in run_records
+                               if (rec.sample_id, rec.backend_id) == (sample.id, config.id)]
             for rec in records:
                 assert rec.verbatim_flag == detect_verbatim(rec.zhx, rec.zhy)[1]
                 assert rec.traditional_flag == segmentation.detect_traditional(rec.zhy)[1]
@@ -883,7 +884,7 @@ def test_record_log_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(records, path)
     again = read_records(path)
-    assert [r.to_dict() for r in again] == [r.to_dict() for r in records]
+    assert again == records
     write_records(again, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 

@@ -8,18 +8,27 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bteval.cli import EXIT_OK, main
+from bteval.corpus import parse_corpus
+from bteval.metrics import score_pair
+from bteval.pipeline import RunConfig, config_from_json, run_experiment
+from bteval.segmentation import default_lexicon
 from bteval.stats import (
     CorrelationEntry,
+    DescriptiveStats,
     ExperimentDesign,
     MetricBattery,
     PairwiseComparison,
     ScoreMatrix,
+    StatsError,
     StatTestResult,
     descriptive_stats,
+    run_metric_battery,
 )
 from bteval.report import (
+    SummaryRow,
     _box_summary,
     build_plot_bundle,
     emit_correlations_csv,
@@ -253,7 +262,8 @@ def emitted_plot_json(matrices, correlations) -> bytes:
 
 # exponent reprs, signed zeros, the smallest subnormal; NaN marks a missing cell.
 # Magnitudes stop at 1e300: near the float maximum, descriptive_stats' fsum
-# overflows and raises before anything is emitted.
+# overflows and raises before anything is emitted. Finite squared deviations
+# can still sum past the float maximum, which the property test checks apart.
 SCORES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1e-05, 5e-324, 1e300, -2.5e-08, math.nan]),
     st.floats(-1e300, 1e300),
@@ -282,10 +292,18 @@ def plot_inputs(draw):
 
 
 @given(plot_inputs())
+@example(({"a": make_matrix(np.array([[[0.0]], [[0.0]], [[2.8442255724327534e+154]]]), "a")},
+          []))
 @settings(max_examples=300, deadline=None)
 def test_emit_plot_data_matches_reference_encoder(inputs):
     matrices, correlations = inputs
     with np.errstate(over="ignore"):  # squared deviations of 1e300 overflow to inf
+        try:
+            summaries_of(matrices)
+        except StatsError as exc:
+            # no bundle has a std past the float maximum; `bteval report` exits 2 on it
+            assert "sum past the largest float" in str(exc)
+            return
         assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
         assert plot_bundle(matrices, correlations)["boxplots"] == oracle_boxplots(matrices)
 
@@ -335,3 +353,174 @@ def test_metric_correlations_skip_constant_columns(tmp_path):
     path = tmp_path / "corr.csv"
     emit_correlations_csv([], path)
     assert path.read_text(encoding="utf-8") == "metric_a,metric_b,rho,raw_p,adjusted_p\n"
+
+
+# ------------------------------------ the hand-listed encoders the emitters replaced
+
+def oracle_fmt(value):
+    return f"{value:.4f}"
+
+
+def oracle_summaries_csv(rows, path):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("metric", "scope", "count", "mean", "std", "min", "q25", "median",
+                         "q75", "max"))
+        for row in rows:
+            s = row.stats
+            writer.writerow([
+                row.metric, row.scope, s.count,
+                oracle_fmt(s.mean), oracle_fmt(s.std), oracle_fmt(s.minimum), oracle_fmt(s.q25),
+                oracle_fmt(s.median), oracle_fmt(s.q75), oracle_fmt(s.maximum),
+            ])
+
+
+def oracle_pairwise_csv(batteries, path):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("metric", "model_a", "model_b", "mean_difference", "adjusted_p",
+                         "significant"))
+        for battery in batteries:
+            for pair in battery.significant_pairs:
+                writer.writerow([
+                    battery.metric, pair.treatment_a, pair.treatment_b,
+                    oracle_fmt(pair.mean_difference), oracle_fmt(pair.adjusted_p), "true",
+                ])
+
+
+def oracle_correlations_csv(entries, path):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("metric_a", "metric_b", "rho", "raw_p", "adjusted_p"))
+        for entry in entries:
+            writer.writerow([
+                entry.series_a, entry.series_b,
+                oracle_fmt(entry.rho), oracle_fmt(entry.raw_p), oracle_fmt(entry.adjusted_p),
+            ])
+
+
+def oracle_scoring_dict(config):
+    return {
+        "bleu_weights": list(config.bleu_weights),
+        "bleu_unif_weights": list(config.bleu_unif_weights),
+        "smoothing_epsilon": config.smoothing_epsilon,
+        "chrf_max_n": config.chrf_max_n,
+        "chrf_beta": config.chrf_beta,
+        "level": config.level,
+    }
+
+
+def oracle_vector_dict(vector):
+    return {
+        "bleu": vector.bleu,
+        "bleu_unif": vector.bleu_unif,
+        "chrf": vector.chrf,
+        "ter": vector.ter,
+        "semantic_similarity": vector.semantic_similarity,
+    }
+
+
+def same_bytes(emit, oracle, *inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got.csv", Path(tmp) / "expected.csv"
+        emit(*inputs, got)
+        oracle(*inputs, expected)
+        return got.read_bytes() == expected.read_bytes()
+
+
+labels = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+csv_floats = st.one_of(st.floats(), st.floats().map(np.float64),
+                       st.sampled_from([-0.0, math.nan, np.float64(-0.0), np.float64(math.nan),
+                                        0.00005, 0.00015, -0.00005]))
+summary_rows = st.builds(
+    SummaryRow, labels, labels,
+    st.builds(DescriptiveStats, st.integers(0, 10 ** 6), *[csv_floats] * 7))
+pairwise_batteries = st.builds(
+    lambda metric, pairs: MetricBattery(metric, StatTestResult("friedman", 9.0, 2, 0.01, [
+        PairwiseComparison(a, b, 2.0, 0.01, adj, diff) for a, b, adj, diff in pairs]),
+        0.05, "benjamini_hochberg"),
+    labels, st.lists(st.tuples(labels, labels, st.one_of(csv_floats, st.floats(0.0, 0.05)),
+                               csv_floats), max_size=4))
+correlation_entries = st.builds(CorrelationEntry, labels, labels, csv_floats, csv_floats,
+                                csv_floats)
+
+
+@given(st.lists(summary_rows, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_summaries_csv_matches_hand_listed_writer(rows):
+    assert same_bytes(emit_summaries_csv, oracle_summaries_csv, rows)
+
+
+@given(st.lists(pairwise_batteries, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_pairwise_csv_matches_hand_listed_writer(batteries):
+    assert same_bytes(emit_pairwise_csv, oracle_pairwise_csv, batteries)
+
+
+@given(st.lists(correlation_entries, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_correlations_csv_matches_hand_listed_writer(entries):
+    assert same_bytes(emit_correlations_csv, oracle_correlations_csv, entries)
+
+
+RUN_CORPUS = [
+    {"id": "S1", "domain": "chemistry", "text": "化学工程领域的研究与分析。", "variant": "simplified"},
+    {"id": "S2", "domain": "chemistry", "text": "元素观点：物质由元素组成。", "variant": "simplified"},
+    {"id": "S3", "domain": "physics", "text": "物理学研究物质运动的规律。", "variant": "simplified"},
+]
+
+
+def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in RUN_CORPUS),
+                           encoding="utf-8")
+    data = {"corpus": str(corpus_path), "repetitions": 2, "master_seed": 3,
+            "backends": [{"id": "same", "kind": "mock", "model_name": "identity"},
+                         {"id": "noisy", "kind": "mock", "model_name": "noise",
+                          "drop_prob": 0.3, "swap_prob": 0.2}],
+            "scoring": {"smoothing_epsilon": 0.1, "chrf_max_n": 4}}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+    config = config_from_json(RunConfig, data, "run config")
+    matrices, _, manifest = run_experiment(parse_corpus(corpus_path), config.backends,
+                                           config.repetitions, config.scoring,
+                                           config.master_seed)
+    design = matrices["bleu"].design
+    written = (out / "manifest.json").read_text(encoding="utf-8")
+    expected = {
+        "corpus_name": manifest.corpus_name,
+        "corpus_sha256": manifest.corpus_sha256,
+        "backend_ids": ["same", "noisy"],
+        "design": {"n": design.n, "k": design.k, "r": design.r},
+        "scoring": oracle_scoring_dict(config.scoring),
+        "master_seed": 3,
+        "timestamp": json.loads(written)["timestamp"],
+        "prompt_variants": manifest.prompt_variants,
+        "verbatim_threshold": manifest.verbatim_threshold,
+        "traditional_threshold": manifest.traditional_threshold,
+    }
+    assert written == json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
+
+    summaries = summarize_all(matrices)
+    correlations = metric_correlations(matrices)
+    batteries = [run_metric_battery(matrices[name]) for name in sorted(matrices)]
+    for name, emitted, oracle in (("summaries.csv", summaries, oracle_summaries_csv),
+                                  ("pairwise_tests.csv", batteries, oracle_pairwise_csv),
+                                  ("correlations.csv", correlations, oracle_correlations_csv)):
+        oracle(emitted, tmp_path / name)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert correlations and len(summaries) == 5 * 3
+
+
+def test_score_stdout_matches_hand_listed_encoder(capsys, tmp_path):
+    original, candidate = "化学工程领域的研究与分析。", "化学领域的分析与研究。"
+    (tmp_path / "a.txt").write_text(original, encoding="utf-8")
+    (tmp_path / "b.txt").write_text(candidate, encoding="utf-8")
+    assert main(["score", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == EXIT_OK
+    vector = score_pair(original, candidate, default_lexicon())
+    assert capsys.readouterr().out == json.dumps(oracle_vector_dict(vector),
+                                                 ensure_ascii=False) + "\n"

@@ -1,9 +1,12 @@
 """Rank statistics against exact enumeration, closed forms, and scipy oracles."""
 
 import itertools
+import json
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 from bteval import tails
+from bteval.report import emit_stats_report
 from bteval.stats import (
     BENJAMINI_HOCHBERG,
     BONFERRONI,
     NO_CORRECTION,
     ExperimentDesign,
+    MetricBattery,
+    PairwiseComparison,
     ScoreMatrix,
     StatsError,
+    StatTestResult,
     _block_ranks,
     adjust_p,
     benjamini_hochberg,
@@ -664,7 +671,9 @@ def test_score_matrix_serialization_round_trip():
     values = np.random.default_rng(1).random((3, 2, 2))
     values[1, 0, 1] = np.nan
     matrix = make_matrix(values, metric="chrf")
-    again = ScoreMatrix.from_dict(matrix.to_dict())
+    data = matrix.to_dict()
+    assert data["design"] == {"n": 3, "k": 2, "r": 2}
+    again = ScoreMatrix.from_dict(data)
     assert again.metric == "chrf"
     assert np.array_equal(again.values, matrix.values, equal_nan=True)
     assert again.block_ids == matrix.block_ids
@@ -699,3 +708,84 @@ def test_run_metric_battery_null_path():
     assert battery.friedman.p_value == 1.0
     assert battery.significant_pairs == []
     assert battery.friedman.pairwise == []
+
+
+# ------------------------------------------------ stats_report.json encoding
+
+def oracle_test_result_dict(result):
+    """The hand-listed encoder that ``asdict`` replaced; it omitted a ``None`` pairwise."""
+    out = {
+        "test_name": result.test_name,
+        "statistic": result.statistic,
+        "df": list(result.df) if isinstance(result.df, tuple) else result.df,
+        "p_value": result.p_value,
+    }
+    if result.pairwise is not None:
+        out["pairwise"] = [vars(entry).copy() for entry in result.pairwise]
+    return out
+
+
+def oracle_battery_dict(battery):
+    return {
+        "metric": battery.metric,
+        "alpha": battery.alpha,
+        "correction": battery.correction,
+        "friedman": oracle_test_result_dict(battery.friedman),
+        "audit": list(battery.audit),
+    }
+
+
+def oracle_stats_report(batteries) -> bytes:
+    payload = {battery.metric: oracle_battery_dict(battery) for battery in batteries}
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return text.encode("utf-8")
+
+
+def emitted_stats_report(batteries) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stats_report.json"
+        emit_stats_report(batteries, path)
+        return path.read_bytes()
+
+
+labels = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+report_floats = st.one_of(st.floats(), st.floats().map(np.float64),
+                          st.sampled_from([-0.0, math.nan, np.float64(-0.0), np.float64(math.nan)]))
+
+
+@st.composite
+def batteries(draw):
+    names = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    out = []
+    for name in names:
+        pairwise = [PairwiseComparison(draw(labels), draw(labels),
+                                       *draw(st.lists(report_floats, min_size=4, max_size=4)))
+                    for _ in range(draw(st.integers(0, 3)))]
+        df = draw(st.one_of(st.none(), st.integers(1, 9),
+                            st.tuples(st.integers(1, 9), st.integers(1, 99))))
+        result = StatTestResult("friedman", draw(report_floats), df, draw(report_floats), pairwise)
+        out.append(MetricBattery(name, result, draw(report_floats), BENJAMINI_HOCHBERG,
+                                 draw(st.lists(labels, max_size=3))))
+    return out
+
+
+@given(batteries())
+@settings(max_examples=100, deadline=None)
+def test_stats_report_matches_hand_listed_encoder(generated):
+    assert emitted_stats_report(generated) == oracle_stats_report(generated)
+
+
+def test_stats_report_matches_hand_listed_encoder_on_run_batteries():
+    rng = np.random.default_rng(55)
+    values = rng.normal(0.6, 0.03, size=(20, 3, 2))
+    values[:, 2, :] -= 0.2
+    values[3, 1, :] = np.nan  # an imputed cell, so the audit is not empty
+    significant = run_metric_battery(make_matrix(values, metric="bleu"))
+    null = run_metric_battery(make_matrix(np.full((5, 3, 2), 0.4), metric="chrf"))
+    assert significant.friedman.pairwise and null.friedman.pairwise == []
+    assert significant.audit
+    edge = MetricBattery("ter", StatTestResult("levene", np.float64(-0.0), (2, 12), math.nan, [
+        PairwiseComparison("a", "b", np.float64(1.5), -0.0, math.nan, np.float64(-0.25))]),
+        0.05, BONFERRONI)
+    batteries = [significant, null, edge]
+    assert emitted_stats_report(batteries) == oracle_stats_report(batteries)
