@@ -1,7 +1,7 @@
 """Pairwise scores for an (original, back-translation) pair: two BLEU
 weightings, character-n-gram F-score, token edit rate, and TF-IDF cosine
 similarity. All five share one segmentation pass, and PreparedReference
-counts a reference once for any number of candidates.
+prepares a reference once and counts all of its candidates in one batch.
 """
 
 from __future__ import annotations
@@ -9,6 +9,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
+
+import numpy as np
 
 from .segmentation import (
     WORD,
@@ -94,21 +97,58 @@ class ScoringConfig:
 DEFAULT_SCORING = ScoringConfig()
 
 
-def _grams(seq, orders) -> Counter:
-    """Every window of each order of a str or tuple, counted in one multiset.
+class _NgramIds:
+    """A reference's n-grams of orders 1..top as integer ids, against which
+    any number of candidates are clipped in one batch.
 
-    Windows of different orders differ in length, so they never collide.
+    Each reference symbol (a token, or a character) gets an id from its
+    alphabet of A symbols; an order-n gram's key is the id of its (n-1)-gram
+    prefix times A plus the id of its last symbol, and its id is the key's
+    index in the order's sorted key array. A candidate's keys roll forward
+    from its previous order's ids in the same way, so no window is built.
+    Keys stay below len(ref) ** 2, far inside int64.
     """
-    return Counter(seq[i:i + n] for n in orders for i in range(len(seq) - n + 1))
 
+    def __init__(self, ref, top: int) -> None:
+        alphabet: dict = {}
+        symbols = np.fromiter((alphabet.setdefault(s, len(alphabet)) for s in ref),
+                              np.int64, len(ref))
+        self._alphabet = alphabet
+        self._top = max(top, 0)
+        self._keys: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        ids = np.zeros(len(ref) + 1, np.int64)  # every order-1 gram has the empty prefix
+        for n in range(1, min(top, len(ref)) + 1):
+            keys, ids, counts = np.unique(ids[:-1] * len(alphabet) + symbols[n - 1:],
+                                          return_inverse=True, return_counts=True)
+            self._keys.append(keys)
+            self._counts.append(counts)
 
-def _matches(cand_grams: Counter, ref_grams: dict, top: int) -> list[int]:
-    """Clipped matches per order 0..top: each shared window counts min(cand, ref) times."""
-    matched = [0] * (top + 1)
-    for gram in cand_grams.keys() & ref_grams.keys():
-        c, r = cand_grams[gram], ref_grams[gram]
-        matched[len(gram)] += c if c < r else r
-    return matched
+    def matches(self, cands) -> np.ndarray:
+        """Clipped matches, one row per candidate and one column per order 0..top:
+        each distinct candidate n-gram counts min(candidate count, reference count)."""
+        lengths = np.fromiter(map(len, cands), np.int64, len(cands))
+        matched = np.zeros((len(cands), self._top + 1), np.int64)
+        total = int(lengths.sum())
+        symbols = np.fromiter(map(self._alphabet.get, chain.from_iterable(cands), repeat(-1)),
+                              np.int64, total)
+        owner = np.repeat(np.arange(len(cands)), lengths)
+        room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # symbols left in its candidate
+        at = np.arange(total)  # the start of every window found at the previous order
+        ids = np.zeros(total, np.int64)
+        size = len(self._alphabet)
+        for n, (keys, counts) in enumerate(zip(self._keys, self._counts), start=1):
+            inside = room[at] >= n  # a window never spans two candidates
+            at, ids = at[inside], ids[inside]
+            last = symbols[at + n - 1]
+            key = ids * size + last
+            ids = np.searchsorted(keys, key)
+            found = (last >= 0) & (keys[np.minimum(ids, len(keys) - 1)] == key)
+            at, ids = at[found], ids[found]
+            cells, hits = np.unique(owner[at] * len(keys) + ids, return_counts=True)
+            clipped = np.minimum(hits, counts[cells % len(keys)])
+            matched[:, n] = np.bincount(cells // len(keys), clipped, minlength=len(cands))
+        return matched
 
 
 def _windows(length: int, n: int) -> int:
@@ -123,10 +163,6 @@ def brevity_penalty(candidate_len: int, reference_len: int) -> float:
     if candidate_len >= reference_len:
         return 1.0
     return math.exp(1.0 - reference_len / candidate_len)
-
-
-def _weighted_orders(*weightings) -> tuple[int, ...]:
-    return tuple(n for n in range(1, 5) if any(w[n - 1] for w in weightings))
 
 
 def _bleu(weights, epsilon: float | None, matched: list[int], cand_len: int,
@@ -164,8 +200,8 @@ def bleu(candidate, reference, config: BleuConfig = BleuConfig()) -> float:
     ref = tuple(reference)
     if not ref:
         raise MetricError("reference must be non-empty")
-    orders = _weighted_orders(config.weights)
-    matched = _matches(_grams(cand, orders), _grams(ref, orders), 4)
+    top = max(n for n, weight in enumerate(config.weights, start=1) if weight)
+    matched = _NgramIds(ref, top).matches([cand])[0].tolist()
     return _bleu(config.weights, config.smoothing_epsilon, matched, len(cand), len(ref))
 
 
@@ -177,14 +213,12 @@ def _f_beta(matched: int, cand_total: int, ref_total: int, beta_sq: float) -> fl
     return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
 
 
-def _chrf(cand: str, ref_grams: dict, ref_len: int, max_n: int, beta: float) -> float:
+def _chrf(matched: list[int], cand_len: int, ref_len: int, max_n: int, beta: float) -> float:
     """Mean F-beta over the orders 1..max_n that either whitespace-free text reaches."""
-    orders = range(1, max_n + 1)
-    matched = _matches(_grams(cand, orders), ref_grams, max_n)
     beta_sq = beta * beta
     scores = [
-        _f_beta(matched[n], _windows(len(cand), n), _windows(ref_len, n), beta_sq)
-        for n in orders if len(cand) >= n or ref_len >= n
+        _f_beta(matched[n], _windows(cand_len, n), _windows(ref_len, n), beta_sq)
+        for n in range(1, max_n + 1) if cand_len >= n or ref_len >= n
     ]
     return sum(scores) / len(scores) if scores else 0.0
 
@@ -199,7 +233,8 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
     ref = "".join(reference.split())
     if not ref:
         raise MetricError("reference must be non-empty")
-    return _chrf(cand, _grams(ref, range(1, max_n + 1)), len(ref), max_n, beta)
+    matched = _NgramIds(ref, max_n).matches([cand])[0].tolist()
+    return _chrf(matched, len(cand), len(ref), max_n, beta)
 
 
 def _peq(reference: tuple) -> dict:
@@ -313,11 +348,11 @@ def score_pair(
 
 class PreparedReference:
     """One reference with everything the five metrics read from it built once:
-    the word n-gram counts of every weighted BLEU order, the whitespace-free
-    text and its character n-gram counts, the TF-IDF vector and its norm, and
-    the edit-distance bitmasks. score() rates any number of candidates
-    against it; each candidate is counted once per order, and both BLEU
-    weightings read the same counts.
+    the integer ids of its word 1..4-grams and of the character 1..chrf_max_n
+    grams of its whitespace-free text, the TF-IDF vector and its norm, and the
+    edit-distance bitmasks. score_all() rates any number of candidates against
+    it, counting their n-grams in one batch; both BLEU weightings read the
+    same counts.
     """
 
     def __init__(self, ref_tokens, config: ScoringConfig, idf: IdfModel) -> None:
@@ -330,27 +365,36 @@ class PreparedReference:
         self._config = config
         self._idf = idf
         self._len = len(ref)
-        self._orders = _weighted_orders(config.bleu_weights, config.bleu_unif_weights)
-        self._word_grams = _grams(ref, self._orders)
+        self._words = _NgramIds(ref, 4)
         self._text_len = len(text)
-        self._char_grams = _grams(text, range(1, config.chrf_max_n + 1))
+        self._chars = _NgramIds(text, config.chrf_max_n)
         self._vector = _tfidf_vector(ref, idf)
         self._norm = _norm(self._vector)
         self._peq = _peq(ref)
 
-    def score(self, cand_tokens) -> MetricVector:
+    def score_all(self, cands_tokens) -> list[tuple[MetricVector, float]]:
+        """Each candidate's five metrics, with its unsmoothed BLEU over 1-2 grams
+        of the same tokens: the verbatim similarity, when the tokens are words."""
         config = self._config
-        cand = tuple(cand_tokens)
-        matched = _matches(_grams(cand, self._orders), self._word_grams, 4)
         epsilon = config.smoothing_epsilon
-        return MetricVector(
-            bleu=_bleu(config.bleu_weights, epsilon, matched, len(cand), self._len),
-            bleu_unif=_bleu(config.bleu_unif_weights, epsilon, matched, len(cand), self._len),
-            chrf=_chrf("".join("".join(cand).split()), self._char_grams, self._text_len,
-                       config.chrf_max_n, config.chrf_beta),
-            ter=_edit_distance(cand, self._peq, self._len) / self._len,
-            semantic_similarity=_cosine(_tfidf_vector(cand, self._idf), self._vector, self._norm),
-        )
+        cands = [tuple(tokens) for tokens in cands_tokens]
+        texts = ["".join("".join(cand).split()) for cand in cands]
+        scored = []
+        for cand, text, words, chars in zip(cands, texts, self._words.matches(cands).tolist(),
+                                            self._chars.matches(texts).tolist()):
+            vector = MetricVector(
+                bleu=_bleu(config.bleu_weights, epsilon, words, len(cand), self._len),
+                bleu_unif=_bleu(config.bleu_unif_weights, epsilon, words, len(cand), self._len),
+                chrf=_chrf(chars, len(text), self._text_len, config.chrf_max_n, config.chrf_beta),
+                ter=_edit_distance(cand, self._peq, self._len) / self._len,
+                semantic_similarity=_cosine(_tfidf_vector(cand, self._idf), self._vector,
+                                            self._norm),
+            )
+            scored.append((vector, _bleu(TECHNICAL_WEIGHTS, None, words, len(cand), self._len)))
+        return scored
+
+    def score(self, cand_tokens) -> MetricVector:
+        return self.score_all([cand_tokens])[0][0]
 
 
 def score_tokens(cand_tokens, ref_tokens, config: ScoringConfig, idf: IdfModel) -> MetricVector:

@@ -622,14 +622,10 @@ def run_experiment(
     tokens = {text: tokenize(text, scoring.level, lexicon) for text in dict.fromkeys(texts)}
     documents = [tokens[text] for text in texts]
     idf = fit_idf(documents) if len(documents) >= 2 else None
-    # The verbatim similarity is detect_verbatim's word-level BLEU. The default
-    # technical BLEU is that very quantity; any other scoring reads it from one
-    # word table, which at the word level is the scoring tokens themselves.
-    verbatim_from_bleu = (
-        scoring.level == WORD
-        and BleuConfig(scoring.bleu_weights, scoring.smoothing_epsilon) == BleuConfig()
-    )
-    words = (tokens if scoring.level == WORD
+    # The verbatim similarity is detect_verbatim's unsmoothed 1-2-gram BLEU over
+    # words. At the word level the batch counts it from the scoring tokens; at
+    # the character level it reads one word table.
+    words = (None if scoring.level == WORD
              else {text: segment_words(text, lexicon) for text in tokens})
 
     design = ExperimentDesign(n=len(corpus), k=len(backends), r=r)
@@ -637,12 +633,14 @@ def run_experiment(
     treatment_index = {b.id: j for j, b in enumerate(backends)}
     grids = {name: np.full((design.n, design.k, design.r), np.nan) for name in METRIC_NAMES}
     # Records are sorted by sample, so each original's back-translations are
-    # consecutive: prepare it once for all of them, and hold one at a time.
+    # consecutive: prepare it once and score them all in one batch.
     for zhx, group in groupby(scored, key=attrgetter("zhx")):
+        group = list(group)
         reference = PreparedReference(tokens[zhx], scoring, idf)
-        for rec in group:
-            vector = reference.score(tokens[rec.zhy])
-            similarity = vector.bleu if verbatim_from_bleu else bleu(words[rec.zhy], words[zhx])
+        vectors = reference.score_all([tokens[rec.zhy] for rec in group])
+        for rec, (vector, similarity) in zip(group, vectors):
+            if words is not None:
+                similarity = bleu(words[rec.zhy], words[zhx])
             rec.verbatim_flag = similarity >= verbatim_threshold
             _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table,
                                                          traditional_threshold)
@@ -675,7 +673,8 @@ def run_experiment(
 
 
 def write_records(records: list[TranslationRecord], path: str | Path) -> None:
-    lines = [json.dumps(asdict(rec), ensure_ascii=False) for rec in records]
+    # TranslationRecord is flat, so vars(rec) is asdict(rec) without the deep copy
+    lines = [json.dumps(vars(rec), ensure_ascii=False) for rec in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -87,7 +87,10 @@ class ScoreMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreMatrix":
-        design = ExperimentDesign(**data["design"])
+        if not isinstance(data["design"], dict):
+            raise TypeError(f"design must be an object, not {data['design']!r}")
+        design = ExperimentDesign(**{key: _json_int(value, f"design {key}")
+                                     for key, value in data["design"].items()})
         values = np.array(data["values"], dtype=float)  # null decodes to NaN
         if not isinstance(data["metric"], str):
             raise TypeError(f"metric must be a string, not {data['metric']!r}")
@@ -96,6 +99,16 @@ class ScoreMatrix:
                 raise TypeError(f"{key} must be an array of strings")
         return cls(design, data["metric"], values, list(data["block_ids"]),
                    list(data["treatment_ids"]))
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer as a run config reads one: a number that is not a bool,
+    and either an int or an integral float."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -508,6 +508,20 @@ def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("value, code", [("true", EXIT_USAGE), ("1.5", EXIT_USAGE), ("1.0", EXIT_OK)],
+                         ids=["bool", "fraction", "integral-float"])
+def test_stats_design_counts_read_as_json_integers(capsys, tmp_path, value, code):
+    path = tmp_path / "matrix_bleu.json"
+    path.write_text(ONE_CELL.replace('"n": 1', f'"n": {value}'), encoding="utf-8")
+    got, _, err = invoke(capsys, "stats", str(path), "--out", str(tmp_path / "o"))
+    assert got == code
+    if code == EXIT_USAGE:
+        assert err.startswith("error: malformed matrix file") and "design n" in err
+    else:
+        from bteval.stats import ScoreMatrix
+        assert ScoreMatrix.from_dict(json.loads(path.read_text())).to_dict()["design"]["n"] == 1
+
+
 def test_stats_matrix_metric_not_a_string_beside_a_good_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "matrix_five.json"
     bad.write_text(ONE_CELL.replace('"bleu"', "5"), encoding="utf-8")

@@ -15,8 +15,7 @@ from bteval.metrics import (
     MetricVector,
     PreparedReference,
     ScoringConfig,
-    _grams,
-    _matches,
+    _NgramIds,
     bleu,
     brevity_penalty,
     chrf,
@@ -48,9 +47,32 @@ def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
     return counts
 
 
+def _grams(seq, orders) -> Counter:
+    """Every window of each order of a str or tuple, counted in one multiset.
+
+    Windows of different orders differ in length, so they never collide.
+    """
+    return Counter(seq[i:i + n] for n in orders for i in range(len(seq) - n + 1))
+
+
+def _matches(cand_grams: Counter, ref_grams: dict, top: int) -> list[int]:
+    """Clipped matches per order 0..top: each shared window counts min(cand, ref) times."""
+    matched = [0] * (top + 1)
+    for gram in cand_grams.keys() & ref_grams.keys():
+        c, r = cand_grams[gram], ref_grams[gram]
+        matched[len(gram)] += c if c < r else r
+    return matched
+
+
+def pair_matches(cands, ref, top: int) -> list[list[int]]:
+    """Each candidate's clipped matches per order 0..top, counted one pair at a time."""
+    ref_grams = _grams(ref, range(1, top + 1))
+    return [_matches(_grams(cand, range(1, top + 1)), ref_grams, top) for cand in cands]
+
+
 def modified_precision(candidate, reference, n: int) -> tuple[int, int]:
-    """Clipped n-gram matches and candidate n-gram total, through the scorers'
-    private kernels ``_grams`` and ``_matches``."""
+    """Clipped n-gram matches and candidate n-gram total, through the
+    window-counting oracles ``_grams`` and ``_matches``."""
     cand = tuple(candidate)
     matched = _matches(_grams(cand, (n,)), _grams(tuple(reference), (n,)), n)
     return matched[n], max(0, len(cand) - n + 1)
@@ -540,10 +562,51 @@ def test_prepared_reference_equals_per_pair_oracles(case):
     config, ref, cands = case
     idf = fit_idf([ref] + cands)
     prepared = PreparedReference(ref, config, idf)
-    for cand in cands:
+    scored = prepared.score_all(cands)
+    assert len(scored) == len(cands)
+    for cand, (vector, similarity) in zip(cands, scored):
         expected = hexed(pair_score_tokens(cand, ref, config, idf))
+        assert hexed(vector) == expected
         assert hexed(prepared.score(cand)) == expected
         assert hexed(score_tokens(cand, ref, config, idf)) == expected
+        assert similarity.hex() == pair_bleu(cand, ref, BleuConfig()).hex()
+
+
+@given(reference_and_candidates())
+@settings(max_examples=300, deadline=None)
+def test_batched_matches_equal_per_pair_clipping(case):
+    config, ref, cands = case
+    words = _NgramIds(ref, 4).matches(cands)
+    assert words.shape == (len(cands), 5)
+    assert words.tolist() == pair_matches([tuple(c) for c in cands], tuple(ref), 4)
+    text = "".join("".join(ref).split())
+    texts = ["".join("".join(c).split()) for c in cands]
+    top = config.chrf_max_n
+    assert _NgramIds(text, top).matches(texts).tolist() == pair_matches(texts, text, top)
+
+
+@pytest.mark.parametrize("ref, cands, top", [
+    ("abc", ["xyz", "axbxc", "", "zzzzzz"], 3),  # symbols absent from the reference
+    ("aab", ["aaaa", "aabaab", "ab" * 5], 3),  # repeated n-grams clipped to the reference count
+    (("的", "的", "化学"), [("的",) * 4, ("化学", "的", "的", "的")], 4),
+    ("𠀀𝄞a𠀀𝄞", ["𝄞a𠀀", "𠀀𠀀𝄞𝄞", "a\U0002A6D6"], 4),  # characters beyond the BMP
+    ("abcab", ["abcab", "cabca", "b"], 1),
+    ("abc", ["abc", "abcabc", "cba"], 8),  # orders longer than the reference
+    ("abc", [], 6),
+], ids=["absent-symbols", "clipped-repeats", "word-tokens", "non-bmp", "order-1",
+        "orders-past-reference", "no-candidates"])
+def test_batched_matches_examples(ref, cands, top):
+    matched = _NgramIds(ref, top).matches(cands)
+    assert matched.shape == (len(cands), top + 1)
+    assert matched.tolist() == pair_matches(cands, ref, top)
+
+
+def test_batched_matches_never_span_two_candidates():
+    matched = _NgramIds("abcd", 4).matches(["ab", "cd"]).tolist()
+    assert matched == [[0, 2, 1, 0, 0], [0, 2, 1, 0, 0]]
+    assert matched == pair_matches(["ab", "cd"], "abcd", 4)
+    # the same symbols as one candidate do match at orders 3 and 4
+    assert _NgramIds("abcd", 4).matches(["abcd"]).tolist() == [[0, 4, 3, 2, 1]]
 
 
 @given(reference_and_candidates())

@@ -671,6 +671,22 @@ def test_run_experiment_segments_each_distinct_original_once(monkeypatch, scorin
     assert sorted(calls) == sorted(set(texts))
 
 
+@pytest.mark.parametrize("scoring", SCORING_VARIANTS, ids=SCORING_VARIANT_IDS)
+def test_run_experiment_reads_word_level_verbatim_from_the_batch(monkeypatch, scoring):
+    calls = []
+    original = metrics.bleu
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (metrics, pipeline):
+        monkeypatch.setattr(module, "bleu", counting)
+    _, records, _ = run_experiment(cnki_head(4), NOISY, r=2, scoring=scoring, master_seed=5)
+    # only a character-level run reads its flag from a second, word-level table
+    assert len(calls) == (len(records) if scoring.level == "character" else 0)
+
+
 def test_run_experiment_character_idf_fits_character_documents():
     corpus = cnki_head(6)
     scoring = ScoringConfig(level="character")
@@ -887,6 +903,15 @@ def test_record_log_round_trip(tmp_path):
     assert again == records
     write_records(again, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_record_log_is_the_asdict_form(tmp_path):
+    _, records, _ = run_experiment(cnki_head(4), NOISY, r=2, master_seed=5)
+    records[0].error = "HTTP 500"  # every field type, None and str alike
+    path = tmp_path / "records.jsonl"
+    write_records(records, path)
+    lines = [json.dumps(asdict(rec), ensure_ascii=False) for rec in records]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_traditional_flag_raised_on_drifting_backend(hua_yao_original):
