@@ -226,6 +226,16 @@ def _load_matrices(paths) -> dict:
     return matrices
 
 
+def _require_one_grid(paths, matrices: dict) -> None:
+    """A report pairs cells by position across metrics, so every matrix (the i-th
+    read from ``paths[i]``) must share the first one's design, block and treatment ids."""
+    grids = [(m.design, m.block_ids, m.treatment_ids) for m in matrices.values()]
+    for path, grid in zip(paths[1:], grids[1:]):
+        if grid != grids[0]:
+            raise CliError(f"matrix files {paths[0]} and {path} differ in design, "
+                           "block_ids or treatment_ids; a report pairs their cells by position")
+
+
 def cmd_stats(args) -> int:
     matrices = _load_matrices(args.matrices)
     out_dir = _out_dir(args.out)
@@ -243,6 +253,7 @@ def cmd_report(args) -> int:
     if not paths:
         raise CliError(f"no matrix_*.json files in {args.run_dir}")
     matrices = _load_matrices(paths)
+    _require_one_grid(paths, matrices)
     out_dir = _out_dir(args.out or run_dir)
     _emit_report(matrices, out_dir)
     print(f"report written to {out_dir}", file=sys.stderr)

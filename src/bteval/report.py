@@ -104,20 +104,19 @@ def metric_correlations(matrices: dict[str, ScoreMatrix]) -> list[CorrelationEnt
     if not names:
         return []
     flat = {name: matrices[name].values.reshape(-1) for name in names}
-    entries: list[CorrelationEntry] = []
     valid_mask = ~np.any([np.isnan(flat[name]) for name in names], axis=0)
     series = {}
     for name in names:
         column = flat[name][valid_mask]
-        if column.size >= 3 and np.unique(column).size > 1:
+        # NaN-free, so constant exactly when min == max (-0.0 ties 0.0, as in np.unique)
+        if column.size >= 3 and column.min() < column.max():
             series[name] = column.tolist()
     if len(series) < 2:
         return []
     try:
-        entries = spearman_battery(series)
+        return spearman_battery(series)
     except StatsError:
-        entries = []
-    return entries
+        return []
 
 
 def _box_summary(stats: DescriptiveStats, values: np.ndarray) -> dict:
@@ -136,44 +135,6 @@ def _box_summary(stats: DescriptiveStats, values: np.ndarray) -> dict:
     }
 
 
-def build_plot_bundle(
-    matrices: dict[str, ScoreMatrix],
-    correlations: list[CorrelationEntry],
-    summaries: list[SummaryRow],
-) -> dict:
-    """Plot-ready data only: no rendering instructions.
-
-    ``summaries`` holds ``summarize``'s rows for every matrix with observations;
-    the box summaries read their statistics from it.
-    """
-    # a treatment's row follows its metric's global row, so a treatment named
-    # like the global scope keeps its own statistics
-    stats = {(row.metric, row.scope): row.stats for row in summaries}
-    boxplots = {
-        metric: {treatment: _box_summary(stats[metric, treatment], column)
-                 for treatment, column in _columns(matrices[metric])}
-        for metric in sorted(matrices)
-    }
-
-    names = sorted(matrices)
-    flat = {name: matrices[name].values.reshape(-1) for name in names}
-    annotation = {(e.series_a, e.series_b): e for e in correlations}
-    scatter = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            mask = ~(np.isnan(flat[a]) | np.isnan(flat[b]))
-            points = np.column_stack((flat[a][mask], flat[b][mask])).tolist()
-            entry = annotation.get((a, b)) or annotation.get((b, a))
-            scatter.append({
-                "metric_a": a,
-                "metric_b": b,
-                "rho": entry.rho if entry else None,
-                "adjusted_p": entry.adjusted_p if entry else None,
-                "points": points,
-            })
-    return {"boxplots": boxplots, "scatter": scatter}
-
-
 def _json(value, level: int = 0) -> str:
     """``value`` as sorted-key ``indent=2`` JSON, nested ``level`` deep.
 
@@ -183,20 +144,19 @@ def _json(value, level: int = 0) -> str:
     return text.replace("\n", "\n" + "  " * level)
 
 
-def _points_json(points: list, level: int) -> str:
-    """An ``indent=2`` list of [x, y] pairs, nested ``level`` deep.
+def _json_cells(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float in ``values``, from one C-encoder call.
 
-    The C encoder writes the compact form, whose only commas and brackets are
-    structural; the indentation is then put back with ``str.replace``.
+    A float's repr never holds ``", "``, so splitting the encoded list is exact,
+    and NaN and the infinities are spelled as ``json.dumps`` spells them.
     """
-    if not points:
-        return "[]"
-    outer = "\n" + "  " * level
-    pair = outer + "  "
-    value = pair + "  "
-    body = json.dumps(points, separators=(",", ":"))[2:-2]
-    body = body.replace(",", "," + value).replace("]," + value + "[", pair + "]," + pair + "[" + value)
-    return "[" + pair + "[" + value + body + pair + "]" + outer + "]"
+    return np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype=object)
+
+
+# one scatter entry of the indent=2 bundle, and the separators of its [x, y] points
+_SCATTER_ENTRY = ('{{\n      "adjusted_p": {},\n      "metric_a": {},\n      "metric_b": {},'
+                  '\n      "points": {},\n      "rho": {}\n    }}')
+_POINT_SEP, _VALUE_SEP = "\n        ],\n        [\n          ", ",\n          "
 
 
 def emit_plot_data(
@@ -206,17 +166,38 @@ def emit_plot_data(
     path: str | Path,
 ) -> None:
     """Write the plot bundle as ``json.dumps(bundle, ensure_ascii=False,
-    sort_keys=True, indent=2)`` would, without its pure-Python encoder."""
-    bundle = build_plot_bundle(matrices, correlations, summaries)
+    sort_keys=True, indent=2)`` would, without its pure-Python encoder.
+
+    A box summary per (metric, treatment), read from ``summaries`` (``summarize``'s
+    rows for every matrix with observations), then a scatter entry per metric pair
+    with the rows where both are present; cells pair by position across matrices.
+    """
+    # a treatment's row follows its metric's global row, so a treatment named
+    # like the global scope keeps its own statistics
+    stats = {(row.metric, row.scope): row.stats for row in summaries}
+    names = sorted(matrices)
+    boxplots = {metric: {treatment: _box_summary(stats[metric, treatment], column)
+                         for treatment, column in _columns(matrices[metric])}
+                for metric in names}
+    flat = [matrices[name].values.reshape(-1) for name in names]
+    present = [~np.isnan(values) for values in flat]
+    cells = [_json_cells(values) for values in flat]  # each series encoded once
+    annotation = {(e.series_a, e.series_b): e for e in correlations}
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{\n  "boxplots": ' + _json(bundle["boxplots"], 1) + ',\n  "scatter": ')
+        handle.write('{\n  "boxplots": ' + _json(boxplots, 1) + ',\n  "scatter": ')
         separator = "[\n    "
-        for entry in bundle["scatter"]:
-            fields = [f'"{key}": {_json(entry[key])}' for key in ("adjusted_p", "metric_a", "metric_b")]
-            fields += [f'"points": {_points_json(entry["points"], 3)}', f'"rho": {_json(entry["rho"])}']
-            handle.write(separator + "{\n      " + ",\n      ".join(fields) + "\n    }")
-            separator = ",\n    "
-        handle.write("\n  ]\n}\n" if bundle["scatter"] else "[]\n}\n")
+        for i, a in enumerate(names):
+            for j, b in enumerate(names[i + 1:], i + 1):
+                mask = present[i] & present[j]
+                pairs = map(_VALUE_SEP.join, zip(cells[i][mask], cells[j][mask]))
+                points = ("[\n        [\n          " + _POINT_SEP.join(pairs) + "\n        ]\n      ]"
+                          if mask.any() else "[]")
+                entry = annotation.get((a, b)) or annotation.get((b, a))
+                handle.write(separator + _SCATTER_ENTRY.format(
+                    _json(entry and entry.adjusted_p), _json(a), _json(b), points,
+                    _json(entry and entry.rho)))
+                separator = ",\n    "
+        handle.write("\n  ]\n}\n" if len(names) > 1 else "[]\n}\n")
 
 
 def emit_stats_report(batteries: list[MetricBattery], path: str | Path) -> None:

@@ -543,6 +543,36 @@ def test_two_matrix_files_with_one_metric_exit_2(capsys, tmp_path, command):
     assert "'bleu'" in err and not (tmp_path / "o").exists()
 
 
+def write_matrix(path, metric, values, block_ids, treatment_ids=("t0", "t1")):
+    from bteval.stats import ExperimentDesign, ScoreMatrix
+    matrix = ScoreMatrix(ExperimentDesign(*values.shape), metric, values, list(block_ids),
+                         list(treatment_ids))
+    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    return str(path)
+
+
+CELLS = np.array([0.9, 0.1, 0.4, 0.35, 0.8, 0.2, 0.55, 0.6]).reshape(4, 2, 1)
+BLOCKS = ["b0", "b1", "b2", "b3"]
+
+
+@pytest.mark.parametrize("second", [
+    lambda path: write_matrix(path, "chrf", CELLS[:3], BLOCKS[:3]),
+    lambda path: write_matrix(path, "chrf", CELLS[::-1], BLOCKS[::-1]),
+    lambda path: write_matrix(path, "chrf", CELLS[:, ::-1], BLOCKS, ("t1", "t0")),
+], ids=["different-n", "reordered-block-ids", "reordered-treatment-ids"])
+def test_report_matrices_on_different_grids_exit_2(capsys, tmp_path, second):
+    # cells pair by position across metrics: a report over these would crash or
+    # correlate different round-trips, while each metric's stats stand alone
+    first = write_matrix(tmp_path / "matrix_bleu.json", "bleu", CELLS, BLOCKS)
+    other = second(tmp_path / "matrix_chrf.json")
+    code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and first in err and other in err
+    assert not (tmp_path / "o").exists()
+    code, _, _ = invoke(capsys, "stats", first, other, "--out", str(tmp_path / "s"))
+    assert code == EXIT_OK
+
+
 def test_report_over_run_dir(capsys, tmp_path, tiny_corpus_path):
     config = write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS)
     run_dir = tmp_path / "run"

@@ -1,6 +1,7 @@
 """Aggregation rows, CSV/JSON emission determinism, and the outlier rule."""
 
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from bteval import report
 from bteval.cli import EXIT_OK, main
 from bteval.corpus import parse_corpus
 from bteval.metrics import score_pair
@@ -30,7 +32,7 @@ from bteval.stats import (
 from bteval.report import (
     SummaryRow,
     _box_summary,
-    build_plot_bundle,
+    _columns,
     emit_correlations_csv,
     emit_pairwise_csv,
     emit_plot_data,
@@ -173,12 +175,41 @@ def summaries_of(matrices):
     return summarize_all({m: x for m, x in matrices.items() if x.observations().size})
 
 
-def plot_bundle(matrices, correlations):
-    return build_plot_bundle(matrices, correlations, summaries_of(matrices))
+def build_plot_bundle(matrices, correlations, summaries):
+    """The plot bundle as one dict of Python lists: the reference that
+    ``emit_plot_data`` must encode byte for byte."""
+    stats = {(row.metric, row.scope): row.stats for row in summaries}
+    boxplots = {
+        metric: {treatment: _box_summary(stats[metric, treatment], column)
+                 for treatment, column in _columns(matrices[metric])}
+        for metric in sorted(matrices)
+    }
+    names = sorted(matrices)
+    flat = {name: matrices[name].values.reshape(-1) for name in names}
+    annotation = {(e.series_a, e.series_b): e for e in correlations}
+    scatter = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            mask = ~(np.isnan(flat[a]) | np.isnan(flat[b]))
+            points = np.column_stack((flat[a][mask], flat[b][mask])).tolist()
+            entry = annotation.get((a, b)) or annotation.get((b, a))
+            scatter.append({
+                "metric_a": a,
+                "metric_b": b,
+                "rho": entry.rho if entry else None,
+                "adjusted_p": entry.adjusted_p if entry else None,
+                "points": points,
+            })
+    return {"boxplots": boxplots, "scatter": scatter}
 
 
 def emit_plot(matrices, correlations, path):
     emit_plot_data(matrices, correlations, summaries_of(matrices), path)
+
+
+def plot_bundle(matrices, correlations):
+    """The emitted plot_bundle.json, parsed."""
+    return json.loads(emitted_plot_json(matrices, correlations))
 
 
 def oracle_boxplots(matrices):
@@ -249,7 +280,7 @@ def test_plot_bundle_emission_deterministic(tmp_path):
 
 
 def reference_plot_json(matrices, correlations) -> bytes:
-    bundle = plot_bundle(matrices, correlations)
+    bundle = build_plot_bundle(matrices, correlations, summaries_of(matrices))
     return (json.dumps(bundle, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
@@ -291,9 +322,22 @@ def plot_inputs(draw):
     return matrices, correlations
 
 
+NAN = math.nan
+
+
 @given(plot_inputs())
 @example(({"a": make_matrix(np.array([[[0.0]], [[0.0]], [[2.8442255724327534e+154]]]), "a")},
           []))
+# exponent reprs, -0.0, and a TER-style score above 1
+@example(({"bleu": make_matrix([[[1e-05, -0.0]], [[5e-324, 1e+16]], [[0.5, -0.0]]], "bleu"),
+           "ter": make_matrix([[[1.25, 0.0]], [[-0.0, 3.5]], [[1e-05, 2.0]]], "ter")},
+          [CorrelationEntry("bleu", "ter", -0.5, 1e-05, 1e+16)]))
+# each metric missing other cells, so every pair has its own mask; an all-NaN metric
+@example(({"bleu": make_matrix([[[NAN, 0.25]], [[0.5, 0.75]], [[1.0, NAN]]], "bleu"),
+           "chrf": make_matrix([[[0.1, NAN]], [[NAN, 0.3]], [[0.4, 0.6]]], "chrf"),
+           "none": make_matrix(np.full((3, 1, 2), NAN), "none"),
+           "ter": make_matrix([[[1.5, 0.2]], [[NAN, NAN]], [[0.7, 0.8]]], "ter")},
+          [CorrelationEntry("bleu", "chrf", 1.0, 0.0, 0.0)]))
 @settings(max_examples=300, deadline=None)
 def test_emit_plot_data_matches_reference_encoder(inputs):
     matrices, correlations = inputs
@@ -306,6 +350,32 @@ def test_emit_plot_data_matches_reference_encoder(inputs):
             return
         assert emitted_plot_json(matrices, correlations) == reference_plot_json(matrices, correlations)
         assert plot_bundle(matrices, correlations)["boxplots"] == oracle_boxplots(matrices)
+
+
+def test_emit_plot_data_encodes_each_metric_once(monkeypatch, tmp_path):
+    encode, calls = report._json_cells, []
+
+    def counted(values):
+        calls.append(values.size)
+        return encode(values)
+
+    dumps = json.dumps
+
+    def no_point_lists(value, **kwargs):
+        assert not (isinstance(value, list) and value and isinstance(value[0], list))
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(report, "_json_cells", counted)
+    monkeypatch.setattr(json, "dumps", no_point_lists)
+    rng = np.random.default_rng(12)
+    matrices = {m: make_matrix(rng.random((5, 2, 3)), metric=m)
+                for m in ("bleu", "bleu_unif", "chrf", "ter", "semantic_similarity")}
+    correlations = metric_correlations(matrices)
+    emit_plot(matrices, correlations, tmp_path / "plot_bundle.json")
+    monkeypatch.undo()
+    assert calls == [30] * 5  # ten scatter pairs, five series encoded
+    assert (tmp_path / "plot_bundle.json").read_bytes() == \
+        reference_plot_json(matrices, correlations)
 
 
 def test_emit_plot_data_matches_reference_encoder_on_edge_cases():
@@ -342,6 +412,19 @@ def test_box_outliers_keep_input_order_of_signed_zeros():
     outliers = _box_summary(descriptive_stats(values), values)["outliers"]
     assert [(v, math.copysign(1.0, v)) for v in outliers] == \
         [(v, math.copysign(1.0, v)) for v in expected]
+
+
+def test_metric_correlations_skip_signed_zero_and_infinite_columns():
+    # -0.0 == 0.0 and inf == inf: each column is constant and has no rank signal
+    zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]).reshape(4, 1, 2)
+    rng = np.random.default_rng(8)
+    matrices = {"bleu": make_matrix(zeros),
+                "bleu_unif": make_matrix(np.full((4, 1, 2), math.inf), "bleu_unif"),
+                "chrf": make_matrix(rng.random((4, 1, 2)), "chrf"),
+                "ter": make_matrix(rng.random((4, 1, 2)), "ter")}
+    assert [(e.series_a, e.series_b) for e in metric_correlations(matrices)] == [("chrf", "ter")]
+    del matrices["ter"]
+    assert metric_correlations(matrices) == []
 
 
 def test_metric_correlations_skip_constant_columns(tmp_path):
@@ -524,3 +607,47 @@ def test_score_stdout_matches_hand_listed_encoder(capsys, tmp_path):
     vector = score_pair(original, candidate, default_lexicon())
     assert capsys.readouterr().out == json.dumps(oracle_vector_dict(vector),
                                                  ensure_ascii=False) + "\n"
+
+
+# ------------------------------------------------- golden bytes of `bteval report`
+
+def golden_matrices():
+    """Three 30x3x2 grids from integer formulas: an outlier, TER-style scores above 1,
+    one missing repetition per metric (a different cell each) and one cell missing
+    in every metric."""
+    i, j, r = np.meshgrid(np.arange(30), np.arange(3), np.arange(2), indexing="ij")
+    values = {
+        "bleu": ((i * 7 + j * 11 + r * 3) % 13) / 12,
+        "chrf": ((i * 5 + j * 3 + r * 7) % 11) / 7,
+        "ter": ((i * i + j * 5 + r) % 19) / 9,
+    }
+    values["bleu"][0, 0, 0] = 4.0
+    values["bleu"][3, 1, 1] = math.nan
+    values["chrf"][5, 0, 0] = math.nan
+    values["ter"][7, 2, 1] = math.nan
+    for grid in values.values():
+        grid[10, 2, :] = math.nan
+    return {metric: ScoreMatrix(ExperimentDesign(30, 3, 2), metric, grid,
+                                [f"s{b:02d}" for b in range(30)],
+                                ["model-a", "model-b", "model-c"])
+            for metric, grid in values.items()}
+
+
+# sha256 of each artifact as the per-pair plot-bundle encoder wrote it, so any change
+# to these artifacts' bytes fails here
+GOLDEN_SHA256 = {
+    "summaries.csv": "961d1eab7df9ff9600ec3e45624c067cbaa845976e9a84e7e6ebef5ae72023b8",
+    "correlations.csv": "d0fe27f3af9b29335f53ab6a4033115a93ee24fcaf5051ddb99f1bbc433991e9",
+    "plot_bundle.json": "ace8ab789b33073f4c1e30732f35116c979380f5db6030944df81dc997545aa8",
+}
+
+
+def test_report_artifacts_match_golden_bytes(capsys, tmp_path):
+    for metric, matrix in golden_matrices().items():
+        (tmp_path / f"matrix_{metric}.json").write_text(json.dumps(matrix.to_dict()) + "\n",
+                                                        encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["report", str(tmp_path), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256} == GOLDEN_SHA256
