@@ -110,13 +110,8 @@ def metric_correlations(matrices: dict[str, ScoreMatrix]) -> list[CorrelationEnt
         column = flat[name][valid_mask]
         # NaN-free, so constant exactly when min == max (-0.0 ties 0.0, as in np.unique)
         if column.size >= 3 and column.min() < column.max():
-            series[name] = column.tolist()
-    if len(series) < 2:
-        return []
-    try:
-        return spearman_battery(series)
-    except StatsError:
-        return []
+            series[name] = column
+    return spearman_battery(series)
 
 
 def _box_summary(stats: DescriptiveStats, values: np.ndarray) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -91,6 +92,11 @@ class ScoreMatrix:
             raise TypeError(f"design must be an object, not {data['design']!r}")
         design = ExperimentDesign(**{key: _json_int(value, f"design {key}")
                                      for key, value in data["design"].items()})
+        # np.array would read true as 1.0 and "0.5" as 0.5
+        cells = set(map(type, chain.from_iterable(chain.from_iterable(data["values"]))))
+        if not cells <= {int, float, type(None)}:
+            raise TypeError("values must be numbers or null, "
+                            f"found {sorted(t.__name__ for t in cells)}")
         values = np.array(data["values"], dtype=float)  # null decodes to NaN
         if not isinstance(data["metric"], str):
             raise TypeError(f"metric must be a string, not {data['metric']!r}")
@@ -321,29 +327,29 @@ def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list
     """Spearman over every unordered pair of named series, jointly adjusted.
 
     Pairs are checked in order, raising what ``spearman`` would for the first
-    bad pair; each series is then ranked once and shared by its pairs.
+    bad pair; every series is then ranked in one call and shared by its pairs.
     """
     names = list(series)
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    checked: dict[str, tuple[list[float], bool]] = {}  # name -> (floats, constant)
-    for a, b in pairs:
-        for name in (a, b):
-            if name not in checked:
-                xs = [float(v) for v in series[name]]
-                checked[name] = xs, len(set(xs)) == 1
-        (xs, x_constant), (ys, y_constant) = checked[a], checked[b]
-        if len(xs) != len(ys):
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    arrays = [np.asarray(series[name], dtype=float) for name in names]
+    has_nan = [np.isnan(a).any() for a in arrays]
+    # constant when no value lies below another (-0.0 ties 0.0); NaN is caught first
+    constant = [a.size > 0 and not a.min() < a.max() for a in arrays]
+    for i, j in pairs:
+        if arrays[i].size != arrays[j].size:
             raise StatsError("inputs must have equal length")
-        if len(xs) < 3:
+        if arrays[i].size < 3:
             raise StatsError("spearman needs at least 3 points")
-        if x_constant or y_constant:
+        if has_nan[i] or has_nan[j]:
+            raise StatsError("spearman inputs must not be NaN")
+        if constant[i] or constant[j]:
             raise StatsError("constant input: rho undefined")
-    ranks = {name: np.array(rank_with_ties(xs)) for name, (xs, _) in checked.items()}
-    results = [_spearman_ranked(ranks[a], ranks[b]) for a, b in pairs]
+    ranks = _block_ranks(np.stack(arrays)) if pairs else None
+    results = [_spearman_ranked(ranks[i], ranks[j]) for i, j in pairs]
     adjusted = adjust_p([p for _, p in results], correction)
     return [
-        CorrelationEntry(a, b, rho, p, adj)
-        for (a, b), (rho, p), adj in zip(pairs, results, adjusted)
+        CorrelationEntry(names[i], names[j], rho, p, adj)
+        for (i, j), (rho, p), adj in zip(pairs, results, adjusted)
     ]
 
 
@@ -454,16 +460,14 @@ def descriptive_stats(values) -> DescriptiveStats:
     if arr.size == 0:
         raise StatsError("empty input")
     n = int(arr.size)
-    plain = arr.tolist()
     try:
-        mean = math.fsum(plain) / n
+        mean = math.fsum(arr.tolist()) / n
         if n > 1:
-            try:
-                squares = math.fsum((v - mean) ** 2 for v in plain)
-            except OverflowError:
-                # a float square past the range raises; numpy scalars give inf, as before
-                squares = math.fsum((v - mean) ** 2 for v in arr)
-            std = math.sqrt(squares / (n - 1))
+            # libm pow, as Python's ** (x * x can differ in the last bit); a square
+            # past the float range is inf, and an inf mean leaves NaN deviations
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = np.float_power(arr - mean, 2)
+            std = math.sqrt(math.fsum(squares.tolist()) / (n - 1))
         else:
             std = 0.0
     except OverflowError as exc:

@@ -1,7 +1,9 @@
 """Subcommand behavior, exit codes, and on-disk run artifacts."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
 
 from conftest import FIXTURES
+from test_pipeline import StubState, make_stub_server
 
 
 def invoke(capsys, *argv):
@@ -162,8 +165,6 @@ def test_run_emits_all_artifacts_with_record_count(capsys, tmp_path, tiny_corpus
     records = (out_dir / "records.jsonl").read_text(encoding="utf-8").strip().split("\n")
     assert len(records) == 8
     # manifest ties the run to the exact corpus bytes and records the prompts
-    import hashlib
-
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["corpus_sha256"] == hashlib.sha256(
         Path(tiny_corpus_path).read_bytes()).hexdigest()
@@ -497,9 +498,11 @@ ONE_CELL = ('{"metric": "bleu", "design": {"n": 1, "k": 1, "r": 1}, "block_ids":
     (ONE_CELL.replace('"bleu"', "null"), "malformed matrix file"),
     (ONE_CELL.replace('["b"]', '"b"'), "malformed matrix file"),
     (ONE_CELL.replace('["x"]', "[5]"), "malformed matrix file"),
+    (ONE_CELL.replace("0.5", "true"), "must be numbers or null, found ['bool']"),
+    (ONE_CELL.replace("0.5", '"0.5"'), "must be numbers or null, found ['str']"),
 ], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit",
         "metric-array", "metric-number", "metric-null", "block-ids-string",
-        "treatment-id-number"])
+        "treatment-id-number", "cell-bool", "cell-string"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")
@@ -628,3 +631,130 @@ def test_import_does_not_load_requests_or_cookiejar():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+# ------------------------------------------------- golden bytes of `bteval run`
+
+GOLDEN_RUN_BACKENDS = [
+    {"id": "echo", "kind": "mock", "model_name": "identity"},
+    {"id": "mild", "kind": "mock", "model_name": "noise", "drop_prob": 0.05, "swap_prob": 0.02},
+    {"id": "mid", "kind": "mock", "model_name": "noise", "drop_prob": 0.2, "swap_prob": 0.1},
+    {"id": "harsh", "kind": "mock", "model_name": "noise", "drop_prob": 0.4, "swap_prob": 0.2},
+]
+
+GOLDEN_RUN_SCORINGS = {
+    "default": {},
+    "smoothed-uniform": {"smoothing_epsilon": 0.1, "bleu_weights": [0.25, 0.25, 0.25, 0.25]},
+    "character-level": {"level": "character"},
+}
+
+
+def corpus_head(tmp_path, n):
+    """The first n samples of the shipped 89-text corpus, as their own corpus file."""
+    lines = (FIXTURES / "corpora" / "cnki_che_89.jsonl").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "cnki_head.jsonl"
+    path.write_text("\n".join(lines[:n]) + "\n", encoding="utf-8")
+    return path
+
+
+def run_artifact_hashes(run_dir):
+    """sha256 of every artifact of a run directory; the manifest's timestamp line is dropped."""
+    hashes = {}
+    for name in sorted(os.listdir(run_dir)):
+        data = (run_dir / name).read_bytes()
+        if name == "manifest.json":
+            data, count = re.subn(rb'\n  "timestamp": "[^"]*",', b"", data)
+            assert count == 1
+        hashes[name] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+# sha256 of each `bteval run` artifact; a change to a run's bytes fails here, and an
+# intended one updates these pins
+GOLDEN_RUN_SHA256 = {
+    "default": {
+        "correlations.csv": "5ba8a93d21484007c14890abafbb153ff5935dabbd252ad8ced550bd0dc8b1b9",
+        "manifest.json": "6473b3fdc977d9872b314ce588c4250baaff5b5426f2d05a299cf04fff29935f",
+        "matrix_bleu.json": "d9cca1d6e92603958a2cea53f8d15f9b5a3b475ea760b880b173e78f9d14fa0d",
+        "matrix_bleu_unif.json": "d015f166e56b145a25674e58e848146e54a0e052635034c2e43a364eb98496a3",
+        "matrix_chrf.json": "ad73fcdc614b3505069fa244decf5265e82da26ce178f9344a4157d27dace645",
+        "matrix_semantic_similarity.json": "6584f77e76d30cf8355cfa9bd77250caa38ee8b6c5c7e8e6e6910ee760e3e17c",
+        "matrix_ter.json": "39eaa5c05157c324938f280ee00a8da3f6c03a109a651cb11f78c8f64a99fab0",
+        "pairwise_tests.csv": "712db3a36c7fd6697443243fb4031ca088053593b916385a3e893478395f06e2",
+        "plot_bundle.json": "b47ff7470ab350b87b3ac814456da8139a7366ec7cdfab6269caa938d41122bc",
+        "records.jsonl": "87b6fbf1661cb437e04ac1093a24bd4060be7f067f653db00fd24089a5efc041",
+        "stats_report.json": "8321082fcfa1a82ac0f9946f9eda922fea2f740f9c94d9ac10a657c2a3c95139",
+        "summaries.csv": "c805902921372b2645936d42395d22c493eaadec8f9ceb47500b5ee42a9114ea",
+    },
+    "smoothed-uniform": {
+        "correlations.csv": "d4d8ad6dca122f557c04330de990c4faa35b3e6112824afc3694a20e4037e293",
+        "manifest.json": "cb9a0b7f279f808a0c5efac70970b3ab20401eb8861621bc6f513d92c10a0539",
+        "matrix_bleu.json": "8d4a68f4be2ba60d1838a0488d6f22f667b6d0adca843a9123e8ce6e27baeb6d",
+        "matrix_bleu_unif.json": "61c3270924b80d9e1096a157a29a4ac1639763cc0b0fdaf4b3152ed4d55bfdf5",
+        "matrix_chrf.json": "ad73fcdc614b3505069fa244decf5265e82da26ce178f9344a4157d27dace645",
+        "matrix_semantic_similarity.json": "6584f77e76d30cf8355cfa9bd77250caa38ee8b6c5c7e8e6e6910ee760e3e17c",
+        "matrix_ter.json": "39eaa5c05157c324938f280ee00a8da3f6c03a109a651cb11f78c8f64a99fab0",
+        "pairwise_tests.csv": "87bb8cca8382709af45ee3056d6b00691377c779101f864e99b1e3f5a0189f68",
+        "plot_bundle.json": "05e22e7a546880a39ea915fa2c4bd3fd757bebd379c3b017fb2abc6f5a4f0dab",
+        "records.jsonl": "87b6fbf1661cb437e04ac1093a24bd4060be7f067f653db00fd24089a5efc041",
+        "stats_report.json": "5257c1b4299e949eac9a29c34436ec70a644d733a5f062279e816ad3418095b5",
+        "summaries.csv": "47c0833d6aa90ee4f628f6a34d0a24041182c91d847b048dc625ca6dbe1edc84",
+    },
+    "character-level": {
+        "correlations.csv": "e866178ae80e1fc2d5170b90eedb6c48ac400aa409d0aab90d696a06aca5896c",
+        "manifest.json": "d30d0af5923212c785ed14decd3c56b55a9a32cc8dde1cebec85cb1c979538cb",
+        "matrix_bleu.json": "728aa8ea2e43b0adf0f42fa2a61b52c14754e4ec6be0a7d45745f40cf9ea4f9c",
+        "matrix_bleu_unif.json": "11632e78ce86016ab18102a8715641903d1cfd3ebc3fcc1bb86b8e8981196166",
+        "matrix_chrf.json": "ad73fcdc614b3505069fa244decf5265e82da26ce178f9344a4157d27dace645",
+        "matrix_semantic_similarity.json": "64ffb6af98167c854aa2671591b68b28fc09b28b4a7761614782da13954a7d00",
+        "matrix_ter.json": "807a9870a0da19017dcc96e07af6a87e5c98cc986ba99d72f5b0ccb407d9e4ed",
+        "pairwise_tests.csv": "231bc097c9ea0ba7e23e671ee88b515b203e62d47ef84467adaae4db122c3da0",
+        "plot_bundle.json": "955cc4e87e607502cac2027e1ee66c993a141caa72ae975c155506bbd33011bf",
+        "records.jsonl": "87b6fbf1661cb437e04ac1093a24bd4060be7f067f653db00fd24089a5efc041",
+        "stats_report.json": "334d2c13aa609a1821cd43b2c02692399dca14b58a9022cb627574882803a492",
+        "summaries.csv": "2cc4e4596aca172eb5c9ee12a3342f6c9c8de92fe2c88297c1c7701f73f081de",
+    },
+    "http-one-failure": {
+        "correlations.csv": "3f769e7da2dc767c8d1649c2d751b953f2437f6d9b8391236e5d28b595abeaef",
+        "manifest.json": "861910ecbd4f24be84a855e87136253162fbd7aea8caf43856a51d70412559d8",
+        "matrix_bleu.json": "ec2e6eea3fc7d230c1781dd3b6b5d7987f198d8a252399835fc9c32fb1813f07",
+        "matrix_bleu_unif.json": "77fcdbcbd08c614c043fcabd7fd234964d14231de8a5d333d33e60397e11ec88",
+        "matrix_chrf.json": "ebe01680638a033701aff537f93d4d093e18c149a4846bb13ad354755710bd11",
+        "matrix_semantic_similarity.json": "0529992b26cd5957f9338208b0379659a838c640c55a1c3931bbb771aa1eab13",
+        "matrix_ter.json": "70583469ddfdb95ed54e86016a93e59bea727eecfa5e3d656e9e6914275384c6",
+        "pairwise_tests.csv": "6f205131a702952f1f384034ee6fbc114296cdbdcac629ecaf07c0015f1d7e69",
+        "plot_bundle.json": "ba78d54d908c43b1ff9054c396014c84579e740bd462e0661010a204ffa0b2f4",
+        "records.jsonl": "a02bed600015eae72be778d289f924ff3b0d41885ff3eb13468b5cb86a055c3d",
+        "stats_report.json": "26bc0545148aab04705df520d7ca66213f1caa25ec08a8adf566ffffc215362c",
+        "summaries.csv": "0f3dee6144062d7060334f4a0363782d3c4546b5d0183dc2852c9c6b06c0ff0c",
+    },
+}
+
+
+@pytest.mark.parametrize("scoring", list(GOLDEN_RUN_SCORINGS))
+def test_run_artifacts_match_golden_bytes(capsys, tmp_path, scoring):
+    config = write_run_config(tmp_path, corpus_head(tmp_path, 12), GOLDEN_RUN_BACKENDS,
+                              scoring=GOLDEN_RUN_SCORINGS[scoring])
+    out = tmp_path / "out"
+    code, _, _ = invoke(capsys, "run", "--config", str(config), "--out", str(out))
+    assert code == EXIT_OK
+    assert run_artifact_hashes(out) == GOLDEN_RUN_SHA256[scoring]
+
+
+def test_http_run_with_a_failure_matches_golden_bytes(capsys, tmp_path):
+    state = StubState(fail_first=1)  # the first request fails: one error record, one imputed cell
+    server = make_stub_server(state)
+    try:
+        http = {"id": "stub", "kind": "http_llm", "model_name": "stub-model",
+                "endpoint": f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+                "max_retries": 0, "max_workers": 1, "rate_limit_rps": 1000.0, "timeout": 5.0}
+        config = write_run_config(tmp_path, corpus_head(tmp_path, 4),
+                                  [http] + GOLDEN_RUN_BACKENDS[:2], repetitions=1,
+                                  max_missing_fraction=1.0)
+        out = tmp_path / "out"
+        code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == EXIT_OK and "1 errors" in err
+    assert run_artifact_hashes(out) == GOLDEN_RUN_SHA256["http-one-failure"]

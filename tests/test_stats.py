@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
-from bteval import tails
+from bteval import stats as stats_module, tails
 from bteval.report import emit_stats_report
 from bteval.stats import (
     BENJAMINI_HOCHBERG,
@@ -465,6 +466,8 @@ def test_spearman_battery_matches_per_pair_spearman(series):
         return
     got = [(e.series_a, e.series_b, e.rho, e.raw_p, e.adjusted_p) for e in spearman_battery(series)]
     assert got == expected
+    arrays = {name: np.array(values) for name, values in series.items()}
+    assert spearman_battery(arrays) == spearman_battery(series)
     assert [spearman(series[a], series[b]) for a, b, *_ in got] == [(e[2], e[3]) for e in expected]
 
 
@@ -474,10 +477,23 @@ def test_spearman_battery_matches_per_pair_spearman(series):
     ({"a": [1, 2], "b": [2, 1]}, "at least 3 points"),
     # the first bad pair decides: (a, b) has unequal lengths before c is constant
     ({"a": [1, 2, 3], "b": [1, 2], "c": [4, 4, 4]}, "equal length"),
+    ({"a": [math.nan, 1, 2, 5], "b": [1, 2, 3, 4]}, "NaN"),
+    # a NaN series is not reported as constant, nor a NaN beside a constant series
+    ({"a": [math.nan] * 3, "b": [1, 2, 3]}, "NaN"),
+    ({"a": [1, 1, 1], "b": [1, 2, math.nan]}, "NaN"),
 ])
 def test_spearman_battery_errors(series, message):
     with pytest.raises(StatsError, match=message):
         spearman_battery(series)
+
+
+def test_spearman_battery_ranks_every_series_in_one_call(monkeypatch):
+    shapes = []
+    monkeypatch.setattr(stats_module, "_block_ranks",
+                        lambda grid: shapes.append(grid.shape) or _block_ranks(grid))
+    rng = np.random.default_rng(9)
+    spearman_battery({name: rng.random(30) for name in "abcd"})
+    assert shapes == [(4, 30)]
 
 
 def test_spearman_battery_with_fewer_than_two_series_is_empty():
@@ -598,10 +614,18 @@ def test_descriptive_empty_rejected():
         descriptive_stats([])
 
 
+def test_descriptive_single_infinity_has_nan_std_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf is NaN, not a RuntimeWarning
+        stats = descriptive_stats([math.inf, 1.0])
+    assert stats.mean == math.inf and math.isnan(stats.std)
+
+
 @given(st.lists(st.one_of(st.sampled_from([-0.0, 1e-05, 5e-324, 1e200, -1e300]),
                           st.floats(-1e300, 1e300)), min_size=1, max_size=30))
 @example([0.3578680612554048, -0.3578680612554048])  # libm pow(x, 2) != x * x here
 @example([-0.0, -0.0, 2.8442255724327534e+154])  # squared deviations sum past the float max
+@example([1e200, -1e200])  # one square past the float range: std is inf, not an error
 @settings(max_examples=300, deadline=None)
 def test_descriptive_mean_and_std_match_numpy_scalar_sums(values):
     # exact sums over numpy scalars: a square past the float range is inf, not an error
