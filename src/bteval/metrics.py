@@ -1,15 +1,20 @@
 """Pairwise scores for an (original, back-translation) pair: two BLEU
 weightings, character-n-gram F-score, token edit rate, and TF-IDF cosine
-similarity. All five share one segmentation pass, and PreparedReference
-prepares a reference once and counts all of its candidates in one batch.
+similarity.
+
+One batch scorer computes all five over integer ids: many references, each
+with its candidates, per numpy call. A run interns each distinct text's
+tokens once into a TokenTable and score_run feeds its originals through the
+scorer in batches of at most _BATCH_SYMBOLS candidate symbols; the public
+one-pair functions call the same kernels with one reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -17,7 +22,11 @@ from .segmentation import (
     WORD,
     CHARACTER,
     Lexicon,
+    TokenList,
+    code_points,
+    segment_words,
     tokenize,
+    traditional_counts,
 )
 
 TECHNICAL_WEIGHTS = (0.5, 0.5, 0.0, 0.0)
@@ -97,58 +106,94 @@ class ScoringConfig:
 DEFAULT_SCORING = ScoringConfig()
 
 
-class _NgramIds:
-    """A reference's n-grams of orders 1..top as integer ids, against which
-    any number of candidates are clipped in one batch.
+# Candidate symbols scored in one batch, counted as if every candidate were as
+# long as the batch's longest text, so the padded arrays of a batch stay small.
+_BATCH_SYMBOLS = 1 << 14
 
-    Each reference symbol (a token, or a character) gets an id from its
-    alphabet of A symbols; an order-n gram's key is the id of its (n-1)-gram
-    prefix times A plus the id of its last symbol, and its id is the key's
-    index in the order's sorted key array. A candidate's keys roll forward
-    from its previous order's ids in the same way, so no window is built.
-    Keys stay below len(ref) ** 2, far inside int64.
+_FIRST = np.zeros(1, np.int64)  # the reference slot of a lone candidate
+
+IdfGather = Callable[[np.ndarray], np.ndarray]  # token ids -> their idf
+
+
+def _pack(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Integer sequences end to end, and their lengths."""
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    return (np.concatenate(seqs) if seqs else np.zeros(0, np.int64)), lengths
+
+
+def _one(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return ids, np.array([len(ids)])
+
+
+def _owners(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per symbol of a packed array: its sequence, and the symbols left in that sequence from it."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.repeat(np.cumsum(lengths), lengths) - np.arange(len(owner))
+
+
+def _interned(*seqs) -> tuple[list[np.ndarray], dict]:
+    """Token sequences as ids in one vocabulary of their own, and the vocabulary.
+    A token's id is the number of tokens seen before its first sighting."""
+    vocab: dict = {}
+    sighted = itertools.count()
+    return [np.fromiter(map(vocab.setdefault, seq, sighted), np.int64) for seq in seqs], vocab
+
+
+def _text_points(tokens) -> np.ndarray:
+    """Code points of the joined tokens, whitespace stripped as chrF strips it."""
+    return code_points("".join("".join(tokens).split()))
+
+
+def _clipped_matches(refs, cands, cand_ref: np.ndarray, top: int) -> np.ndarray:
+    """Clipped n-gram matches of packed candidates against their packed
+    references, one row per candidate and one column per order 0..top: each
+    distinct candidate n-gram counts min(its count, its count in the
+    candidate's reference). cand_ref is each candidate's reference slot, in
+    non-decreasing order.
+
+    An order-n gram's key is the id of its (n-1)-gram prefix times the symbol
+    range plus its last symbol, where an order-1 gram's prefix is its
+    reference's slot, so every key belongs to one reference; its id is the
+    key's index in the order's sorted reference keys. Candidate keys roll
+    forward from their previous order's ids the same way and are found by
+    searchsorted, so no window is built. Hits are counted in (gram id,
+    candidate slot among its reference's candidates) cells, then clipped.
     """
-
-    def __init__(self, ref, top: int) -> None:
-        alphabet: dict = {}
-        symbols = np.fromiter((alphabet.setdefault(s, len(alphabet)) for s in ref),
-                              np.int64, len(ref))
-        self._alphabet = alphabet
-        self._top = max(top, 0)
-        self._keys: list[np.ndarray] = []
-        self._counts: list[np.ndarray] = []
-        ids = np.zeros(len(ref) + 1, np.int64)  # every order-1 gram has the empty prefix
-        for n in range(1, min(top, len(ref)) + 1):
-            keys, ids, counts = np.unique(ids[:-1] * len(alphabet) + symbols[n - 1:],
-                                          return_inverse=True, return_counts=True)
-            self._keys.append(keys)
-            self._counts.append(counts)
-
-    def matches(self, cands) -> np.ndarray:
-        """Clipped matches, one row per candidate and one column per order 0..top:
-        each distinct candidate n-gram counts min(candidate count, reference count)."""
-        lengths = np.fromiter(map(len, cands), np.int64, len(cands))
-        matched = np.zeros((len(cands), self._top + 1), np.int64)
-        total = int(lengths.sum())
-        symbols = np.fromiter(map(self._alphabet.get, chain.from_iterable(cands), repeat(-1)),
-                              np.int64, total)
-        owner = np.repeat(np.arange(len(cands)), lengths)
-        room = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # symbols left in its candidate
-        at = np.arange(total)  # the start of every window found at the previous order
-        ids = np.zeros(total, np.int64)
-        size = len(self._alphabet)
-        for n, (keys, counts) in enumerate(zip(self._keys, self._counts), start=1):
-            inside = room[at] >= n  # a window never spans two candidates
-            at, ids = at[inside], ids[inside]
-            last = symbols[at + n - 1]
-            key = ids * size + last
-            ids = np.searchsorted(keys, key)
-            found = (last >= 0) & (keys[np.minimum(ids, len(keys) - 1)] == key)
-            at, ids = at[found], ids[found]
-            cells, hits = np.unique(owner[at] * len(keys) + ids, return_counts=True)
-            clipped = np.minimum(hits, counts[cells % len(keys)])
-            matched[:, n] = np.bincount(cells // len(keys), clipped, minlength=len(cands))
+    (ref_syms, ref_lens), (cand_syms, cand_lens) = refs, cands
+    count = len(cand_lens)
+    matched = np.zeros((count, max(top, 0) + 1), np.int64)
+    if not count:
         return matched
+    size = int(max(ref_syms.max(initial=0), cand_syms.max(initial=0))) + 1
+    first = np.searchsorted(cand_ref, np.arange(len(ref_lens)))  # each reference's first candidate
+    slot = np.arange(count) - first[cand_ref]
+    slots = int(slot.max()) + 1
+    gram_ref = np.arange(len(ref_lens))  # each prefix id's reference
+    ref_owner, ref_room = _owners(ref_lens)
+    cand_owner, cand_room = _owners(cand_lens)
+    ref_at, ref_ids = np.arange(len(ref_syms)), ref_owner
+    cand_at, cand_ids = np.arange(len(cand_syms)), cand_ref[cand_owner]
+    for n in range(1, top + 1):
+        inside = ref_room[ref_at] >= n  # a window never spans two sequences
+        ref_at, ref_ids = ref_at[inside], ref_ids[inside]
+        inside = cand_room[cand_at] >= n
+        cand_at, cand_ids = cand_at[inside], cand_ids[inside]
+        if not len(ref_at) or not len(cand_at):
+            break
+        keys, ref_ids, counts = np.unique(ref_ids * size + ref_syms[ref_at + n - 1],
+                                          return_inverse=True, return_counts=True)
+        gram_ref = gram_ref[keys // size]
+        key = cand_ids * size + cand_syms[cand_at + n - 1]
+        cand_ids = np.searchsorted(keys, key)
+        found = keys[np.minimum(cand_ids, len(keys) - 1)] == key
+        cand_at, cand_ids = cand_at[found], cand_ids[found]
+        hits = np.bincount(cand_ids * slots + slot[cand_owner[cand_at]],
+                           minlength=len(keys) * slots)
+        cells = np.flatnonzero(hits)
+        grams = cells // slots
+        matched[:, n] = np.bincount(first[gram_ref[grams]] + cells % slots,
+                                    np.minimum(hits[cells], counts[grams]), minlength=count)
+    return matched
 
 
 def _windows(length: int, n: int) -> int:
@@ -196,31 +241,34 @@ def bleu(candidate, reference, config: BleuConfig = BleuConfig()) -> float:
     length. A zero precision at a weighted order yields 0.0 unless an
     epsilon floor is configured.
     """
-    cand = tuple(candidate)
-    ref = tuple(reference)
-    if not ref:
+    (cand, ref), _ = _interned(candidate, reference)
+    if not len(ref):
         raise MetricError("reference must be non-empty")
     top = max(n for n, weight in enumerate(config.weights, start=1) if weight)
-    matched = _NgramIds(ref, top).matches([cand])[0].tolist()
+    matched = _clipped_matches(_one(ref), _one(cand), _FIRST, top)[0].tolist()
     return _bleu(config.weights, config.smoothing_epsilon, matched, len(cand), len(ref))
 
 
-def _f_beta(matched: int, cand_total: int, ref_total: int, beta_sq: float) -> float:
-    precision = matched / cand_total if cand_total else 0.0
-    recall = matched / ref_total if ref_total else 0.0
-    if precision == 0.0 and recall == 0.0:
-        return 0.0
-    return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-
-
-def _chrf(matched: list[int], cand_len: int, ref_len: int, max_n: int, beta: float) -> float:
-    """Mean F-beta over the orders 1..max_n that either whitespace-free text reaches."""
+def _chrf(matched: np.ndarray, cand_lens: np.ndarray, ref_lens: np.ndarray, max_n: int,
+          beta: float) -> np.ndarray:
+    """Each candidate's mean F-beta over the orders 1..max_n that it or its
+    reference (ref_lens, one per candidate) reaches, whitespace-free, summed
+    left to right."""
+    if max_n < 1:
+        return np.zeros(len(cand_lens))
+    hits = matched[:, 1:]
+    orders = np.arange(1, max_n + 1)
+    cand_total = np.maximum(cand_lens[:, None] - orders + 1, 0)
+    ref_total = np.maximum(ref_lens[:, None] - orders + 1, 0)
+    precision = np.divide(hits, cand_total, out=np.zeros(hits.shape), where=cand_total > 0)
+    recall = np.divide(hits, ref_total, out=np.zeros(hits.shape), where=ref_total > 0)
     beta_sq = beta * beta
-    scores = [
-        _f_beta(matched[n], _windows(cand_len, n), _windows(ref_len, n), beta_sq)
-        for n in range(1, max_n + 1) if cand_len >= n or ref_len >= n
-    ]
-    return sum(scores) / len(scores) if scores else 0.0
+    scores = np.divide((1 + beta_sq) * precision * recall, beta_sq * precision + recall,
+                       out=np.zeros(hits.shape), where=(precision != 0.0) | (recall != 0.0))
+    # the orders past both texts score 0.0 and come last, so they leave the sum as it is
+    reached = np.minimum(np.maximum(cand_lens, ref_lens), max_n)
+    return np.divide(np.cumsum(scores, axis=1)[:, -1], reached, out=np.zeros(len(reached)),
+                     where=reached > 0)
 
 
 def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> float:
@@ -229,43 +277,88 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
     Orders longer than both strings are excluded from the mean, so
     identical strings score 1.0 regardless of length.
     """
-    cand = "".join(candidate.split())
-    ref = "".join(reference.split())
-    if not ref:
+    cand, ref = _text_points(candidate), _text_points(reference)
+    if not len(ref):
         raise MetricError("reference must be non-empty")
-    matched = _NgramIds(ref, max_n).matches([cand])[0].tolist()
-    return _chrf(matched, len(cand), len(ref), max_n, beta)
+    matched = _clipped_matches(_one(ref), _one(cand), _FIRST, max_n)
+    return float(_chrf(matched, np.array([len(cand)]), np.array([len(ref)]), max_n, beta)[0])
 
 
-def _peq(reference: tuple) -> dict:
-    """Per token, the bitmask of the reference positions that hold it."""
-    peq: dict = {}
-    for i, tok in enumerate(reference):
-        peq[tok] = peq.get(tok, 0) | (1 << i)
-    return peq
+_ONES = np.uint64(2 ** 64 - 1)
 
 
-def _edit_distance(cand: tuple, peq: dict, ref_len: int) -> int:
-    """Bit-parallel Levenshtein distance to a non-empty reference given by its peq."""
-    mask = (1 << ref_len) - 1
-    last = 1 << (ref_len - 1)
-    pv, mv, dist = mask, 0, ref_len
-    for tok in cand:
-        eq = peq.get(tok, 0)
+def _big(words: np.ndarray) -> int:
+    """64-bit words as one Python int, the first word lowest."""
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _edit_distances(refs, cands, cand_ref: np.ndarray) -> list[int]:
+    """Each packed candidate's edit distance to its non-empty packed reference.
+
+    Bit-parallel Levenshtein (Myers 1999, JACM 46(3); Hyyrö 2003) for all
+    candidates at once. A candidate owns a field of whole 64-bit words in one
+    Python int, one bit per token of its reference below at least one guard
+    bit, so no carry or shift crosses into the next field; a field holds one
+    DP column as vertical +1/-1 deltas. Candidates are aligned at their last
+    token: before its first token a field sees no match and no top-row step,
+    which leaves its first column as it is. The distance is read from the last
+    column: the candidate's length plus its +1 deltas minus its -1 deltas.
+    """
+    (ref_syms, ref_lens), (cand_syms, cand_lens) = refs, cands
+    if not len(cand_lens):
+        return []
+    size = int(max(ref_syms.max(initial=0), cand_syms.max(initial=0))) + 1
+    width = ref_lens // 64 + 1  # words per field of each reference's candidates
+    # each distinct (reference, token)'s positions as a bitmask block of its field's
+    # width, then a zero block for the tokens a reference lacks
+    ref_owner, _ = _owners(ref_lens)
+    position = np.arange(len(ref_syms)) - (np.cumsum(ref_lens) - ref_lens)[ref_owner]
+    keys, key_of = np.unique(ref_owner * size + ref_syms, return_inverse=True)
+    key_width = width[keys // size]
+    key_at = np.cumsum(key_width) - key_width
+    zero_at = int(key_width.sum())
+    table = np.zeros(zero_at + int(width.max()), np.uint64)
+    np.bitwise_or.at(table, key_at[key_of] + position // 64,
+                     np.left_shift(np.uint64(1), (position % 64).astype(np.uint64)))
+    cand_owner, _ = _owners(cand_lens)
+    wanted = cand_ref[cand_owner] * size + cand_syms
+    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    block = np.where(keys[found] == wanted, key_at[found], zero_at)
+    # fields from the longest candidate down, so the started ones are a prefix
+    order = np.argsort(-cand_lens, kind="stable")
+    lengths = cand_lens[order]
+    steps = int(lengths[0])
+    start = steps - lengths  # the step of each field's first token
+    field_width = width[cand_ref[order]]
+    field_at = np.cumsum(field_width) - field_width
+    field = np.repeat(np.arange(len(order)), field_width)  # each word's field
+    word = np.arange(len(field)) - field_at[field]  # its index in the field
+    # a word's token index at a step: its field's candidate offset, less the start, plus the step
+    token_base = ((np.cumsum(cand_lens) - cand_lens)[order] - start)[field]
+    last = word == field_width[field] - 1
+    bits = (ref_lens[cand_ref[order]] % 64).astype(np.uint64)[field]
+    mask = _big(np.where(last, np.left_shift(np.uint64(1), bits) - np.uint64(1), _ONES))
+    low = _big((word == 0).astype(np.uint64))
+    started = np.append(field_at, len(field))[np.searchsorted(start, np.arange(steps), "right")]
+    pv, mv = mask, 0
+    for step, words in enumerate(started.tolist()):
+        eq = _big(table[block[token_base[:words] + step] + word[:words]])
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        # the top row of a global alignment grows by one per candidate token
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv & mask
-    return dist
+        # a started field's top row (a global alignment) grows by one per token
+        ph = ((ph & mask) << 1) | (low & ((1 << (64 * words)) - 1))
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+
+    def deltas(vector: int) -> np.ndarray:
+        packed = np.frombuffer(vector.to_bytes(8 * len(field), "little"), np.uint8)
+        return np.add.reduceat(np.unpackbits(packed).reshape(-1, 64).sum(1), field_at)
+
+    distances = np.empty(len(order), np.int64)
+    distances[order] = lengths + deltas(pv) - deltas(mv)
+    return distances.tolist()
 
 
 def edit_distance(candidate, reference) -> int:
@@ -275,11 +368,10 @@ def edit_distance(candidate, reference) -> int:
     one Python int holds one DP column as vertical +1/-1 deltas, one bit
     per reference token, so the reference may have any length.
     """
-    cand = tuple(candidate)
-    ref = tuple(reference)
-    if not ref:
+    (cand, ref), _ = _interned(candidate, reference)
+    if not len(ref):
         return len(cand)
-    return _edit_distance(cand, _peq(ref), len(ref))
+    return _edit_distances(_one(ref), _one(cand), _FIRST)[0]
 
 
 def ter(candidate, reference) -> float:
@@ -302,28 +394,126 @@ def fit_idf(documents) -> IdfModel:
     return IdfModel(document_count=len(docs), document_frequency=df)
 
 
-def _tfidf_vector(tokens, idf: IdfModel) -> dict[str, float]:
-    return {token: count * idf.idf(token) for token, count in Counter(tokens).items()}
+def _idf_weights(document_count: int, df: np.ndarray) -> np.ndarray:
+    """IdfModel.idf for each document frequency in df, one math.log per distinct value."""
+    distinct, inverse = np.unique(df, return_inverse=True)
+    logs = [math.log((1 + document_count) / (1 + d)) + 1.0 for d in distinct.tolist()]
+    return np.array(logs, float)[inverse]
 
 
-def _norm(vector: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in vector.values()))
+def _gather(keys: np.ndarray, weights: np.ndarray) -> IdfGather:
+    """weights[i] for each id keys[i] (keys sorted)."""
+    return lambda ids: weights[np.searchsorted(keys, ids)]
 
 
-def _cosine(cand_vec: dict[str, float], ref_vec: dict[str, float], ref_norm: float) -> float:
-    if cand_vec == ref_vec:
-        return 1.0 if cand_vec else 0.0
-    dot = sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
-    norm_c = _norm(cand_vec)
-    if norm_c == 0.0 or ref_norm == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, dot / (norm_c * ref_norm)))
+def _idf_of(idf: IdfModel, vocab: dict) -> IdfGather:
+    """The model's idf as a gather on the ids of vocab."""
+    df = np.fromiter((idf.document_frequency.get(t, 0) for t in vocab), np.int64, len(vocab))
+    ids = np.fromiter(vocab.values(), np.int64, len(vocab))  # ascending: numbered in order of sight
+    return _gather(ids, _idf_weights(idf.document_count, df))
+
+
+def _ordered_sums(owner: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Per sequence, its values (owner non-decreasing) added left to right to
+    0.0, whatever the interpreter's sum() or numpy's pairwise sum would do: a
+    cumsum along zero-padded rows."""
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    rows = np.zeros((count, int(rank.max(initial=-1)) + 2))
+    rows[owner, rank + 1] = values
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+def _cosines(refs, cands, cand_ref: np.ndarray, idf: IdfGather) -> np.ndarray:
+    """Each packed candidate's TF-IDF cosine with its packed reference.
+
+    A token weighs count × idf; the dot product and the norms sum in the
+    order in which each vector's tokens first occur. Equal vectors score 1
+    (0 when empty), and an all-zero vector 0.
+    """
+    (ref_syms, ref_lens), (cand_syms, cand_lens) = refs, cands
+    count = len(cand_lens)
+    size = int(max(ref_syms.max(initial=0), cand_syms.max(initial=0))) + 1
+
+    def vectors(syms, lens):
+        """(sequence, token) keys, sorted, with their weights, and the first-occurrence order."""
+        owner = np.repeat(np.arange(len(lens)), lens)
+        keys, first, counts = np.unique(owner * size + syms, return_index=True, return_counts=True)
+        return keys, counts * idf(syms[first]), np.argsort(first)
+
+    ref_keys, ref_weights, ref_order = vectors(ref_syms, ref_lens)
+    keys, weights, order = vectors(cand_syms, cand_lens)
+    keys, weights = keys[order], weights[order]
+    owner = keys // size
+    wanted = cand_ref[owner] * size + keys % size
+    # a sentinel past every key, where a token its reference lacks lands
+    at = np.searchsorted(ref_keys, wanted)
+    ref_keys = np.append(ref_keys, np.iinfo(np.int64).max)
+    ref_weights = np.append(ref_weights, 0.0)
+    hit = ref_keys[at] == wanted
+    shared = np.where(hit, ref_weights[at], 0.0)
+    dot = _ordered_sums(owner, weights * shared, count)
+    norm = np.sqrt(_ordered_sums(owner, weights * weights, count))
+    ref_owner = ref_keys[ref_order] // size
+    ref_weights = ref_weights[ref_order]
+    ref_norm = np.sqrt(_ordered_sums(ref_owner, ref_weights * ref_weights, len(ref_lens)))[cand_ref]
+    distinct = np.bincount(owner, minlength=count)
+    equal = ((np.bincount(owner[~hit | (weights != shared)], minlength=count) == 0)
+             & (distinct == np.bincount(ref_owner, minlength=len(ref_lens))[cand_ref]))
+    cosine = np.divide(dot, norm * ref_norm, out=np.zeros(count),
+                       where=(norm != 0.0) & (ref_norm != 0.0))
+    # min(1.0, max(0.0, x)) as Python orders it
+    cosine = np.where(cosine > 0.0, cosine, 0.0)
+    cosine = np.where(cosine < 1.0, cosine, 1.0)
+    return np.where(equal, np.where(distinct > 0, 1.0, 0.0), cosine)
 
 
 def semantic_similarity(candidate, reference, idf: IdfModel) -> float:
     """Cosine of the TF-IDF vectors; 0 when either vector is all-zero."""
-    ref_vec = _tfidf_vector(reference, idf)
-    return _cosine(_tfidf_vector(candidate, idf), ref_vec, _norm(ref_vec))
+    (cand, ref), vocab = _interned(candidate, reference)
+    return float(_cosines(_one(ref), _one(cand), _FIRST, _idf_of(idf, vocab))[0])
+
+
+def _score(refs, ref_chars, cands, cand_chars, cand_ref: np.ndarray, config: ScoringConfig,
+           idf: IdfGather) -> list[tuple[MetricVector, float]]:
+    """The batch scorer: each packed candidate's five metrics against its
+    packed reference, with its unsmoothed BLEU over 1-2 grams of the same
+    tokens (the verbatim similarity, when the tokens are words).
+
+    refs and cands are token ids, ref_chars and cand_chars whitespace-free
+    code points, and cand_ref each candidate's reference slot, non-decreasing.
+    """
+    ref_lens, text_lens = refs[1], ref_chars[1]
+    if not (ref_lens.all() and text_lens.all()):
+        raise MetricError("reference must be non-empty")
+    epsilon = config.smoothing_epsilon
+    words = _clipped_matches(refs, cands, cand_ref, 4).tolist()
+    chars = _clipped_matches(ref_chars, cand_chars, cand_ref, config.chrf_max_n)
+    chrfs = _chrf(chars, cand_chars[1], text_lens[cand_ref], config.chrf_max_n, config.chrf_beta)
+    scored = []
+    for matched, cand_len, ref_len, chrf_, distance, cosine in zip(
+            words, cands[1].tolist(), ref_lens[cand_ref].tolist(), chrfs.tolist(),
+            _edit_distances(refs, cands, cand_ref), _cosines(refs, cands, cand_ref, idf).tolist()):
+        vector = MetricVector(
+            bleu=_bleu(config.bleu_weights, epsilon, matched, cand_len, ref_len),
+            bleu_unif=_bleu(config.bleu_unif_weights, epsilon, matched, cand_len, ref_len),
+            chrf=chrf_,
+            ter=distance / ref_len,
+            semantic_similarity=cosine,
+        )
+        scored.append((vector, _bleu(TECHNICAL_WEIGHTS, None, matched, cand_len, ref_len)))
+    return scored
+
+
+def _score_tokens(groups, config: ScoringConfig, idf: IdfModel) -> list[tuple[MetricVector, float]]:
+    """The batch scorer over (reference tokens, [candidate tokens, ...]) groups,
+    interned into one vocabulary of their own."""
+    refs = [ref for ref, _ in groups]
+    cands = [cand for _, group in groups for cand in group]
+    ids, vocab = _interned(*refs, *cands)
+    cand_ref = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
+    return _score(_pack(ids[:len(refs)]), _pack([_text_points(ref) for ref in refs]),
+                  _pack(ids[len(refs):]), _pack([_text_points(cand) for cand in cands]),
+                  cand_ref, config, _idf_of(idf, vocab))
 
 
 def score_pair(
@@ -343,60 +533,75 @@ def score_pair(
     cand_tokens = tokenize(backtranslation, config.level, lexicon)
     if idf is None:
         idf = fit_idf([ref_tokens, cand_tokens])
-    return score_tokens(cand_tokens, ref_tokens, config, idf)
+    return _score_tokens([(ref_tokens, [cand_tokens])], config, idf)[0][0]
 
 
-class PreparedReference:
-    """One reference with everything the five metrics read from it built once:
-    the integer ids of its word 1..4-grams and of the character 1..chrf_max_n
-    grams of its whitespace-free text, the TF-IDF vector and its norm, and the
-    edit-distance bitmasks. score_all() rates any number of candidates against
-    it, counting their n-grams in one batch; both BLEU weightings read the
-    same counts.
-    """
+class TokenTable:
+    """A run's texts as integer token ids, each distinct text tokenized once at
+    the scoring level. A word token's id is the number of tokens interned
+    before its first sighting; characters are their own code points. Word
+    segmentations already made (a run's originals, shared with its mock
+    backends) are read from words; any other text is segmented here and not
+    kept."""
 
-    def __init__(self, ref_tokens, config: ScoringConfig, idf: IdfModel) -> None:
-        ref = tuple(ref_tokens)
-        # chrF reads the joined tokens, which differ from the texts only by
-        # whitespace that chrF strips anyway
-        text = "".join("".join(ref).split())
-        if not ref or not text:
-            raise MetricError("reference must be non-empty")
-        self._config = config
-        self._idf = idf
-        self._len = len(ref)
-        self._words = _NgramIds(ref, 4)
-        self._text_len = len(text)
-        self._chars = _NgramIds(text, config.chrf_max_n)
-        self._vector = _tfidf_vector(ref, idf)
-        self._norm = _norm(self._vector)
-        self._peq = _peq(ref)
+    def __init__(self, texts, level: str, lexicon: Lexicon | None,
+                 words: dict[str, TokenList]) -> None:
+        self.level = level
+        vocab: dict[str, int] = {}
+        sighted = itertools.count()
+        self.ids: dict[str, np.ndarray] = {}
+        for text in dict.fromkeys(texts):
+            if level == CHARACTER:
+                self.ids[text] = code_points("".join(text.split()))
+                continue
+            tokens = words.get(text)
+            if tokens is None:
+                tokens = segment_words(text, lexicon)
+            self.ids[text] = np.fromiter(map(vocab.setdefault, tokens, sighted), np.int64,
+                                         len(tokens))
 
-    def score_all(self, cands_tokens) -> list[tuple[MetricVector, float]]:
-        """Each candidate's five metrics, with its unsmoothed BLEU over 1-2 grams
-        of the same tokens: the verbatim similarity, when the tokens are words."""
-        config = self._config
-        epsilon = config.smoothing_epsilon
-        cands = [tuple(tokens) for tokens in cands_tokens]
-        texts = ["".join("".join(cand).split()) for cand in cands]
-        scored = []
-        for cand, text, words, chars in zip(cands, texts, self._words.matches(cands).tolist(),
-                                            self._chars.matches(texts).tolist()):
-            vector = MetricVector(
-                bleu=_bleu(config.bleu_weights, epsilon, words, len(cand), self._len),
-                bleu_unif=_bleu(config.bleu_unif_weights, epsilon, words, len(cand), self._len),
-                chrf=_chrf(chars, len(text), self._text_len, config.chrf_max_n, config.chrf_beta),
-                ter=_edit_distance(cand, self._peq, self._len) / self._len,
-                semantic_similarity=_cosine(_tfidf_vector(cand, self._idf), self._vector,
-                                            self._norm),
-            )
-            scored.append((vector, _bleu(TECHNICAL_WEIGHTS, None, words, len(cand), self._len)))
-        return scored
+    def chars(self, text: str) -> np.ndarray:
+        """The text's whitespace-free code points."""
+        return self.ids[text] if self.level == CHARACTER else code_points("".join(text.split()))
 
-    def score(self, cand_tokens) -> MetricVector:
-        return self.score_all([cand_tokens])[0][0]
+    def idf(self, documents: list[str]) -> IdfGather:
+        """fit_idf over the documents' tokens (repeated texts count again), as a
+        gather on token ids."""
+        unique = {text: np.unique(ids) for text, ids in self.ids.items()}
+        keys, df = np.unique(np.concatenate([unique[text] for text in documents]),
+                             return_counts=True)
+        return _gather(keys, _idf_weights(len(documents), df))
 
 
-def score_tokens(cand_tokens, ref_tokens, config: ScoringConfig, idf: IdfModel) -> MetricVector:
-    """All five metrics for one tokenized pair."""
-    return PreparedReference(ref_tokens, config, idf).score(cand_tokens)
+def score_run(groups, table: TokenTable, config: ScoringConfig, idf: IdfGather,
+              variant_table: dict[str, str]) -> Iterator[tuple[MetricVector, float, int, int]]:
+    """Per back-translation of each (original, [back-translations]) group, in
+    order: its five metrics, its verbatim similarity (as _score gives it), and
+    its Han and traditional-only character counts. Consecutive groups share a
+    batch while its candidates, each counted as long as the longest, stay
+    within _BATCH_SYMBOLS symbols."""
+    batch: list = []
+    count = longest = 0
+    for ref, cands in groups:
+        size = max(map(len, cands))
+        if batch and (count + len(cands)) * max(longest, size) > _BATCH_SYMBOLS:
+            yield from _score_batch(batch, table, config, idf, variant_table)
+            batch, count, longest = [], 0, 0
+        batch.append((ref, cands))
+        count, longest = count + len(cands), max(longest, size)
+    if batch:
+        yield from _score_batch(batch, table, config, idf, variant_table)
+
+
+def _score_batch(batch, table: TokenTable, config: ScoringConfig, idf: IdfGather,
+                 variant_table: dict[str, str]):
+    refs = [ref for ref, _ in batch]
+    cands = [cand for _, group in batch for cand in group]
+    cand_ref = np.repeat(np.arange(len(batch)), [len(group) for _, group in batch])
+    cand_chars = _pack([table.chars(cand) for cand in cands])
+    han, traditional = traditional_counts(*cand_chars, variant_table)
+    scored = _score(_pack([table.ids[ref] for ref in refs]),
+                    _pack([table.chars(ref) for ref in refs]),
+                    _pack([table.ids[cand] for cand in cands]), cand_chars, cand_ref, config, idf)
+    for (vector, similarity), h, t in zip(scored, han.tolist(), traditional.tolist()):
+        yield vector, similarity, h, t

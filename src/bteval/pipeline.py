@@ -37,20 +37,21 @@ from .corpus import Corpus, TextSample
 from .metrics import (
     METRIC_NAMES,
     BleuConfig,
-    PreparedReference,
     ScoringConfig,
     DEFAULT_SCORING,
+    TokenTable,
     bleu,
-    fit_idf,
+    score_run,
 )
 from .segmentation import (
     DEFAULT_TRADITIONAL_THRESHOLD,
     WORD,
     Lexicon,
+    TokenList,
     default_lexicon,
-    detect_traditional,
+    default_variant_table,
     segment_words,
-    tokenize,
+    traditional_flag,
 )
 from .stats import ExperimentDesign, ScoreMatrix
 
@@ -271,31 +272,35 @@ _REVERSE_TABLE = {en: zh for zh, en in BILINGUAL_TABLE.items()}
 
 
 class LexiconMapperMock:
-    """Bilingual token mapper: segment, map each token, join; exactly invertible."""
+    """Bilingual token mapper: segment, map each token, join; exactly invertible.
 
-    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None) -> None:
+    Each forward text is segmented once and kept in words, which a run shares
+    among its mocks and its scorer; threads that race on a text compute the
+    same value.
+    """
+
+    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None,
+                 words: dict[str, TokenList] | None = None) -> None:
         self.config = config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        # the forward leg is a pure function of the text, so each text is
-        # segmented once; threads that race on a text compute the same value
-        self._english: dict[str, str] = {}
+        self.words = {} if words is None else words
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         if direction == ZH_TO_EN:
-            english = self._english.get(text)
-            if english is None:
-                tokens = segment_words(text, self.lexicon).tokens
-                english = self._english[text] = " ".join(BILINGUAL_TABLE.get(t, t) for t in tokens)
-            return english
+            tokens = self.words.get(text)
+            if tokens is None:
+                tokens = self.words[text] = segment_words(text, self.lexicon)
+            return " ".join([BILINGUAL_TABLE.get(t, t) for t in tokens])
         return "".join(_REVERSE_TABLE.get(t, t) for t in text.split(" "))
 
 
 class NoiseMock:
     """Seeded token drop/swap noise over the mapper mock."""
 
-    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None) -> None:
+    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None,
+                 words: dict[str, TokenList] | None = None) -> None:
         self.config = config
-        self.base = LexiconMapperMock(config, lexicon)
+        self.base = LexiconMapperMock(config, lexicon, words)
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         clean = self.base.translate(text, direction, seed, variant)
@@ -437,13 +442,16 @@ class HttpBackend:
         return content.strip() if isinstance(content, str) else ""
 
 
-def make_backend(config: BackendConfig, lexicon: Lexicon | None = None):
+def make_backend(config: BackendConfig, lexicon: Lexicon | None = None,
+                 words: dict[str, TokenList] | None = None):
+    """The backend for a config; the mapper and noise mocks keep their forward
+    texts' segmentations in words."""
     if config.kind == "mock":
         if config.model_name == "identity":
             return IdentityMock(config)
         if config.model_name == "lexicon":
-            return LexiconMapperMock(config, lexicon)
-        return NoiseMock(config, lexicon)
+            return LexiconMapperMock(config, lexicon, words)
+        return NoiseMock(config, lexicon, words)
     return HttpBackend(config)
 
 
@@ -592,13 +600,15 @@ def run_experiment(
     samples = [sample for sample in corpus for _ in range(r)]
     reps = [rep for _ in corpus for rep in range(1, r + 1)]
     records: list[TranslationRecord] = []
+    # each original's word segmentation, made once and shared by the mocks' forward legs and the scorer
+    words: dict[str, TokenList] = {}
     with ExitStack() as stack:
         batches = []
         for config in backends:
             if backend_instances and config.id in backend_instances:
                 backend = backend_instances[config.id]
             else:
-                backend = make_backend(config, lexicon)
+                backend = make_backend(config, lexicon, words)
                 if config.kind == "http_llm":
                     stack.callback(backend.close)
             legs = (repeat(backend), repeat(config), samples, reps, repeat(master_seed))
@@ -619,31 +629,30 @@ def run_experiment(
     # IDF refits on this batch: every original plus every non-error back-translation.
     scored = [rec for rec in records if rec.error is None]
     texts = [s.text for s in corpus] + [rec.zhy for rec in scored]
-    tokens = {text: tokenize(text, scoring.level, lexicon) for text in dict.fromkeys(texts)}
-    documents = [tokens[text] for text in texts]
-    idf = fit_idf(documents) if len(documents) >= 2 else None
-    # The verbatim similarity is detect_verbatim's unsmoothed 1-2-gram BLEU over
-    # words. At the word level the batch counts it from the scoring tokens; at
-    # the character level it reads one word table.
-    words = (None if scoring.level == WORD
-             else {text: segment_words(text, lexicon) for text in tokens})
-
     design = ExperimentDesign(n=len(corpus), k=len(backends), r=r)
     block_index = {s.id: i for i, s in enumerate(corpus)}
     treatment_index = {b.id: j for j, b in enumerate(backends)}
     grids = {name: np.full((design.n, design.k, design.r), np.nan) for name in METRIC_NAMES}
-    # Records are sorted by sample, so each original's back-translations are
-    # consecutive: prepare it once and score them all in one batch.
-    for zhx, group in groupby(scored, key=attrgetter("zhx")):
-        group = list(group)
-        reference = PreparedReference(tokens[zhx], scoring, idf)
-        vectors = reference.score_all([tokens[rec.zhy] for rec in group])
-        for rec, (vector, similarity) in zip(group, vectors):
-            if words is not None:
-                similarity = bleu(words[rec.zhy], words[zhx])
+    if scored:
+        table = TokenTable(texts, scoring.level, lexicon, words)
+        idf = table.idf(texts)
+        # The verbatim similarity is detect_verbatim's unsmoothed 1-2-gram BLEU over
+        # words. At the word level the batch counts it from the scoring tokens; at
+        # the character level it reads one word table.
+        if scoring.level != WORD:
+            words = {text: words[text] if text in words else segment_words(text, lexicon)
+                     for text in table.ids}
+        # Records are sorted by sample, so each original's back-translations are consecutive.
+        groups = [(zhx, [rec.zhy for rec in group])
+                  for zhx, group in groupby(scored, key=attrgetter("zhx"))]
+        if variant_table is None:
+            variant_table = default_variant_table()
+        results = score_run(groups, table, scoring, idf, variant_table)
+        for rec, (vector, similarity, han, traditional) in zip(scored, results):
+            if scoring.level != WORD:
+                similarity = bleu(words[rec.zhy], words[rec.zhx])
             rec.verbatim_flag = similarity >= verbatim_threshold
-            _, rec.traditional_flag = detect_traditional(rec.zhy, variant_table,
-                                                         traditional_threshold)
+            _, rec.traditional_flag = traditional_flag(han, traditional, traditional_threshold)
             b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
             for name in METRIC_NAMES:
                 grids[name][b, t, rec.repetition - 1] = getattr(vector, name)

@@ -3,20 +3,22 @@ segmentation, and simplified/traditional script detection.
 
 Word segmentation picks the route through the lexicon matches that
 maximizes the summed log(frequency / total), in one right-to-left
-dynamic-programming pass over the character sequence. Characters
-covered by no entry fall back to single-character tokens at the floor
-probability 1/total, so any input is segmentable.
+dynamic-programming pass over the character sequence that walks the
+lexicon's prefix trie from each position. Characters covered by no entry
+fall back to single-character tokens at the floor probability 1/total, so
+any input is segmentable.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 WORD = "word"
 CHARACTER = "character"
@@ -54,13 +56,13 @@ class TokenList:
 @dataclass(frozen=True)
 class Lexicon:
     """Frequency lexicon, built once into the table the segmenter reads: the
-    log-probability log(f) - log(total) of every entry, the floor -log(total)
-    for characters no entry covers, and the set of entry prefixes."""
+    floor -log(total) for characters no entry covers, and a trie of the
+    entries, one nested dict per character, whose node for an entry holds
+    (log(f) - log(total), the entry) under the key None."""
 
     entries: dict[str, int]
-    log_probs: dict[str, float] = field(init=False, repr=False)
     floor: float = field(init=False, repr=False)
-    prefixes: frozenset[str] = field(init=False, repr=False)
+    trie: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -69,12 +71,15 @@ class Lexicon:
             if frequency <= 0:
                 raise LexiconError(f"non-positive frequency for {surface!r}")
         log_total = math.log(sum(self.entries.values()))
+        trie: dict = {}
+        for word, frequency in self.entries.items():
+            node = trie
+            for ch in word:
+                node = node.setdefault(ch, {})
+            node[None] = (math.log(frequency) - log_total, word)
         # the dataclass is frozen, so the derived table is set here, once
-        object.__setattr__(self, "log_probs",
-                           {w: math.log(f) - log_total for w, f in self.entries.items()})
         object.__setattr__(self, "floor", -log_total)
-        object.__setattr__(self, "prefixes", frozenset(
-            w[:i] for w in self.entries for i in range(1, len(w) + 1)))
+        object.__setattr__(self, "trie", trie)
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -118,32 +123,39 @@ def default_lexicon() -> Lexicon:
 
 
 def _segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
-    """Best-route segmentation of one whitespace-free chunk."""
-    log_probs, prefixes, floor = lexicon.log_probs, lexicon.prefixes, lexicon.floor
+    """Best-route segmentation of one whitespace-free chunk, as the lexicon's
+    own entry strings and lone characters."""
+    trie, floor = lexicon.trie, lexicon.floor
     n = len(chunk)
-    # route[i] = (best score from i to the end, chosen end index), built right
-    # to left over the lexicon matches starting at i, or the lone character at
-    # the floor when none match; ties prefer the longer first token, hence max
-    # over (score, end).
-    route: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
+    # score[i] is the best score from i to the end, reached by taking word[i],
+    # which ends at end[i]; built right to left over the lexicon matches
+    # starting at i, or the lone character at the floor when none match. Ends
+    # grow as the trie is walked, so replacing on >= keeps the longer first
+    # token on ties: the maximum over (score, end).
+    score = [0.0] * (n + 1)
+    end = [0] * (n + 1)
+    word: list = [None] * n
     for i in range(n - 1, -1, -1):
-        best = None
-        j = i + 1
-        while j <= n and (word := chunk[i:j]) in prefixes:
-            lp = log_probs.get(word)
-            if lp is not None:
-                cand = (lp + route[j][0], j)
-                if best is None or cand > best:
-                    best = cand
-            j += 1
-        route[i] = best or (floor + route[i + 1][0], i + 1)
+        best, best_end, best_word = -math.inf, 0, None
+        node = trie
+        for j in range(i, n):
+            node = node.get(chunk[j])
+            if node is None:
+                break
+            entry = node.get(None)
+            if entry is not None:
+                s = entry[0] + score[j + 1]
+                if s >= best:
+                    best, best_end, best_word = s, j + 1, entry[1]
+        if best_word is None:
+            best, best_end, best_word = floor + score[i + 1], i + 1, chunk[i]
+        score[i], end[i], word[i] = best, best_end, best_word
 
     tokens = []
     i = 0
     while i < n:
-        j = route[i][1]
-        tokens.append(chunk[i:j])
-        i = j
+        tokens.append(word[i])
+        i = end[i]
     return tokens
 
 
@@ -184,16 +196,35 @@ def load_variant_table(path: str | Path) -> dict[str, str]:
 
 
 @lru_cache(maxsize=1)
-def _han_char():
-    # compiling the class takes milliseconds, so an import that never checks a text skips it
-    return re.compile("[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]")
-
-
-@lru_cache(maxsize=1)
 def default_variant_table() -> dict[str, str]:
     ref = resources.files("bteval").joinpath("data/variant_table.txt")
     with resources.as_file(ref) as path:
         return load_variant_table(path)
+
+
+def code_points(text: str) -> np.ndarray:
+    """The text's Unicode scalar values (lone surrogates included) as int64."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64)
+
+
+def traditional_counts(points: np.ndarray, lengths: np.ndarray,
+                       table: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per text of a packed code-point array, its Han characters and the
+    traditional-only ones among them (the table's one-character keys)."""
+    han = np.zeros(points.shape, bool)
+    for lo, hi in _HAN_RANGES:
+        han |= (points >= lo) & (points <= hi)
+    keys = np.fromiter((ord(k) for k in table if len(k) == 1), np.int64)
+    traditional = han & np.isin(points, keys)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return (np.bincount(owner[han], minlength=len(lengths)),
+            np.bincount(owner[traditional], minlength=len(lengths)))
+
+
+def traditional_flag(han: int, traditional: int, threshold: float) -> tuple[float, bool]:
+    """The traditional-only fraction of a text's Han characters, and whether it exceeds the threshold."""
+    ratio = traditional / han if han else 0.0
+    return ratio, ratio > threshold
 
 
 def detect_traditional(
@@ -204,7 +235,6 @@ def detect_traditional(
     """Fraction of Han characters that are traditional-only, and whether it exceeds the threshold."""
     if table is None:
         table = default_variant_table()
-    han = _han_char().findall(text)
-    traditional = sum(map(table.__contains__, han))
-    ratio = traditional / len(han) if han else 0.0
-    return ratio, ratio > threshold
+    points = code_points(text)
+    han, traditional = traditional_counts(points, np.array([len(points)]), table)
+    return traditional_flag(int(han[0]), int(traditional[0]), threshold)

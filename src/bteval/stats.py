@@ -483,6 +483,9 @@ def descriptive_stats(values) -> DescriptiveStats:
         pos = (n - 1) * p
         lo = int(math.floor(pos))
         hi = int(math.ceil(pos))
+        if math.isinf(ordered[lo]):
+            # -inf, or inf shared with the upper neighbour: where inf - inf has no value
+            return float(ordered[lo])
         return float(ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo]))
 
     return DescriptiveStats(

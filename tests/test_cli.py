@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bteval import metrics, pipeline, segmentation
 from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
 
 from conftest import FIXTURES
@@ -739,6 +741,54 @@ def test_run_artifacts_match_golden_bytes(capsys, tmp_path, scoring):
     code, _, _ = invoke(capsys, "run", "--config", str(config), "--out", str(out))
     assert code == EXIT_OK
     assert run_artifact_hashes(out) == GOLDEN_RUN_SHA256[scoring]
+
+
+@pytest.mark.parametrize("scoring", list(GOLDEN_RUN_SCORINGS))
+def test_run_artifacts_do_not_depend_on_batch_boundaries(monkeypatch, capsys, tmp_path, scoring):
+    # a batch of one original each, where the default cap scores the run in one batch
+    batches = []
+    score_batch = metrics._score_batch
+
+    def counting(batch, *args):
+        batches.append(len(batch))
+        return score_batch(batch, *args)
+
+    monkeypatch.setattr(metrics, "_score_batch", counting)
+    config = write_run_config(tmp_path, corpus_head(tmp_path, 12), GOLDEN_RUN_BACKENDS,
+                              scoring=GOLDEN_RUN_SCORINGS[scoring])
+    assert invoke(capsys, "run", "--config", str(config), "--out", str(tmp_path / "one"))[0] == 0
+    assert batches == [12]
+    batches.clear()
+    monkeypatch.setattr(metrics, "_BATCH_SYMBOLS", 1)
+    out = tmp_path / "out"
+    code, _, _ = invoke(capsys, "run", "--config", str(config), "--out", str(out))
+    assert code == EXIT_OK and batches == [1] * 12
+    assert run_artifact_hashes(out) == GOLDEN_RUN_SHA256[scoring]
+
+
+@pytest.mark.parametrize("scoring", list(GOLDEN_RUN_SCORINGS))
+def test_run_segments_each_original_once(monkeypatch, capsys, tmp_path, scoring):
+    calls = Counter()
+    segment_words = segmentation.segment_words
+
+    def counting(text, lexicon=None):
+        calls[text] += 1
+        return segment_words(text, lexicon)
+
+    for module in (segmentation, metrics, pipeline):
+        monkeypatch.setattr(module, "segment_words", counting)
+    corpus = corpus_head(tmp_path, 12)
+    config = write_run_config(tmp_path, corpus, GOLDEN_RUN_BACKENDS,
+                              scoring=GOLDEN_RUN_SCORINGS[scoring])
+    assert invoke(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))[0] == 0
+    originals = [json.loads(line)["text"] for line in corpus.read_text("utf-8").splitlines()]
+    assert len(originals) == 12 and all(calls[text] == 1 for text in originals)
+    # the rest: each noise mock's back leg (not kept), and each distinct back-translation
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "records.jsonl").read_text("utf-8").splitlines()]
+    back_legs = sum(rec["backend_id"] != "echo" for rec in records)
+    zhy = {rec["zhy"] for rec in records} - set(originals)
+    assert sum(calls.values()) == 12 + back_legs + len(zhy)
 
 
 def test_http_run_with_a_failure_matches_golden_bytes(capsys, tmp_path):

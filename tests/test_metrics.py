@@ -6,23 +6,27 @@ import random
 from collections import Counter
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bteval.metrics import (
     BleuConfig,
+    IdfModel,
     MetricError,
     MetricVector,
-    PreparedReference,
     ScoringConfig,
-    _NgramIds,
+    _clipped_matches,
+    _edit_distances,
+    _interned,
+    _pack,
+    _score_tokens,
     bleu,
     brevity_penalty,
     chrf,
     edit_distance,
     fit_idf,
     score_pair,
-    score_tokens,
     semantic_similarity,
     ter,
 )
@@ -34,6 +38,25 @@ from conftest import FIXTURES
 
 
 # ---------------------------------------------------------------- oracles
+
+def packed_groups(groups):
+    """A batch kernel's packed references, packed candidates and candidate
+    reference slots for (reference, [candidates]) groups of tokens."""
+    refs = [ref for ref, _ in groups]
+    cands = [cand for _, group in groups for cand in group]
+    ids, _ = _interned(*refs, *cands)
+    cand_ref = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
+    return _pack(ids[:len(refs)]), _pack(ids[len(refs):]), cand_ref
+
+
+def ordered_sum(values) -> float:
+    """Floats added left to right to 0.0, as sum() adds them before Python 3.12
+    (whose sum() is compensated, and so can differ in the last bit)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 def ngrams(tokens, n: int) -> dict[tuple[str, ...], int]:
     """Multiset of contiguous n-token windows; empty when the sequence is shorter than n."""
@@ -118,8 +141,8 @@ def oracle_edit_distance(a, b):
     return d[m][n]
 
 
-# The per-pair scoring the prepared reference replaced: every call counts
-# both sides again. The prepared path must equal these bit for bit.
+# Per-pair scoring: every call counts both sides again. The batch scorer must
+# equal these bit for bit.
 
 def pair_bleu(candidate, reference, config):
     cand = tuple(candidate)
@@ -157,7 +180,8 @@ def pair_char_grams(text, n):
     return counts
 
 
-def pair_chrf(candidate, reference, max_n=6, beta=2.0):
+def pair_chrf_orders(candidate, reference, max_n=6, beta=2.0):
+    """The F-beta of each order 1..max_n that either whitespace-free text reaches."""
     cand = "".join(candidate.split())
     ref = "".join(reference.split())
     if not ref:
@@ -178,7 +202,12 @@ def pair_chrf(candidate, reference, max_n=6, beta=2.0):
             scores.append(0.0)
         else:
             scores.append((1 + beta_sq) * precision * recall / (beta_sq * precision + recall))
-    return sum(scores) / len(scores) if scores else 0.0
+    return scores
+
+
+def pair_chrf(candidate, reference, max_n=6, beta=2.0):
+    scores = pair_chrf_orders(candidate, reference, max_n, beta)
+    return ordered_sum(scores) / len(scores) if scores else 0.0
 
 
 def pair_tfidf_vector(tokens, idf):
@@ -193,9 +222,9 @@ def pair_semantic_similarity(candidate, reference, idf):
     ref_vec = pair_tfidf_vector(reference, idf)
     if cand_vec == ref_vec:
         return 1.0 if cand_vec else 0.0
-    dot = sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
-    norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
-    norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))
+    dot = ordered_sum(weight * ref_vec.get(token, 0.0) for token, weight in cand_vec.items())
+    norm_c = math.sqrt(ordered_sum(w * w for w in cand_vec.values()))
+    norm_r = math.sqrt(ordered_sum(w * w for w in ref_vec.values()))
     if norm_c == 0.0 or norm_r == 0.0:
         return 0.0
     return min(1.0, max(0.0, dot / (norm_c * norm_r)))
@@ -395,6 +424,26 @@ def test_edit_distance_matches_dp_oracle_across_word_boundaries(pair):
         assert ter(cand, ref) == expected / len(ref)
 
 
+@st.composite
+def long_token_batches(draw):
+    """One to three references of 1-200 tokens, each with up to four candidates of 0-200."""
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        ref, cand = draw(long_token_pairs())
+        cands = [cand] + [draw(long_token_pairs())[0] for _ in range(draw(st.integers(0, 3)))]
+        groups.append((ref or ["的"], cands))
+    return groups
+
+
+@given(long_token_batches())
+@settings(max_examples=100, deadline=None)
+@example([(["的"] * 64, [["的"] * 63, []]), (["化学"] * 128, [["化学"] * 200, ["的"] * 3]),
+          (["的"], [["的"] * 65])])  # fields of one, two and three words, each filled to the top
+def test_batched_edit_distances_equal_dp_oracle(groups):
+    expected = [oracle_edit_distance(cand, ref) for ref, cands in groups for cand in cands]
+    assert _edit_distances(*packed_groups(groups)) == expected
+
+
 def test_edit_distance_matches_dp_oracle_on_corpus_run():
     corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
     config = BackendConfig(id="noisy", kind="mock", model_name="noise",
@@ -524,7 +573,7 @@ def test_ter_upper_bound():
         assert ter(cand, ref) <= max(1.0, len(cand) / len(ref)) + 1e-12
 
 
-# ------------------------------------------------- prepared reference
+# ------------------------------------------------- batch scorer
 
 PREPARED_CONFIGS = {
     "default": ScoringConfig(),
@@ -556,33 +605,52 @@ def reference_and_candidates(draw):
     return config, ref, cands
 
 
-@given(reference_and_candidates())
+@st.composite
+def batches(draw):
+    """One to four references, each with its own candidates, scored as one batch."""
+    cases = [draw(reference_and_candidates()) for _ in range(draw(st.integers(1, 4)))]
+    config = cases[0][0]
+    if config.level == CHARACTER:  # every reference of a batch is at one level
+        cases = [(config, list("".join(ref).replace(" ", "")),
+                  [list("".join(c).replace(" ", "")) for c in cands]) for _, ref, cands in cases]
+    return config, [(ref, cands) for _, ref, cands in cases]
+
+
+def batched_matches(groups, top):
+    """_clipped_matches over (reference, [candidates]) groups of token sequences."""
+    return _clipped_matches(*packed_groups(groups), top)
+
+
+@given(batches())
 @settings(max_examples=300, deadline=None)
-def test_prepared_reference_equals_per_pair_oracles(case):
-    config, ref, cands = case
-    idf = fit_idf([ref] + cands)
-    prepared = PreparedReference(ref, config, idf)
-    scored = prepared.score_all(cands)
-    assert len(scored) == len(cands)
-    for cand, (vector, similarity) in zip(cands, scored):
-        expected = hexed(pair_score_tokens(cand, ref, config, idf))
-        assert hexed(vector) == expected
-        assert hexed(prepared.score(cand)) == expected
-        assert hexed(score_tokens(cand, ref, config, idf)) == expected
-        assert similarity.hex() == pair_bleu(cand, ref, BleuConfig()).hex()
+def test_batch_scorer_equals_per_pair_oracles(case):
+    config, groups = case
+    idf = fit_idf([ref for ref, _ in groups] + [c for _, cands in groups for c in cands])
+    scored = iter(_score_tokens(groups, config, idf))
+    for ref, cands in groups:
+        for cand in cands:
+            vector, similarity = next(scored)
+            expected = hexed(pair_score_tokens(cand, ref, config, idf))
+            assert hexed(vector) == expected
+            assert hexed(_score_tokens([(ref, [cand])], config, idf)[0][0]) == expected
+            assert similarity.hex() == pair_bleu(cand, ref, BleuConfig()).hex()
+    assert next(scored, None) is None
 
 
-@given(reference_and_candidates())
+@given(batches())
 @settings(max_examples=300, deadline=None)
 def test_batched_matches_equal_per_pair_clipping(case):
-    config, ref, cands = case
-    words = _NgramIds(ref, 4).matches(cands)
-    assert words.shape == (len(cands), 5)
-    assert words.tolist() == pair_matches([tuple(c) for c in cands], tuple(ref), 4)
-    text = "".join("".join(ref).split())
-    texts = ["".join("".join(c).split()) for c in cands]
+    config, groups = case
+    words = batched_matches(groups, 4)
+    assert words.shape == (sum(len(cands) for _, cands in groups), 5)
+    expected = [row for ref, cands in groups
+                for row in pair_matches([tuple(c) for c in cands], tuple(ref), 4)]
+    assert words.tolist() == expected
     top = config.chrf_max_n
-    assert _NgramIds(text, top).matches(texts).tolist() == pair_matches(texts, text, top)
+    texts = [("".join("".join(ref).split()), ["".join("".join(c).split()) for c in cands])
+             for ref, cands in groups]
+    chars = batched_matches(texts, top)
+    assert chars.tolist() == [row for ref, group in texts for row in pair_matches(group, ref, top)]
 
 
 @pytest.mark.parametrize("ref, cands, top", [
@@ -596,17 +664,25 @@ def test_batched_matches_equal_per_pair_clipping(case):
 ], ids=["absent-symbols", "clipped-repeats", "word-tokens", "non-bmp", "order-1",
         "orders-past-reference", "no-candidates"])
 def test_batched_matches_examples(ref, cands, top):
-    matched = _NgramIds(ref, top).matches(cands)
+    matched = batched_matches([(ref, cands)], top)
     assert matched.shape == (len(cands), top + 1)
     assert matched.tolist() == pair_matches(cands, ref, top)
 
 
 def test_batched_matches_never_span_two_candidates():
-    matched = _NgramIds("abcd", 4).matches(["ab", "cd"]).tolist()
+    matched = batched_matches([("abcd", ["ab", "cd"])], 4).tolist()
     assert matched == [[0, 2, 1, 0, 0], [0, 2, 1, 0, 0]]
     assert matched == pair_matches(["ab", "cd"], "abcd", 4)
     # the same symbols as one candidate do match at orders 3 and 4
-    assert _NgramIds("abcd", 4).matches(["abcd"]).tolist() == [[0, 4, 3, 2, 1]]
+    assert batched_matches([("abcd", ["abcd"])], 4).tolist() == [[0, 4, 3, 2, 1]]
+
+
+def test_batched_matches_never_cross_references():
+    # each candidate is clipped against its own reference only
+    groups = [("ab", ["ab", "cd"]), ("cd", ["ab"]), ("abcd", ["cd", "abcd"])]
+    expected = [row for ref, cands in groups for row in pair_matches(cands, ref, 4)]
+    assert batched_matches(groups, 4).tolist() == expected
+    assert expected[:3] == [[0, 2, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
 
 
 @given(reference_and_candidates())
@@ -632,11 +708,34 @@ def test_public_metrics_equal_per_pair_oracles(case):
                 sum(cand_grams.values()))
 
 
-def test_prepared_reference_rejects_empty_reference():
+def test_batch_scorer_rejects_empty_reference():
     idf = fit_idf([["a"], ["b"]])
     for ref in ([], [" "]):
         with pytest.raises(MetricError, match="reference must be non-empty"):
-            PreparedReference(ref, ScoringConfig(), idf)
+            _score_tokens([(ref, [["a"]])], ScoringConfig(), idf)
+        # one empty reference anywhere in a batch
+        with pytest.raises(MetricError, match="reference must be non-empty"):
+            _score_tokens([(["a"], [["a"]]), (ref, [["b"]])], ScoringConfig(), idf)
+
+
+def test_scores_sum_left_to_right_on_every_interpreter():
+    # Inputs whose left-to-right float sums differ from the exactly rounded ones,
+    # which Python 3.12's compensated sum() comes close to: the scores must keep
+    # the left-to-right value, so a run's bytes do not depend on the interpreter.
+    idf = IdfModel(document_count=10, document_frequency={
+        "a": 0, "b": 4, "c": 0, "d": 1, "e": 1, "f": 9, "g": 8, "h": 0})
+    cand, ref = list("aeg"), list("gbaagfed")
+    cand_vec, ref_vec = pair_tfidf_vector(cand, idf), pair_tfidf_vector(ref, idf)
+    dot = [w * ref_vec.get(t, 0.0) for t, w in cand_vec.items()]
+    norms = [[w * w for w in vec.values()] for vec in (cand_vec, ref_vec)]
+    exact = math.fsum(dot) / (math.sqrt(math.fsum(norms[0])) * math.sqrt(math.fsum(norms[1])))
+    assert semantic_similarity(cand, ref, idf) == 0.876946638593102 != exact
+    assert semantic_similarity(cand, ref, idf) == pair_semantic_similarity(cand, ref, idf)
+
+    cand_text, ref_text = "aadccbddc", "aadab"
+    orders = pair_chrf_orders(cand_text, ref_text)
+    assert chrf(cand_text, ref_text) == 0.22824662230288364 == ordered_sum(orders) / 6
+    assert math.fsum(orders) / 6 == 0.2282466223028837
 
 
 def test_chrf_orders_outside_one_through_max_n():

@@ -209,13 +209,31 @@ def test_load_lexicon(tmp_path):
     assert any(surface.startswith("人工") for surface in lexicon.entries)
 
 
+def trie_paths(node, path=""):
+    """Every (path, node) below a trie node, the node itself included."""
+    yield path, node
+    for ch, child in node.items():
+        if ch is not None:
+            yield from trie_paths(child, path + ch)
+
+
 def test_lexicon_table_matches_entries():
     lexicon = default_lexicon()
     total = sum(lexicon.entries.values())
-    assert lexicon.log_probs == {w: math.log(f) - math.log(total)
-                                 for w, f in lexicon.entries.items()}
+    paths = dict(trie_paths(lexicon.trie))
+    assert set(paths) - {""} == {w[:i] for w in lexicon.entries for i in range(1, len(w) + 1)}
+    terminals = {path: node[None] for path, node in paths.items() if None in node}
+    assert terminals == {w: (math.log(f) - math.log(total), w) for w, f in lexicon.entries.items()}
+    # an entry's node holds the lexicon's own string, which segmentation emits
+    surfaces = {id(w) for w in lexicon.entries}
+    assert all(id(word) in surfaces for _, word in terminals.values())
     assert lexicon.floor == -math.log(total)
-    assert lexicon.prefixes == {w[:i] for w in lexicon.entries for i in range(1, len(w) + 1)}
+
+
+def test_segment_words_emits_the_lexicon_strings(tiny_lexicon):
+    surfaces = {id(w) for w in tiny_lexicon.entries}
+    tokens = segment_words("人工智能 智能人工", tiny_lexicon).tokens
+    assert [id(t) in surfaces for t in tokens] == [t in tiny_lexicon.entries for t in tokens]
 
 
 @pytest.mark.parametrize("entries", [{}, {"甲": 0}, {"甲": -3, "乙": 5}])

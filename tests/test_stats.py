@@ -609,6 +609,34 @@ def test_descriptive_matches_spreadsheet_oracle():
     assert stats.minimum == ordered[0] and stats.maximum == ordered[-1]
 
 
+@pytest.mark.parametrize("values, quartiles", [
+    ([1.0, math.inf, math.inf], (math.inf, math.inf, math.inf)),
+    ([math.inf, math.inf, math.inf], (math.inf, math.inf, math.inf)),
+    ([-math.inf, -math.inf, 1.0], (-math.inf, -math.inf, -math.inf)),
+    ([-math.inf, 1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0)),
+], ids=["inf-shared", "all-inf", "-inf-below-finite", "-inf-minimum"])
+def test_descriptive_quantiles_at_an_infinity(values, quartiles):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf would warn and give NaN
+        stats = descriptive_stats(values)
+    assert (stats.q25, stats.median, stats.q75) == quartiles
+
+
+def test_descriptive_finite_quantiles_unchanged():
+    # the interpolation adds 0.0 between equal neighbours, so -0.0 reports as 0.0
+    stats = descriptive_stats([-0.0, -0.0, -0.0])
+    assert all(math.copysign(1.0, q) == 1.0 for q in (stats.q25, stats.median, stats.q75))
+    values = [0.1, 0.7, 0.2, 0.9, 0.3]
+    stats = descriptive_stats(values)
+    ordered = sorted(values)
+    assert stats.q25 == ordered[1] + 0.0 * (ordered[1] - ordered[1])
+    assert stats.q75 == ordered[3] + 0.0 * (ordered[3] - ordered[3])
+    stats = descriptive_stats(values[:4])
+    ordered = sorted(values[:4])
+    assert stats.q25 == ordered[0] + 0.75 * (ordered[1] - ordered[0])
+    assert stats.median == ordered[1] + 0.5 * (ordered[2] - ordered[1])
+
+
 def test_descriptive_empty_rejected():
     with pytest.raises(StatsError):
         descriptive_stats([])
