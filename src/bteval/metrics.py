@@ -3,10 +3,11 @@ weightings, character-n-gram F-score, token edit rate, and TF-IDF cosine
 similarity.
 
 One batch scorer computes all five over integer ids: many references, each
-with its candidates, per numpy call. A run interns each distinct text's
-tokens once into a TokenTable and score_run feeds its originals through the
-scorer in batches of at most _BATCH_SYMBOLS candidate symbols; the public
-one-pair functions call the same kernels with one reference.
+with its candidates, per numpy call. score_run is the one scoring entry: it
+interns each distinct text once into a TokenTable, fits the IDF on the run,
+and feeds its originals through the scorer in batches of at most
+_BATCH_SYMBOLS candidate symbols. score_pair is a run of one round-trip; the
+public one-metric functions call the same kernels with one reference.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .segmentation import (
     TokenList,
     code_points,
     segment_words,
-    tokenize,
     traditional_counts,
 )
 
@@ -97,8 +97,8 @@ class ScoringConfig:
             raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
         if not isinstance(self.chrf_max_n, int) or self.chrf_max_n < 1:
             raise MetricError(f"chrf_max_n must be an integer >= 1, not {self.chrf_max_n!r}")
-        if not self.chrf_beta > 0:
-            raise MetricError(f"chrf_beta must be > 0, not {self.chrf_beta!r}")
+        if not (self.chrf_beta > 0 and math.isfinite(self.chrf_beta * self.chrf_beta)):
+            raise MetricError(f"chrf_beta must be > 0 with a finite square, not {self.chrf_beta!r}")
         for weights in (self.bleu_weights, self.bleu_unif_weights):
             BleuConfig(weights, self.smoothing_epsilon)
 
@@ -473,26 +473,36 @@ def semantic_similarity(candidate, reference, idf: IdfModel) -> float:
     return float(_cosines(_one(ref), _one(cand), _FIRST, _idf_of(idf, vocab))[0])
 
 
-def _score(refs, ref_chars, cands, cand_chars, cand_ref: np.ndarray, config: ScoringConfig,
+def _score(tokens, chars, words, cand_ref: np.ndarray, config: ScoringConfig,
            idf: IdfGather) -> list[tuple[MetricVector, float]]:
     """The batch scorer: each packed candidate's five metrics against its
-    packed reference, with its unsmoothed BLEU over 1-2 grams of the same
-    tokens (the verbatim similarity, when the tokens are words).
+    packed reference, and its verbatim similarity, detect_verbatim's
+    unsmoothed 1-2-gram BLEU over words.
 
-    refs and cands are token ids, ref_chars and cand_chars whitespace-free
-    code points, and cand_ref each candidate's reference slot, non-decreasing.
+    tokens, chars and words are each (references, candidates), packed: the
+    scoring ids, the whitespace-free code points and the word ids, which at
+    the word level are the scoring ids. cand_ref is each candidate's
+    reference slot, non-decreasing.
     """
+    (refs, cands), (ref_chars, cand_chars), (ref_words, cand_words) = tokens, chars, words
     ref_lens, text_lens = refs[1], ref_chars[1]
     if not (ref_lens.all() and text_lens.all()):
         raise MetricError("reference must be non-empty")
     epsilon = config.smoothing_epsilon
-    words = _clipped_matches(refs, cands, cand_ref, 4).tolist()
-    chars = _clipped_matches(ref_chars, cand_chars, cand_ref, config.chrf_max_n)
-    chrfs = _chrf(chars, cand_chars[1], text_lens[cand_ref], config.chrf_max_n, config.chrf_beta)
+    matches = _clipped_matches(refs, cands, cand_ref, 4).tolist()
+    verbatim = (matches if config.level == WORD
+                else _clipped_matches(ref_words, cand_words, cand_ref, 2).tolist())
+    similarities = [
+        _bleu(TECHNICAL_WEIGHTS, None, hits, cand_len, ref_len) for hits, cand_len, ref_len
+        in zip(verbatim, cand_words[1].tolist(), ref_words[1][cand_ref].tolist())]
+    char_matches = _clipped_matches(ref_chars, cand_chars, cand_ref, config.chrf_max_n)
+    chrfs = _chrf(char_matches, cand_chars[1], text_lens[cand_ref], config.chrf_max_n,
+                  config.chrf_beta)
     scored = []
-    for matched, cand_len, ref_len, chrf_, distance, cosine in zip(
-            words, cands[1].tolist(), ref_lens[cand_ref].tolist(), chrfs.tolist(),
-            _edit_distances(refs, cands, cand_ref), _cosines(refs, cands, cand_ref, idf).tolist()):
+    for matched, cand_len, ref_len, chrf_, distance, cosine, similarity in zip(
+            matches, cands[1].tolist(), ref_lens[cand_ref].tolist(), chrfs.tolist(),
+            _edit_distances(refs, cands, cand_ref), _cosines(refs, cands, cand_ref, idf).tolist(),
+            similarities):
         vector = MetricVector(
             bleu=_bleu(config.bleu_weights, epsilon, matched, cand_len, ref_len),
             bleu_unif=_bleu(config.bleu_unif_weights, epsilon, matched, cand_len, ref_len),
@@ -500,20 +510,8 @@ def _score(refs, ref_chars, cands, cand_chars, cand_ref: np.ndarray, config: Sco
             ter=distance / ref_len,
             semantic_similarity=cosine,
         )
-        scored.append((vector, _bleu(TECHNICAL_WEIGHTS, None, matched, cand_len, ref_len)))
+        scored.append((vector, similarity))
     return scored
-
-
-def _score_tokens(groups, config: ScoringConfig, idf: IdfModel) -> list[tuple[MetricVector, float]]:
-    """The batch scorer over (reference tokens, [candidate tokens, ...]) groups,
-    interned into one vocabulary of their own."""
-    refs = [ref for ref, _ in groups]
-    cands = [cand for _, group in groups for cand in group]
-    ids, vocab = _interned(*refs, *cands)
-    cand_ref = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
-    return _score(_pack(ids[:len(refs)]), _pack([_text_points(ref) for ref in refs]),
-                  _pack(ids[len(refs):]), _pack([_text_points(cand) for cand in cands]),
-                  cand_ref, config, _idf_of(idf, vocab))
 
 
 def score_pair(
@@ -521,65 +519,58 @@ def score_pair(
     backtranslation: str,
     lexicon: Lexicon | None = None,
     config: ScoringConfig = DEFAULT_SCORING,
-    idf: IdfModel | None = None,
 ) -> MetricVector:
-    """All five metrics for one pair, sharing a single tokenization.
-
-    Without a prefitted idf model the pair itself is the fitting corpus.
-    """
-    if not original.strip():
-        raise MetricError("original must be non-empty")
-    ref_tokens = tokenize(original, config.level, lexicon)
-    cand_tokens = tokenize(backtranslation, config.level, lexicon)
-    if idf is None:
-        idf = fit_idf([ref_tokens, cand_tokens])
-    return _score_tokens([(ref_tokens, [cand_tokens])], config, idf)[0][0]
+    """All five metrics for one pair: a run of one round-trip, so the pair
+    itself is the IDF's fitting corpus."""
+    return next(score_run([original], [(original, [backtranslation])], config, lexicon, {}, {}))[0]
 
 
 class TokenTable:
-    """A run's texts as integer token ids, each distinct text tokenized once at
-    the scoring level. A word token's id is the number of tokens interned
-    before its first sighting; characters are their own code points. Word
+    """A run's texts as integer ids, each distinct text segmented into words
+    once. A word's id is the number of words interned before its first
+    sighting. The scoring ids are the word ids at the word level and the
+    whitespace-free code points (chars) at the character level. Word
     segmentations already made (a run's originals, shared with its mock
     backends) are read from words; any other text is segmented here and not
     kept."""
 
     def __init__(self, texts, level: str, lexicon: Lexicon | None,
                  words: dict[str, TokenList]) -> None:
-        self.level = level
         vocab: dict[str, int] = {}
         sighted = itertools.count()
-        self.ids: dict[str, np.ndarray] = {}
+        self.words: dict[str, np.ndarray] = {}
         for text in dict.fromkeys(texts):
-            if level == CHARACTER:
-                self.ids[text] = code_points("".join(text.split()))
-                continue
             tokens = words.get(text)
             if tokens is None:
                 tokens = segment_words(text, lexicon)
-            self.ids[text] = np.fromiter(map(vocab.setdefault, tokens, sighted), np.int64,
-                                         len(tokens))
-
-    def chars(self, text: str) -> np.ndarray:
-        """The text's whitespace-free code points."""
-        return self.ids[text] if self.level == CHARACTER else code_points("".join(text.split()))
+            self.words[text] = np.fromiter(map(vocab.setdefault, tokens, sighted), np.int64,
+                                           len(tokens))
+        self.chars = {text: code_points("".join(text.split())) for text in self.words}
+        self.ids = self.words if level == WORD else self.chars
 
     def idf(self, documents: list[str]) -> IdfGather:
-        """fit_idf over the documents' tokens (repeated texts count again), as a
-        gather on token ids."""
+        """fit_idf over the documents' scoring ids (repeated texts count again),
+        as a gather on those ids."""
         unique = {text: np.unique(ids) for text, ids in self.ids.items()}
         keys, df = np.unique(np.concatenate([unique[text] for text in documents]),
                              return_counts=True)
         return _gather(keys, _idf_weights(len(documents), df))
 
 
-def score_run(groups, table: TokenTable, config: ScoringConfig, idf: IdfGather,
-              variant_table: dict[str, str]) -> Iterator[tuple[MetricVector, float, int, int]]:
+def score_run(originals: list[str], groups, config: ScoringConfig, lexicon: Lexicon | None,
+              words: dict[str, TokenList], variant_table: dict[str, str]
+              ) -> Iterator[tuple[MetricVector, float, int, int]]:
     """Per back-translation of each (original, [back-translations]) group, in
     order: its five metrics, its verbatim similarity (as _score gives it), and
-    its Han and traditional-only character counts. Consecutive groups share a
-    batch while its candidates, each counted as long as the longest, stay
-    within _BATCH_SYMBOLS symbols."""
+    its Han and traditional-only character counts.
+
+    The texts are interned into one TokenTable, reading the word segmentations
+    already made from words, and the IDF is fit on every original plus every
+    back-translation. Consecutive groups share a batch while its candidates,
+    each counted as long as the longest, stay within _BATCH_SYMBOLS symbols."""
+    texts = [*originals, *(cand for _, cands in groups for cand in cands)]
+    table = TokenTable(texts, config.level, lexicon, words)
+    idf = table.idf(texts)
     batch: list = []
     count = longest = 0
     for ref, cands in groups:
@@ -598,10 +589,12 @@ def _score_batch(batch, table: TokenTable, config: ScoringConfig, idf: IdfGather
     refs = [ref for ref, _ in batch]
     cands = [cand for _, group in batch for cand in group]
     cand_ref = np.repeat(np.arange(len(batch)), [len(group) for _, group in batch])
-    cand_chars = _pack([table.chars(cand) for cand in cands])
-    han, traditional = traditional_counts(*cand_chars, variant_table)
-    scored = _score(_pack([table.ids[ref] for ref in refs]),
-                    _pack([table.chars(ref) for ref in refs]),
-                    _pack([table.ids[cand] for cand in cands]), cand_chars, cand_ref, config, idf)
+
+    def packed(of) -> tuple:
+        return _pack([of(ref) for ref in refs]), _pack([of(cand) for cand in cands])
+
+    chars = packed(table.chars.get)
+    han, traditional = traditional_counts(*chars[1], variant_table)
+    scored = _score(packed(table.ids.get), chars, packed(table.words.get), cand_ref, config, idf)
     for (vector, similarity), h, t in zip(scored, han.tolist(), traditional.tolist()):
         yield vector, similarity, h, t

@@ -39,13 +39,11 @@ from .metrics import (
     BleuConfig,
     ScoringConfig,
     DEFAULT_SCORING,
-    TokenTable,
     bleu,
     score_run,
 )
 from .segmentation import (
     DEFAULT_TRADITIONAL_THRESHOLD,
-    WORD,
     Lexicon,
     TokenList,
     default_lexicon,
@@ -131,6 +129,12 @@ class BackendConfig:
         for name in ("rate_limit_rps", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"backend {self.id}: {name} must be > 0")
+        # a longer socket timeout or token-bucket sleep overflows the platform's time_t
+        for name, wait in (("timeout", self.timeout),
+                           ("1 / rate_limit_rps", 1 / self.rate_limit_rps)):
+            if not wait <= threading.TIMEOUT_MAX:
+                raise ConfigError(
+                    f"backend {self.id}: {name} must be <= {threading.TIMEOUT_MAX:.0f} s")
         if not math.isfinite(self.temperature):
             # a chat body is strict JSON, which has no NaN or infinity
             raise ConfigError(f"backend {self.id}: temperature must be finite")
@@ -626,36 +630,23 @@ def run_experiment(
         batches.clear()  # the drained maps hold the backends, and the mocks' memos, until cleared
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
-    # IDF refits on this batch: every original plus every non-error back-translation.
     scored = [rec for rec in records if rec.error is None]
-    texts = [s.text for s in corpus] + [rec.zhy for rec in scored]
     design = ExperimentDesign(n=len(corpus), k=len(backends), r=r)
     block_index = {s.id: i for i, s in enumerate(corpus)}
     treatment_index = {b.id: j for j, b in enumerate(backends)}
     grids = {name: np.full((design.n, design.k, design.r), np.nan) for name in METRIC_NAMES}
-    if scored:
-        table = TokenTable(texts, scoring.level, lexicon, words)
-        idf = table.idf(texts)
-        # The verbatim similarity is detect_verbatim's unsmoothed 1-2-gram BLEU over
-        # words. At the word level the batch counts it from the scoring tokens; at
-        # the character level it reads one word table.
-        if scoring.level != WORD:
-            words = {text: words[text] if text in words else segment_words(text, lexicon)
-                     for text in table.ids}
-        # Records are sorted by sample, so each original's back-translations are consecutive.
-        groups = [(zhx, [rec.zhy for rec in group])
-                  for zhx, group in groupby(scored, key=attrgetter("zhx"))]
-        if variant_table is None:
-            variant_table = default_variant_table()
-        results = score_run(groups, table, scoring, idf, variant_table)
-        for rec, (vector, similarity, han, traditional) in zip(scored, results):
-            if scoring.level != WORD:
-                similarity = bleu(words[rec.zhy], words[rec.zhx])
-            rec.verbatim_flag = similarity >= verbatim_threshold
-            _, rec.traditional_flag = traditional_flag(han, traditional, traditional_threshold)
-            b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
-            for name in METRIC_NAMES:
-                grids[name][b, t, rec.repetition - 1] = getattr(vector, name)
+    # Records are sorted by sample, so each original's back-translations are consecutive.
+    groups = [(zhx, [rec.zhy for rec in group])
+              for zhx, group in groupby(scored, key=attrgetter("zhx"))]
+    if variant_table is None:
+        variant_table = default_variant_table()
+    results = score_run([s.text for s in corpus], groups, scoring, lexicon, words, variant_table)
+    for rec, (vector, similarity, han, traditional) in zip(scored, results):
+        rec.verbatim_flag = similarity >= verbatim_threshold
+        _, rec.traditional_flag = traditional_flag(han, traditional, traditional_threshold)
+        b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
+        for name in METRIC_NAMES:
+            grids[name][b, t, rec.repetition - 1] = getattr(vector, name)
 
     matrices = {
         name: ScoreMatrix(

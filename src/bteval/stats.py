@@ -359,7 +359,11 @@ _SW_C2 = (0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
 
 
 def _sw_poly(coeffs, u: float) -> float:
-    return sum(c * u ** (i + 1) for i, c in enumerate(coeffs))
+    """The terms c_i * u^(i+1) added left to right, which sum() on Python >= 3.12 does not do."""
+    total = 0.0
+    for i, c in enumerate(coeffs):
+        total += c * u ** (i + 1)
+    return total
 
 
 def shapiro_wilk(sample) -> StatTestResult:

@@ -278,6 +278,7 @@ def one_http_backend(**fields):
     ({"repetitions": "three"}, "'repetitions' must be int"),
     ({"scoring": {"chrf_max_n": 0}}, "chrf_max_n must be an integer >= 1"),
     ({"scoring": {"chrf_beta": 0}}, "chrf_beta must be > 0"),
+    ({"scoring": {"chrf_beta": 1e200}}, "chrf_beta must be > 0 with a finite square"),
     ({"scoring": {"bleu_weights": [0.5, 0.5, 0.5, 0.0]}}, "weights must sum to 1"),
     ({"scoring": {"bleu_unif_weights": [0.5, 0.5]}}, "exactly 4 n-gram weights"),
     ({"scoring": {"smoothing_epsilon": 0}}, "smoothing_epsilon must be > 0"),
@@ -289,6 +290,9 @@ def one_http_backend(**fields):
     (one_mock_backend(rate_limit_rps=0), "rate_limit_rps must be > 0"),
     (one_mock_backend(max_workers=0), "max_workers must be an integer >= 1"),
     (one_mock_backend(timeout=0), "timeout must be > 0"),
+    (one_mock_backend(timeout=1e300), "timeout must be <= 9223372036 s"),
+    (one_mock_backend(timeout=float("inf")), "timeout must be <= 9223372036 s"),
+    (one_mock_backend(rate_limit_rps=1e-300), "1 / rate_limit_rps must be <= 9223372036 s"),
     (one_http_backend(endpoint="127.0.0.1:9/v1"), "must be an http or https URL"),
     (one_http_backend(endpoint="ftp://127.0.0.1/v1"), "must be an http or https URL"),
     (one_http_backend(endpoint="http:///v1"), "has no host"),
@@ -316,11 +320,12 @@ def one_http_backend(**fields):
     (one_mock_backend(max_workers=True), "backends[0] 'max_workers' must be int, got True"),
     ({"scoring": []}, "scoring must be a JSON object, got []"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
-        "chrf-max-n-zero", "chrf-beta-zero", "bleu-weights-sum", "bleu-unif-weights-length",
-        "smoothing-epsilon-zero", "zero-repetitions", "duplicate-backend-ids",
-        "drop-prob-above-one",
+        "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
+        "bleu-unif-weights-length", "smoothing-epsilon-zero", "zero-repetitions",
+        "duplicate-backend-ids", "drop-prob-above-one",
         "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
-        "zero-timeout", "endpoint-without-scheme", "ftp-endpoint", "endpoint-without-host",
+        "zero-timeout", "timeout-overflows", "infinite-timeout", "rate-limit-wait-overflows",
+        "endpoint-without-scheme", "ftp-endpoint", "endpoint-without-host",
         "endpoint-non-integer-port", "nan-temperature", "unknown-top-level-key",
         "empty-backends", "backends-object", "fractional-repetitions", "bool-repetitions",
         "fractional-master-seed", "nan-verbatim-threshold", "traditional-threshold-above-one",

@@ -18,21 +18,24 @@ from bteval.metrics import (
     ScoringConfig,
     _clipped_matches,
     _edit_distances,
+    _idf_of,
     _interned,
     _pack,
-    _score_tokens,
+    _score,
+    _text_points,
     bleu,
     brevity_penalty,
     chrf,
     edit_distance,
     fit_idf,
     score_pair,
+    score_run,
     semantic_similarity,
     ter,
 )
 from bteval.corpus import parse_corpus
 from bteval.pipeline import BackendConfig, config_from_json, run_experiment
-from bteval.segmentation import CHARACTER, Lexicon, tokenize
+from bteval.segmentation import CHARACTER, WORD, Lexicon, segment_chars, segment_words, tokenize
 
 from conftest import FIXTURES
 
@@ -590,30 +593,60 @@ PREPARED_CONFIGS = {
 PREPARED_POOL = ("a", "b", "ab", "的", "化学", "工程", "化学工程", "a b")
 
 
+def at_level(level, words):
+    """The scoring tokens of a word sequence: its whitespace-free characters at
+    the character level, the words themselves otherwise."""
+    return list("".join(words).replace(" ", "")) if level == CHARACTER else list(words)
+
+
 @st.composite
-def reference_and_candidates(draw):
-    """One reference and several candidates, including the empty one, ones shorter
-    than every order, one sharing only a prefix, and the reference itself."""
+def word_case(draw):
+    """A config, and one reference and several candidates as words, including
+    the empty one, ones shorter than every order, one sharing only a prefix,
+    and the reference itself."""
     config = PREPARED_CONFIGS[draw(st.sampled_from(sorted(PREPARED_CONFIGS)))]
     tokens = st.sampled_from(PREPARED_POOL)
     ref = draw(st.lists(tokens, min_size=1, max_size=30))
     cands = draw(st.lists(st.lists(tokens, max_size=30), min_size=1, max_size=5))
     cands += [[], ref[:1], ref[:3], list(ref), ref + ref[:2]]
-    if config.level == CHARACTER:
-        ref = list("".join(ref).replace(" ", ""))
-        cands = [list("".join(c).replace(" ", "")) for c in cands]
     return config, ref, cands
 
 
 @st.composite
+def reference_and_candidates(draw):
+    """A word case's reference and candidates at its config's scoring level."""
+    config, ref, cands = draw(word_case())
+    return config, at_level(config.level, ref), [at_level(config.level, c) for c in cands]
+
+
+@st.composite
 def batches(draw):
-    """One to four references, each with its own candidates, scored as one batch."""
-    cases = [draw(reference_and_candidates()) for _ in range(draw(st.integers(1, 4)))]
-    config = cases[0][0]
-    if config.level == CHARACTER:  # every reference of a batch is at one level
-        cases = [(config, list("".join(ref).replace(" ", "")),
-                  [list("".join(c).replace(" ", "")) for c in cands]) for _, ref, cands in cases]
-    return config, [(ref, cands) for _, ref, cands in cases]
+    """One to four (reference words, [candidate words]) groups, scored as one
+    batch at the first one's config."""
+    cases = [draw(word_case()) for _ in range(draw(st.integers(1, 4)))]
+    return cases[0][0], [(ref, cands) for _, ref, cands in cases]
+
+
+def at_scoring_level(config, groups):
+    return [(at_level(config.level, ref), [at_level(config.level, c) for c in cands])
+            for ref, cands in groups]
+
+
+def score_groups(config, groups, idf):
+    """_score over (reference words, [candidate words]) groups at the config's
+    level, with the IdfModel idf over the scoring tokens."""
+    refs = [ref for ref, _ in groups]
+    cands = [cand for _, group in groups for cand in group]
+    cand_ref = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
+
+    def packed(seqs):
+        return _pack(seqs[:len(refs)]), _pack(seqs[len(refs):])
+
+    tokens, vocab = _interned(*(at_level(config.level, seq) for seq in refs + cands))
+    words, _ = _interned(*refs, *cands)
+    chars = [_text_points(seq) for seq in refs + cands]
+    return _score(packed(tokens), packed(chars), packed(words), cand_ref, config,
+                  _idf_of(idf, vocab))
 
 
 def batched_matches(groups, top):
@@ -625,14 +658,16 @@ def batched_matches(groups, top):
 @settings(max_examples=300, deadline=None)
 def test_batch_scorer_equals_per_pair_oracles(case):
     config, groups = case
-    idf = fit_idf([ref for ref, _ in groups] + [c for _, cands in groups for c in cands])
-    scored = iter(_score_tokens(groups, config, idf))
-    for ref, cands in groups:
-        for cand in cands:
+    scoring = at_scoring_level(config, groups)
+    idf = fit_idf([ref for ref, _ in scoring] + [c for _, cands in scoring for c in cands])
+    scored = iter(score_groups(config, groups, idf))
+    for (ref, cands), (ref_tokens, cand_tokens) in zip(groups, scoring):
+        for cand, tokens in zip(cands, cand_tokens):
             vector, similarity = next(scored)
-            expected = hexed(pair_score_tokens(cand, ref, config, idf))
+            expected = hexed(pair_score_tokens(tokens, ref_tokens, config, idf))
             assert hexed(vector) == expected
-            assert hexed(_score_tokens([(ref, [cand])], config, idf)[0][0]) == expected
+            assert hexed(score_groups(config, [(ref, [cand])], idf)[0][0]) == expected
+            # the verbatim similarity reads the words at either level
             assert similarity.hex() == pair_bleu(cand, ref, BleuConfig()).hex()
     assert next(scored, None) is None
 
@@ -641,6 +676,7 @@ def test_batch_scorer_equals_per_pair_oracles(case):
 @settings(max_examples=300, deadline=None)
 def test_batched_matches_equal_per_pair_clipping(case):
     config, groups = case
+    groups = at_scoring_level(config, groups)
     words = batched_matches(groups, 4)
     assert words.shape == (sum(len(cands) for _, cands in groups), 5)
     expected = [row for ref, cands in groups
@@ -712,10 +748,29 @@ def test_batch_scorer_rejects_empty_reference():
     idf = fit_idf([["a"], ["b"]])
     for ref in ([], [" "]):
         with pytest.raises(MetricError, match="reference must be non-empty"):
-            _score_tokens([(ref, [["a"]])], ScoringConfig(), idf)
+            score_groups(ScoringConfig(), [(ref, [["a"]])], idf)
         # one empty reference anywhere in a batch
         with pytest.raises(MetricError, match="reference must be non-empty"):
-            _score_tokens([(["a"], [["a"]]), (ref, [["b"]])], ScoringConfig(), idf)
+            score_groups(ScoringConfig(), [(["a"], [["a"]]), (ref, [["b"]])], idf)
+    with pytest.raises(MetricError, match="reference must be non-empty"):
+        next(score_run(["a", " "], [("a", ["a"]), (" ", ["b"])], ScoringConfig(), None, {}, {}))
+
+
+@pytest.mark.parametrize("level", [WORD, CHARACTER])
+def test_score_run_verbatim_similarity_is_word_bleu_at_either_level(level):
+    originals = [s.text for s in parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")][:6]
+    groups = [(text, [text, text[::-1], text[:len(text) // 2], text[3:] + text[:3]])
+              for text in originals]
+    scored = score_run(originals, groups, ScoringConfig(level=level), None, {}, {})
+    word_bleus, char_bleus = [], []
+    for ref, cands in groups:
+        for cand in cands:
+            _, similarity, _, _ = next(scored)
+            word_bleus.append(pair_bleu(segment_words(cand), segment_words(ref), BleuConfig()))
+            char_bleus.append(pair_bleu(segment_chars(cand), segment_chars(ref), BleuConfig()))
+            assert similarity.hex() == word_bleus[-1].hex()
+    assert next(scored, None) is None
+    assert word_bleus != char_bleus  # the two levels' BLEU tell apart
 
 
 def test_scores_sum_left_to_right_on_every_interpreter():

@@ -683,8 +683,8 @@ def test_run_experiment_reads_word_level_verbatim_from_the_batch(monkeypatch, sc
     for module in (metrics, pipeline):
         monkeypatch.setattr(module, "bleu", counting)
     _, records, _ = run_experiment(cnki_head(4), NOISY, r=2, scoring=scoring, master_seed=5)
-    # only a character-level run reads its flag from a second, word-level table
-    assert len(calls) == (len(records) if scoring.level == "character" else 0)
+    # the batch scores the verbatim similarity from its word ids at either level
+    assert records and not calls
 
 
 def test_run_experiment_character_idf_fits_character_documents():

@@ -522,6 +522,15 @@ def test_shapiro_range_rejected():
         shapiro_wilk([1.0, 2.0])
 
 
+def test_shapiro_polynomial_sums_left_to_right():
+    # a u = 1/sqrt(n) whose left-to-right sum differs from the exactly rounded
+    # one, which Python 3.12's compensated sum() comes close to
+    u = 1.0 / math.sqrt(6)
+    terms = [c * u ** (i + 1) for i, c in enumerate(stats_module._SW_C1)]
+    assert stats_module._sw_poly(stats_module._SW_C1, u).hex() == "0x1.19ba09dc2a541p-6"
+    assert math.fsum(terms).hex() == "0x1.19ba09dc2a540p-6"
+
+
 def test_shapiro_matches_scipy():
     rng = np.random.default_rng(41)
     for n in (4, 7, 11, 12, 35, 200):
