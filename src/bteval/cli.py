@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -117,8 +117,12 @@ def _read_json(path, what: str) -> dict:
 
 
 def _scoring_from_path(path: str) -> ScoringConfig:
+    """A run config's scoring (the default if it has none), or a bare scoring object;
+    their key sets are disjoint, so any run config key marks a run config."""
     data = _read_json(path, "config")
-    return pipeline_mod.config_from_json(ScoringConfig, data.get("scoring", data), "scoring")
+    if any(f.name in data for f in fields(pipeline_mod.RunConfig)):
+        return pipeline_mod.config_from_json(pipeline_mod.RunConfig, data, "run config").scoring
+    return pipeline_mod.config_from_json(ScoringConfig, data, "scoring")
 
 
 def _unit_interval(closed: bool):
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original")
     p.add_argument("candidate")
     p.add_argument("--lexicon")
-    p.add_argument("--config", help="JSON file with a scoring block")
+    p.add_argument("--config", help="run config, or a bare scoring object")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("validate", help="validate a JSONL corpus")

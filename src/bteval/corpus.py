@@ -72,22 +72,26 @@ class Corpus:
         return self.samples[i]
 
 
-def _parse_record(data: dict, lineno: int) -> TextSample:
+def _parse_record(data: dict, where: str) -> TextSample:
     for key in ("id", "domain", "text"):
         if key not in data:
-            raise CorpusError(f"line {lineno}: missing field {key!r}")
+            raise CorpusError(f"{where}: missing field {key!r}")
+        if not isinstance(data[key], str):
+            raise CorpusError(f"{where}: field {key!r} must be a string")
+    if not isinstance(data.get("title"), (str, type(None))):
+        raise CorpusError(f"{where}: field 'title' must be a string or null")
     extra = {k: v for k, v in data.items() if k not in _KNOWN_FIELDS}
     try:
         return TextSample(
-            id=str(data["id"]),
-            domain=str(data["domain"]),
-            text=str(data["text"]),
+            id=data["id"],
+            domain=data["domain"],
+            text=data["text"],
             title=data.get("title"),
             variant=data.get("variant", UNKNOWN),
             extra=extra,
         )
     except CorpusError as exc:
-        raise CorpusError(f"line {lineno}: {exc}") from exc
+        raise CorpusError(f"{where}: {exc}") from exc
 
 
 def parse_corpus(path: str | Path) -> Corpus:
@@ -109,7 +113,7 @@ def parse_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(data, dict):
             raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
-        sample = _parse_record(data, lineno)
+        sample = _parse_record(data, f"{path}: line {lineno}")
         if sample.id in seen:
             raise CorpusError(
                 f"{path}: line {lineno}: duplicate id {sample.id!r} "

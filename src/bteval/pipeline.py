@@ -627,7 +627,7 @@ def run_experiment(
                 batches.append(map(_roundtrip, *legs))
         for batch in batches:
             records.extend(batch)
-        batches.clear()  # the drained maps hold the backends, and the mocks' memos, until cleared
+        batches.clear()  # the drained maps hold the backends until cleared
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     scored = [rec for rec in records if rec.error is None]

@@ -64,6 +64,10 @@ class ScoreMatrix:
             raise StatsError(f"values shape {self.values.shape} != design {expected}")
         if len(self.block_ids) != self.design.n or len(self.treatment_ids) != self.design.k:
             raise StatsError("label lengths must match the design")
+        for name, ids in (("block_ids", self.block_ids), ("treatment_ids", self.treatment_ids)):
+            if len(set(ids)) != len(ids):
+                repeated = sorted({i for i in ids if ids.count(i) > 1})
+                raise StatsError(f"{name} must be unique, found {repeated} more than once")
 
     def missing_fraction(self) -> float:
         return float(np.isnan(self.values).mean())
@@ -374,7 +378,10 @@ def shapiro_wilk(sample) -> StatTestResult:
     if xs[0] == xs[-1]:
         raise StatsError("zero variance sample")
 
-    m = np.array([tails.normal_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
+    # imported here: no run path calls shapiro_wilk, and statistics costs 4-6 ms to import
+    from statistics import NormalDist
+    ppf = NormalDist().inv_cdf
+    m = np.array([ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     msq = float(m @ m)
     u = 1.0 / math.sqrt(n)
     weights = m / math.sqrt(msq)

@@ -1,11 +1,11 @@
 """Tail probabilities for the chi-square, normal, t, and F distributions.
 
-Everything is built from three primitives: the regularized incomplete
-gamma function (series below the a+1 switchover, Lentz continued fraction
-above), the complementary error function (derived from the gamma
-primitive), and the regularized incomplete beta function (continued
-fraction, with the symmetry switch at x = (a+1)/(a+2)). Accuracy is
-roughly 1e-12 over the parameter ranges a rank test ever produces.
+Everything is built from three primitives: the regularized upper
+incomplete gamma function (series below the a+1 switchover, Lentz continued
+fraction above), the complementary error function (that gamma at a = 1/2,
+and 2 - erfc(-x) below zero), and the regularized incomplete beta function
+(continued fraction, with the symmetry switch at x = (a+1)/(a+2)). Accuracy
+is roughly 1e-12 over the parameter ranges a rank test ever produces.
 """
 
 from __future__ import annotations
@@ -56,19 +56,6 @@ def _gamma_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def reg_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = 1 - P(a, x), computed on whichever side converges."""
     if a <= 0.0:
@@ -83,9 +70,9 @@ def reg_upper_gamma(a: float, x: float) -> float:
 
 
 def erfc(x: float) -> float:
-    if x >= 0.0:
-        return reg_upper_gamma(0.5, x * x) if x > 0.0 else 1.0
-    return 1.0 + reg_lower_gamma(0.5, x * x)
+    if x < 0.0:
+        return 2.0 - erfc(-x)
+    return 1.0 if x == 0.0 else reg_upper_gamma(0.5, x * x)  # NaN stays NaN
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -173,40 +160,3 @@ def f_sf(f: float, df1: float, df2: float) -> float:
     if f <= 0.0:
         return 1.0
     return reg_inc_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
-
-
-# Acklam's rational approximation to the normal quantile, polished with one
-# Halley step against erfc so the result is good to close to machine precision.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def normal_ppf(p: float) -> float:
-    """Quantile of the standard normal distribution."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # Halley refinement
-    e = 0.5 * erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,45 @@ def test_score_lyric_fixture_band(capsys):
     assert abs(json.loads(out)["bleu"] - 0.7602) <= 0.15
 
 
+HUA_YAO = [str(FIXTURES / "hua_yao" / "original.txt"), str(FIXTURES / "hua_yao" / "deepseek_v3.txt")]
+CHARACTER = {"level": "character"}
+RUN_KEYS = {"corpus": "c.jsonl", "backends": [{"id": "m", "kind": "mock", "model_name": "identity"}]}
+
+
+def score_with_config(capsys, tmp_path, config):
+    path = tmp_path / "score.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return invoke(capsys, "score", *HUA_YAO, "--config", str(path))
+
+
+@pytest.mark.parametrize("config, scoring", [
+    (CHARACTER, CHARACTER),
+    ({**RUN_KEYS, "scoring": CHARACTER}, CHARACTER),
+    (RUN_KEYS, {}),
+], ids=["bare-scoring", "run-config", "run-config-without-scoring"])
+def test_score_config_reads_a_scoring_object_or_a_run_config(capsys, tmp_path, config, scoring):
+    code, out, err = score_with_config(capsys, tmp_path, config)
+    assert code == EXIT_OK and err == ""
+    original, candidate = (Path(p).read_text(encoding="utf-8").strip() for p in HUA_YAO)
+    vectors = {level: asdict(metrics.score_pair(original, candidate, segmentation.default_lexicon(),
+                                                metrics.ScoringConfig(level=level)))
+               for level in ("word", "character")}
+    assert vectors["word"] != vectors["character"]
+    assert json.loads(out) == vectors[scoring.get("level", "word")]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**RUN_KEYS, "scoring": {"level": "glyph"}}, "level"),
+    ({**RUN_KEYS, "scoring": {"chrf_bta": 2}}, "chrf_bta"),
+    ({**RUN_KEYS, "scoring": []}, "scoring must be a JSON object"),
+    ({**CHARACTER, "corpus": "c.jsonl"}, "unknown run config keys: ['level']"),
+], ids=["bad-level", "unknown-scoring-field", "scoring-array", "scoring-key-beside-run-keys"])
+def test_score_config_with_an_invalid_scoring_block_exits_2(capsys, tmp_path, config, message):
+    code, out, err = score_with_config(capsys, tmp_path, config)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_score_empty_candidate_no_partial_json(capsys, tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("原文", encoding="utf-8")
@@ -117,6 +157,15 @@ def test_validate_shipped_corpus(capsys):
     assert code == EXIT_OK
     assert out == ""  # clean corpus: no warnings on stdout
     assert "89 samples" in err
+
+
+def test_validate_corpus_with_a_null_text_exits_2(capsys, tmp_path):
+    path = tmp_path / "null.jsonl"
+    path.write_text('{"id": "a", "domain": "d", "text": null}\n', encoding="utf-8")
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "null.jsonl: line 1: field 'text' must be a string" in err
+    assert "Traceback" not in err
 
 
 def test_validate_missing_file_exits_2(capsys):
@@ -492,6 +541,8 @@ def test_stats_missing_matrix_exits_2(capsys, tmp_path):
 
 ONE_CELL = ('{"metric": "bleu", "design": {"n": 1, "k": 1, "r": 1}, "block_ids": ["b"], '
             '"treatment_ids": ["x"], "values": [[[0.5]]]}')
+TWO_BY_TWO = ('{"metric": "bleu", "design": {"n": 2, "k": 2, "r": 1}, "block_ids": ["a", "b"], '
+              '"treatment_ids": ["x", "y"], "values": [[[0.1], [0.2]], [[0.3], [0.4]]]}')
 
 
 @pytest.mark.parametrize("content, message", [
@@ -507,9 +558,12 @@ ONE_CELL = ('{"metric": "bleu", "design": {"n": 1, "k": 1, "r": 1}, "block_ids":
     (ONE_CELL.replace('["x"]', "[5]"), "malformed matrix file"),
     (ONE_CELL.replace("0.5", "true"), "must be numbers or null, found ['bool']"),
     (ONE_CELL.replace("0.5", '"0.5"'), "must be numbers or null, found ['str']"),
+    (TWO_BY_TWO.replace('["x", "y"]', '["x", "x"]'), "treatment_ids must be unique, found ['x']"),
+    (TWO_BY_TWO.replace('["a", "b"]', '["a", "a"]'), "block_ids must be unique, found ['a']"),
 ], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit",
         "metric-array", "metric-number", "metric-null", "block-ids-string",
-        "treatment-id-number", "cell-bool", "cell-string"])
+        "treatment-id-number", "cell-bool", "cell-string", "treatment-id-repeated",
+        "block-id-repeated"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")

@@ -69,6 +69,21 @@ def test_parse_missing_field(tmp_path):
         parse_corpus(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("text", None, "field 'text' must be a string"),
+    ("text", ["元素", "观点"], "field 'text' must be a string"),
+    ("id", 5, "field 'id' must be a string"),
+    ("domain", {"name": "d"}, "field 'domain' must be a string"),
+    ("title", 3, "field 'title' must be a string or null"),
+], ids=["null-text", "list-text", "int-id", "object-domain", "int-title"])
+def test_parse_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value, message):
+    path = tmp_path / "typed.jsonl"
+    write_jsonl(path, [{"id": "a", "domain": "d", "text": "正文"},
+                       {"id": "b", "domain": "d", "text": "文字", field: value}])
+    with pytest.raises(CorpusError, match=f"line 2: {message}"):
+        parse_corpus(path)
+
+
 def test_round_trip_preserves_unknown_fields(tmp_path):
     path = tmp_path / "extra.jsonl"
     write_jsonl(path, [

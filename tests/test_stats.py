@@ -533,7 +533,7 @@ def test_shapiro_polynomial_sums_left_to_right():
 
 def test_shapiro_matches_scipy():
     rng = np.random.default_rng(41)
-    for n in (4, 7, 11, 12, 35, 200):
+    for n in (4, 7, 11, 12, 35, 200, 5000):
         sample = rng.normal(size=n)
         mine = shapiro_wilk(sample)
         ref = sps.shapiro(sample)

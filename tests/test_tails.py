@@ -48,8 +48,8 @@ def test_gamma_series_cf_switchover_continuity():
     # both branches meet at x = a + 1 without a jump
     for a in (0.5, 1.0, 3.5, 44.0):
         x = a + 1.0
-        below = tails.reg_lower_gamma(a, x - 1e-9)
-        above = tails.reg_lower_gamma(a, x + 1e-9)
+        below = tails.reg_upper_gamma(a, x - 1e-9)
+        above = tails.reg_upper_gamma(a, x + 1e-9)
         assert below == pytest.approx(above, abs=1e-7)
 
 
@@ -61,19 +61,11 @@ def test_erf_symmetry_and_complement():
         assert tails.normal_sf(-x) + tails.normal_sf(x) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_normal_ppf_inverts_cdf():
-    # the lower tail at z is the upper tail at -z
-    for p in (1e-10, 1e-5, 0.01, 0.3, 0.5, 0.8, 0.999, 1 - 1e-9):
-        assert tails.normal_sf(-tails.normal_ppf(p)) == pytest.approx(p, rel=1e-9, abs=1e-12)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         tails.chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         tails.reg_inc_beta(1.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        tails.normal_ppf(0.0)
 
 
 def test_edge_values():
@@ -82,3 +74,4 @@ def test_edge_values():
     assert tails.reg_inc_beta(2.0, 3.0, 0.0) == 0.0
     assert tails.reg_inc_beta(2.0, 3.0, 1.0) == 1.0
     assert math.isclose(tails.normal_sf(0.0), 0.5)
+    assert math.isnan(tails.erfc(math.nan)) and math.isnan(tails.normal_sf(math.nan))
