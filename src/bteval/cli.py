@@ -149,6 +149,9 @@ def cmd_run(args) -> int:
     loaded = corpus_mod.parse_corpus(_require_file(config.corpus, "corpus"))
     lexicon = _load_lexicon_arg(config.lexicon)
     table = _load_variant_table_arg(config.variant_table)
+    for backend in config.backends:
+        if backend.kind == "http_llm":
+            pipeline_mod.api_key(backend)  # a bad key exits 2 before --out exists
     out_dir = _out_dir(args.out)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
@@ -202,16 +205,19 @@ def _emit_stats(matrices, out_dir: Path, alpha: float,
     return batteries
 
 
-def _emit_report(matrices, out_dir: Path) -> None:
-    """Summaries, metric correlations and the plot bundle."""
+def _emit_report(matrices, out) -> Path:
+    """Summaries, metric correlations and the plot bundle, written to the directory out
+    (created only once all of them are computed); returns that directory."""
     summarized = {name: m for name, m in matrices.items() if m.observations().size}
     for name in sorted(set(matrices) - set(summarized)):
         print(f"summary skipped for {name}: matrix has no observations", file=sys.stderr)
     correlations = report_mod.metric_correlations(matrices)
     summaries = report_mod.summarize_all(summarized)
+    out_dir = _out_dir(out)
     report_mod.emit_summaries_csv(summaries, out_dir / "summaries.csv")
     report_mod.emit_correlations_csv(correlations, out_dir / "correlations.csv")
     report_mod.emit_plot_data(matrices, correlations, summaries, out_dir / "plot_bundle.json")
+    return out_dir
 
 
 def _load_matrices(paths) -> dict:
@@ -258,8 +264,7 @@ def cmd_report(args) -> int:
         raise CliError(f"no matrix_*.json files in {args.run_dir}")
     matrices = _load_matrices(paths)
     _require_one_grid(paths, matrices)
-    out_dir = _out_dir(args.out or run_dir)
-    _emit_report(matrices, out_dir)
+    out_dir = _emit_report(matrices, args.out or run_dir)
     print(f"report written to {out_dir}", file=sys.stderr)
     return EXIT_OK
 

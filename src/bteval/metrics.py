@@ -31,6 +31,7 @@ from .segmentation import (
 
 TECHNICAL_WEIGHTS = (0.5, 0.5, 0.0, 0.0)
 UNIFORM_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
+MAX_CHRF_ORDER = 32  # chrF's n-gram arrays grow with the order; 6 is the usual one
 
 
 class MetricError(ValueError):
@@ -97,6 +98,8 @@ class ScoringConfig:
             raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
         if not isinstance(self.chrf_max_n, int) or self.chrf_max_n < 1:
             raise MetricError(f"chrf_max_n must be an integer >= 1, not {self.chrf_max_n!r}")
+        if self.chrf_max_n > MAX_CHRF_ORDER:
+            raise MetricError(f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {self.chrf_max_n!r}")
         if not (self.chrf_beta > 0 and math.isfinite(self.chrf_beta * self.chrf_beta)):
             raise MetricError(f"chrf_beta must be > 0 with a finite square, not {self.chrf_beta!r}")
         for weights in (self.bleu_weights, self.bleu_unif_weights):

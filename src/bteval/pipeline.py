@@ -13,19 +13,17 @@ from __future__ import annotations
 import datetime as _dt
 import functools
 import hashlib
-import http.client
 import json
 import math
 import os
 import queue
 import random
-import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -57,6 +55,11 @@ ZH_TO_EN = "zh_to_en"
 EN_TO_ZH = "en_to_zh"
 
 DEFAULT_VERBATIM_THRESHOLD = 0.70
+
+# Size caps checked when a config loads: a larger value would allocate or start
+# threads without bound before any request is made.
+MAX_REPETITIONS = 1000
+MAX_WORKERS = 64
 
 # Instruction phrasings rotated across repetitions; {text} is the payload slot.
 PROMPT_VARIANTS = {
@@ -126,12 +129,16 @@ class BackendConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
                 raise ConfigError(f"backend {self.id}: {name} must be an integer >= {low}")
+        if self.max_workers > MAX_WORKERS:
+            raise ConfigError(f"backend {self.id}: max_workers must be <= {MAX_WORKERS}")
         for name in ("rate_limit_rps", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"backend {self.id}: {name} must be > 0")
-        # a longer socket timeout or token-bucket sleep overflows the platform's time_t
+        # A longer socket timeout or rate-limiter sleep overflows the platform's time_t;
+        # a worker may wait out the send slots every other worker has reserved.
         for name, wait in (("timeout", self.timeout),
-                           ("1 / rate_limit_rps", 1 / self.rate_limit_rps)):
+                           ("max_workers / rate_limit_rps",
+                            self.max_workers / self.rate_limit_rps)):
             if not wait <= threading.TIMEOUT_MAX:
                 raise ConfigError(
                     f"backend {self.id}: {name} must be <= {threading.TIMEOUT_MAX:.0f} s")
@@ -194,27 +201,23 @@ def derive_seed(master_seed: int, sample_id: str, backend_id: str, repetition: i
 
 
 class TokenBucket:
-    """Blocking token bucket; one bucket per HTTP backend."""
+    """Blocking rate limiter, one per HTTP backend: each acquire reserves the next send
+    slot, 1 / rate after the last one reserved and never in the past, and sleeps until it."""
 
     def __init__(self, rate_per_sec: float, clock=time.monotonic, sleep=time.sleep) -> None:
         self.rate = rate_per_sec
         self._clock = clock
         self._sleep = sleep
-        self._tokens = 1.0
-        self._last = clock()
+        self._next = clock()
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
+        with self._lock:
+            now = self._clock()
+            start = max(now, self._next)
+            self._next = start + 1.0 / self.rate
+        if start > now:
+            self._sleep(start - now)
 
 
 def _template_for(config: BackendConfig, direction: str, variant: int) -> str:
@@ -327,6 +330,31 @@ class NoiseMock:
         return " ".join(kept) if direction == ZH_TO_EN else "".join(kept)
 
 
+def api_key(config: BackendConfig) -> str | None:
+    """The key an http_llm backend sends, read once from the variable its api_key_env names.
+
+    None when api_key_env is null. An unset or empty variable is a ConfigError, as is a
+    value no HTTP header may carry: CR, LF or NUL (RFC 9110 section 5.5), or a character
+    outside Latin-1, the encoding http.client sends header values in. Errors never show the key.
+    """
+    if config.api_key_env is None:
+        return None
+    where = f"backend {config.id}: api_key_env variable {config.api_key_env!r}"
+    try:
+        key = os.environ.get(config.api_key_env)
+    except ValueError:  # a name the environment cannot hold, such as a lone surrogate
+        key = None
+    if not key:
+        raise ConfigError(f"{where} is unset or empty")
+    if any(ch in key for ch in "\r\n\0"):
+        raise ConfigError(f"{where} holds a CR, LF or NUL, which no HTTP header may carry")
+    try:
+        key.encode("latin-1")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{where} holds a character outside Latin-1") from None
+    return key
+
+
 class HttpBackend:
     """Chat-completion (or raw text) endpoint with retries and rate limiting.
 
@@ -339,7 +367,15 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep) -> None:
+        import http.client  # imported here: only a run with an http_llm backend needs them
+        import ssl
+
         self.config = config
+        key = api_key(config)
+        self._headers = {"Content-Type": "text/plain; charset=utf-8"
+                         if config.wire_format == "raw" else "application/json"}
+        if key is not None:
+            self._headers["Authorization"] = f"Bearer {key}"
         parts = urlsplit(config.endpoint)
         if parts.scheme == "https":
             self._connect = functools.partial(
@@ -350,6 +386,7 @@ class HttpBackend:
                 http.client.HTTPConnection, parts.hostname, parts.port or http.client.HTTP_PORT,
                 timeout=config.timeout)
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._transport_errors = (OSError, http.client.HTTPException)
         self._idle: queue.SimpleQueue = queue.SimpleQueue()
         self._sleep = sleep
         self._bucket = TokenBucket(config.rate_limit_rps, sleep=sleep)
@@ -362,18 +399,10 @@ class HttpBackend:
             except queue.Empty:
                 return
 
-    def _headers(self, content_type: str) -> dict:
-        headers = {"Content-Type": content_type}
-        key = os.environ.get(self.config.api_key_env) if self.config.api_key_env else None
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         prompt = _template_for(self.config, direction, variant).replace("{text}", text)
         if self.config.wire_format == "raw":
             body = prompt.encode("utf-8")
-            headers = self._headers("text/plain; charset=utf-8")
         else:
             payload = {
                 "model": self.config.model_name,
@@ -382,15 +411,14 @@ class HttpBackend:
                 "seed": seed,
             }
             body = json.dumps(payload, allow_nan=False).encode()
-            headers = self._headers("application/json")
         # retry jitter derives from the request seed so the schedule replays
         jitter_rng = random.Random(seed * 4 + 3)
         last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
             self._bucket.acquire()
             try:
-                status, reply_headers, reply = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                status, reply_headers, reply = self._post(body)
+            except self._transport_errors as exc:
                 last_error = f"transport error: {exc}"
             else:
                 if 200 <= status < 300:
@@ -404,7 +432,7 @@ class HttpBackend:
                 self._sleep((2 ** attempt) * 0.5 + jitter_rng.random() * 0.1)
         raise BackendError(f"{self.config.id}: {last_error}")
 
-    def _post(self, body: bytes, headers: dict):
+    def _post(self, body: bytes):
         """One POST over a pooled connection: (status, headers, body bytes)."""
         try:
             conn = self._idle.get_nowait()
@@ -413,7 +441,7 @@ class HttpBackend:
         reused = conn.sock is not None
         try:
             try:
-                conn.request("POST", self._target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             except (ConnectionResetError, BrokenPipeError):
                 # RemoteDisconnected is a ConnectionResetError: the server closed
@@ -421,7 +449,7 @@ class HttpBackend:
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self._target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             reply = response.read()
         except BaseException:
@@ -505,9 +533,11 @@ def _roundtrip(backend, config: BackendConfig, sample: TextSample, repetition: i
 
 
 def check_run_design(backends: list[BackendConfig], r: int) -> None:
-    """A run needs at least one repetition and one id per backend."""
+    """A run needs 1 to MAX_REPETITIONS repetitions and one id per backend."""
     if r < 1:
         raise ConfigError("repetitions must be >= 1")
+    if r > MAX_REPETITIONS:
+        raise ConfigError(f"repetitions must be <= {MAX_REPETITIONS}")
     if len({b.id for b in backends}) != len(backends):
         raise ConfigError("backend ids must be unique within a run")
 
@@ -601,33 +631,32 @@ def run_experiment(
     corpus or configuration problems abort the run.
     """
     check_run_design(backends, r)
-    samples = [sample for sample in corpus for _ in range(r)]
-    reps = [rep for _ in corpus for rep in range(1, r + 1)]
-    records: list[TranslationRecord] = []
     # each original's word segmentation, made once and shared by the mocks' forward legs and the scorer
     words: dict[str, TokenList] = {}
     with ExitStack() as stack:
-        batches = []
+        # every backend, and each HTTP backend's pool, is made before any leg starts
+        instances, pools = dict(backend_instances or {}), {}
         for config in backends:
-            if backend_instances and config.id in backend_instances:
-                backend = backend_instances[config.id]
-            else:
-                backend = make_backend(config, lexicon, words)
+            if config.id not in instances:
+                instances[config.id] = make_backend(config, lexicon, words)
                 if config.kind == "http_llm":
-                    stack.callback(backend.close)
-            legs = (repeat(backend), repeat(config), samples, reps, repeat(master_seed))
-            # Every HTTP backend's pool starts before any is drained, so the backends
-            # wait on I/O together; the GIL-bound mocks run inline as they are drained.
-            # A run that raises while draining drops the legs not yet started.
+                    stack.callback(instances[config.id].close)
             if config.kind == "http_llm":
-                pool = ThreadPoolExecutor(max_workers=config.max_workers)
-                stack.callback(pool.shutdown, cancel_futures=True)
-                batches.append(pool.map(_roundtrip, *legs))
-            else:
-                batches.append(map(_roundtrip, *legs))
-        for batch in batches:
-            records.extend(batch)
-        batches.clear()  # the drained maps hold the backends until cleared
+                pools[config.id] = ThreadPoolExecutor(max_workers=config.max_workers)
+                stack.callback(pools[config.id].shutdown, cancel_futures=True)
+        # Every HTTP leg is submitted before the GIL-bound mock legs run inline, so the
+        # HTTP backends wait on I/O together and while the mocks run; as_completed lets
+        # go of each future it yields. A run that raises drops the legs not yet started.
+        finished = as_completed([
+            pools[config.id].submit(_roundtrip, instances[config.id], config, sample, rep,
+                                    master_seed)
+            for config in backends if config.id in pools
+            for sample in corpus for rep in range(1, r + 1)])
+        inline = (_roundtrip(instances[config.id], config, sample, rep, master_seed)
+                  for config in backends if config.id not in pools
+                  for sample in corpus for rep in range(1, r + 1))
+        # the one place where every finished record arrives, the HTTP ones in completion order
+        records = list(chain(inline, (future.result() for future in finished)))
     records.sort(key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
 
     scored = [rec for rec in records if rec.error is None]
@@ -673,9 +702,11 @@ def run_experiment(
 
 
 def write_records(records: list[TranslationRecord], path: str | Path) -> None:
-    # TranslationRecord is flat, so vars(rec) is asdict(rec) without the deep copy
-    lines = [json.dumps(vars(rec), ensure_ascii=False) for rec in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # TranslationRecord is flat, so vars(rec) is asdict(rec) without the deep copy;
+    # line by line, so the whole log is never held as one string
+    with open(path, "w", encoding="utf-8") as handle:
+        for rec in records:
+            handle.write(json.dumps(vars(rec), ensure_ascii=False) + "\n")
 
 
 def read_records(path: str | Path) -> list[TranslationRecord]:

@@ -375,6 +375,8 @@ def shapiro_wilk(sample) -> StatTestResult:
     n = len(xs)
     if n < 3 or n > 5000:
         raise StatsError("shapiro_wilk supports 3 <= n <= 5000")
+    if not all(map(math.isfinite, xs)):
+        raise StatsError("shapiro_wilk needs finite values")
     if xs[0] == xs[-1]:
         raise StatsError("zero variance sample")
 
@@ -431,6 +433,8 @@ def levene(groups) -> StatTestResult:
         raise StatsError("levene needs at least 2 groups")
     if any(g.size < 2 for g in data):
         raise StatsError("every group needs at least 2 values")
+    if not all(np.isfinite(g).all() for g in data):
+        raise StatsError("levene needs finite values")
     devs = [np.abs(g - np.median(g)) for g in data]
     sizes = np.array([d.size for d in devs])
     total = int(sizes.sum())

@@ -132,7 +132,9 @@ def test_score_config_reads_a_scoring_object_or_a_run_config(capsys, tmp_path, c
     ({**RUN_KEYS, "scoring": {"chrf_bta": 2}}, "chrf_bta"),
     ({**RUN_KEYS, "scoring": []}, "scoring must be a JSON object"),
     ({**CHARACTER, "corpus": "c.jsonl"}, "unknown run config keys: ['level']"),
-], ids=["bad-level", "unknown-scoring-field", "scoring-array", "scoring-key-beside-run-keys"])
+    ({"chrf_max_n": 1e30}, "chrf_max_n must be <= 32"),
+], ids=["bad-level", "unknown-scoring-field", "scoring-array", "scoring-key-beside-run-keys",
+        "chrf-max-n-1e30"])
 def test_score_config_with_an_invalid_scoring_block_exits_2(capsys, tmp_path, config, message):
     code, out, err = score_with_config(capsys, tmp_path, config)
     assert code == EXIT_USAGE and out == ""
@@ -341,7 +343,8 @@ def one_http_backend(**fields):
     (one_mock_backend(timeout=0), "timeout must be > 0"),
     (one_mock_backend(timeout=1e300), "timeout must be <= 9223372036 s"),
     (one_mock_backend(timeout=float("inf")), "timeout must be <= 9223372036 s"),
-    (one_mock_backend(rate_limit_rps=1e-300), "1 / rate_limit_rps must be <= 9223372036 s"),
+    (one_mock_backend(rate_limit_rps=1e-300),
+     "max_workers / rate_limit_rps must be <= 9223372036 s"),
     (one_http_backend(endpoint="127.0.0.1:9/v1"), "must be an http or https URL"),
     (one_http_backend(endpoint="ftp://127.0.0.1/v1"), "must be an http or https URL"),
     (one_http_backend(endpoint="http:///v1"), "has no host"),
@@ -368,6 +371,11 @@ def one_http_backend(**fields):
     ({"scoring": [["level", "character"]]}, "scoring must be a JSON object"),
     (one_mock_backend(max_workers=True), "backends[0] 'max_workers' must be int, got True"),
     ({"scoring": []}, "scoring must be a JSON object, got []"),
+    (one_mock_backend(rate_limit_rps=2e-10), "max_workers / rate_limit_rps must be <= 9223372036 s"),
+    ({"repetitions": 1e308}, "repetitions must be <= 1000"),
+    ({"repetitions": 10 ** 30}, "repetitions must be <= 1000"),
+    ({"scoring": {"chrf_max_n": 1e30}}, "chrf_max_n must be <= 32"),
+    (one_mock_backend(max_workers=10 ** 30), "max_workers must be <= 64"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
         "bleu-unif-weights-length", "smoothing-epsilon-zero", "zero-repetitions",
@@ -380,7 +388,8 @@ def one_http_backend(**fields):
         "fractional-master-seed", "nan-verbatim-threshold", "traditional-threshold-above-one",
         "negative-max-missing-fraction", "int-backend-id", "int-api-key-env", "int-endpoint",
         "int-prompt-template", "int-corpus", "int-lexicon", "scoring-array", "bool-max-workers",
-        "empty-scoring-array"])
+        "empty-scoring-array", "rate-limit-slots-overflow", "repetitions-1e308",
+        "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -389,6 +398,29 @@ def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_p
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
     assert not out_dir.exists()  # a rejected run leaves no output directory behind
+
+
+@pytest.mark.parametrize("key, message", [
+    ("sk-abc\n", "holds a CR, LF or NUL"),
+    ("sk-é€", "holds a character outside Latin-1"),
+    (None, "is unset or empty"),
+], ids=["trailing-newline", "outside-latin-1", "unset"])
+def test_run_with_a_bad_api_key_exits_2_before_running(capsys, monkeypatch, tmp_path,
+                                                       tiny_corpus_path, key, message):
+    if key is None:
+        monkeypatch.delenv("BTEVAL_TEST_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("BTEVAL_TEST_API_KEY", key)
+    backends = [MOCK_BACKENDS[0], {"id": "h1", "kind": "http_llm", "model_name": "x",
+                                   "endpoint": "http://127.0.0.1:9/v1",
+                                   "api_key_env": "BTEVAL_TEST_API_KEY"}]
+    config = write_run_config(tmp_path, tiny_corpus_path, backends)
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: backend h1: api_key_env variable 'BTEVAL_TEST_API_KEY'")
+    assert message in err and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 NOT_UTF8 = "元素".encode("gbk") + b" 5\n"
@@ -658,6 +690,7 @@ def test_report_sum_past_float_max_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "sum past the largest float" in err
+    assert not (tmp_path / "o").exists()  # rejected before --out is created
 
 
 def test_report_opposite_infinities_exit_2(capsys, tmp_path):
@@ -670,6 +703,7 @@ def test_report_opposite_infinities_exit_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "both +inf and -inf" in err
+    assert not (tmp_path / "o").exists()  # rejected before --out is created
 
 
 def test_report_missing_dir_exits_2(capsys, tmp_path):
@@ -685,8 +719,10 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_import_does_not_load_requests_or_cookiejar():
+    # only an http_llm backend, once built, loads the HTTP stack
     code = ('import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
-            'assert "http.cookiejar" not in sys.modules')
+            'loaded = {"http.cookiejar", "http.client", "ssl"} & set(sys.modules); '
+            'assert not loaded, loaded')
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -397,19 +398,73 @@ def test_http_backend_sends_api_key_in_every_wire_format(monkeypatch, wire_forma
     try:
         config = http_config(server.server_address[1], wire_format=wire_format,
                              api_key_env="BTEVAL_TEST_API_KEY")
+        if key is None:  # a named variable that is unset is a config error, not a 401
+            with pytest.raises(ConfigError, match="BTEVAL_TEST_API_KEY' is unset or empty"):
+                HttpBackend(config, sleep=lambda s: None)
+            assert state.calls == 0
+            return
         backend = HttpBackend(config, sleep=lambda s: None)
+        try:
+            assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+            assert backend.translate("化学", EN_TO_ZH, seed=2, variant=0) == "译文"
+        finally:
+            backend.close()
+        assert [headers["Authorization"] for headers in state.seen_headers] == [f"Bearer {key}"] * 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("wire_format", ["chat", "raw"])
+def test_http_backend_without_api_key_env_sends_no_authorization(wire_format):
+    state = StubState(body="译文", raw=wire_format == "raw")
+    server = make_stub_server(state)
+    try:
+        backend = HttpBackend(http_config(server.server_address[1], wire_format=wire_format),
+                              sleep=lambda s: None)
         try:
             assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
         finally:
             backend.close()
-        headers = state.seen_headers[-1]
-        if key is None:
-            assert "Authorization" not in headers
-        else:
-            assert headers["Authorization"] == f"Bearer {key}"
+        assert "Authorization" not in state.seen_headers[-1]
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("key, message", [
+    (None, "is unset or empty"),
+    ("", "is unset or empty"),
+    ("sk-abc\n", "holds a CR, LF or NUL"),
+    ("sk-\rabc", "holds a CR, LF or NUL"),
+    ("sk-é€", "holds a character outside Latin-1"),
+], ids=["unset", "empty", "trailing-newline", "carriage-return", "outside-latin-1"])
+def test_api_key_that_no_header_may_carry_is_a_config_error(monkeypatch, key, message):
+    if key is None:
+        monkeypatch.delenv("BTEVAL_TEST_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("BTEVAL_TEST_API_KEY", key)
+    config = http_config(9, api_key_env="BTEVAL_TEST_API_KEY")
+    with pytest.raises(ConfigError, match=message) as raised:
+        pipeline.api_key(config)
+    assert not key or key.strip() not in str(raised.value)  # the key is never shown
+
+
+def test_api_key_is_read_once_when_the_backend_is_built(monkeypatch):
+    monkeypatch.setenv("BTEVAL_TEST_API_KEY", "sk-é")  # Latin-1 is a legal header value
+    state = StubState(body="译文")
+    server = make_stub_server(state)
+    try:
+        config = http_config(server.server_address[1], api_key_env="BTEVAL_TEST_API_KEY")
+        backend = HttpBackend(config, sleep=lambda s: None)
+        monkeypatch.setenv("BTEVAL_TEST_API_KEY", "sk-changed")
+        try:
+            assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+        finally:
+            backend.close()
+    finally:
+        stop(server)
+    assert state.seen_headers[-1]["Authorization"] == "Bearer sk-\xe9"  # as Latin-1 bytes
 
 
 def test_http_backend_unreachable_raises_backend_error():
@@ -575,6 +630,31 @@ def test_token_bucket_with_fake_clock():
     assert waits == pytest.approx([0.5, 0.5])
 
 
+def test_token_bucket_gives_each_concurrent_acquire_its_own_slot():
+    # the clock stands still, so every acquire after the first waits for its own slot;
+    # a lost update under contention would hand two threads one slot
+    waits, lock = [], threading.Lock()
+
+    def sleep(duration):
+        with lock:
+            waits.append(duration)
+
+    bucket = TokenBucket(rate_per_sec=4.0, clock=lambda: 0.0, sleep=sleep)
+    threads = [threading.Thread(target=lambda: [bucket.acquire() for _ in range(50)], daemon=True)
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(waits) == [i / 4.0 for i in range(1, 400)]  # one slot each, 1 / rate apart
+
+
 # ---------------------------------------------------------------- runs
 
 def test_run_experiment_single_identity_cell():
@@ -728,6 +808,52 @@ def test_run_experiment_pools_http_legs_by_max_workers(monkeypatch):
     assert len(records) == 4 and all(rec.verbatim_flag for rec in records)
 
 
+class WaitsForMock:
+    """An HTTP backend's stand-in whose legs finish only once the mock has run."""
+
+    def __init__(self, mock_ran):
+        self.mock_ran = mock_ran
+
+    def translate(self, text, direction, seed, variant):
+        if not self.mock_ran.wait(timeout=5):
+            raise BackendError("the mock did not run while this leg was in flight")
+        return text
+
+
+class SignalsItRan:
+    def __init__(self, mock_ran):
+        self.mock_ran = mock_ran
+
+    def translate(self, text, direction, seed, variant):
+        self.mock_ran.set()
+        return text
+
+
+def test_run_experiment_runs_mocks_while_http_legs_are_in_flight():
+    mock_ran = threading.Event()
+    configs = [http_config(9, id="h"), mock_config(backend_id="m")]
+    instances = {"h": WaitsForMock(mock_ran), "m": SignalsItRan(mock_ran)}
+    _, records, _ = run_experiment(tiny_corpus(), configs, r=2, master_seed=4,
+                                   backend_instances=instances)
+    assert len(records) == 8 and [rec.error for rec in records] == [None] * 8
+
+
+def test_run_experiment_checks_every_api_key_before_any_request(monkeypatch):
+    monkeypatch.setenv("BTEVAL_TEST_GOOD_KEY", "sk-good")
+    monkeypatch.setenv("BTEVAL_TEST_BAD_KEY", "sk-bad\n")
+    state = StubState()
+    server = make_stub_server(state)
+    try:
+        port = server.server_address[1]
+        configs = [http_config(port, id="a", api_key_env="BTEVAL_TEST_GOOD_KEY"),
+                   http_config(port, id="b", api_key_env="BTEVAL_TEST_BAD_KEY")]
+        with pytest.raises(ConfigError, match="BTEVAL_TEST_BAD_KEY"):
+            run_experiment(tiny_corpus(), configs, r=2)
+    finally:
+        stop(server)
+    assert state.calls == 0
+
+
 def payload_text(payload):
     """The text a chat request asks to translate: its prompt after the instruction."""
     return payload["messages"][0]["content"].rsplit("\n\n", 1)[1]
@@ -824,10 +950,12 @@ def test_http_backend_keeps_connections_alive_without_cookies():
 
 
 class SequentialPool(pipeline.ThreadPoolExecutor):
-    """The one-backend-at-a-time schedule: map drains a backend before the next starts."""
+    """The one-backend-at-a-time schedule: each leg runs when it is submitted."""
 
-    def map(self, fn, *iterables):
-        return list(super().map(fn, *iterables))
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):

@@ -520,6 +520,9 @@ def test_shapiro_constant_sample_rejected():
 def test_shapiro_range_rejected():
     with pytest.raises(StatsError):
         shapiro_wilk([1.0, 2.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StatsError, match="finite"):
+            shapiro_wilk([1.0, 2.0, bad, 3.0, 5.0])
 
 
 def test_shapiro_polynomial_sums_left_to_right():
@@ -583,6 +586,9 @@ def test_levene_duplicated_group_is_symmetric_null():
 def test_levene_rejects_small_groups():
     with pytest.raises(StatsError):
         levene([[1.0], [2.0, 3.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StatsError, match="finite"):
+            levene([[1.0, 2.0, bad], [3.0, 4.0, 5.0]])
 
 
 # ---------------------------------------------------------------- descriptive
