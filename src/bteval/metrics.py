@@ -23,9 +23,8 @@ from .segmentation import (
     WORD,
     CHARACTER,
     Lexicon,
-    TokenList,
+    Segmenter,
     code_points,
-    segment_words,
     traditional_counts,
 )
 
@@ -525,27 +524,22 @@ def score_pair(
 ) -> MetricVector:
     """All five metrics for one pair: a run of one round-trip, so the pair
     itself is the IDF's fitting corpus."""
-    return next(score_run([original], [(original, [backtranslation])], config, lexicon, {}, {}))[0]
+    return next(score_run([original], [(original, [backtranslation])], config,
+                          Segmenter(lexicon), {}))[0]
 
 
 class TokenTable:
     """A run's texts as integer ids, each distinct text segmented into words
-    once. A word's id is the number of words interned before its first
-    sighting. The scoring ids are the word ids at the word level and the
-    whitespace-free code points (chars) at the character level. Word
-    segmentations already made (a run's originals, shared with its mock
-    backends) are read from words; any other text is segmented here and not
-    kept."""
+    once, through segment. A word's id is the number of words interned before
+    its first sighting. The scoring ids are the word ids at the word level and
+    the whitespace-free code points (chars) at the character level."""
 
-    def __init__(self, texts, level: str, lexicon: Lexicon | None,
-                 words: dict[str, TokenList]) -> None:
+    def __init__(self, texts, level: str, segment: Segmenter) -> None:
         vocab: dict[str, int] = {}
         sighted = itertools.count()
         self.words: dict[str, np.ndarray] = {}
         for text in dict.fromkeys(texts):
-            tokens = words.get(text)
-            if tokens is None:
-                tokens = segment_words(text, lexicon)
+            tokens = segment(text)
             self.words[text] = np.fromiter(map(vocab.setdefault, tokens, sighted), np.int64,
                                            len(tokens))
         self.chars = {text: code_points("".join(text.split())) for text in self.words}
@@ -560,19 +554,18 @@ class TokenTable:
         return _gather(keys, _idf_weights(len(documents), df))
 
 
-def score_run(originals: list[str], groups, config: ScoringConfig, lexicon: Lexicon | None,
-              words: dict[str, TokenList], variant_table: dict[str, str]
-              ) -> Iterator[tuple[MetricVector, float, int, int]]:
+def score_run(originals: list[str], groups, config: ScoringConfig, segment: Segmenter,
+              variant_table: dict[str, str]) -> Iterator[tuple[MetricVector, float, int, int]]:
     """Per back-translation of each (original, [back-translations]) group, in
     order: its five metrics, its verbatim similarity (as _score gives it), and
     its Han and traditional-only character counts.
 
-    The texts are interned into one TokenTable, reading the word segmentations
-    already made from words, and the IDF is fit on every original plus every
-    back-translation. Consecutive groups share a batch while its candidates,
-    each counted as long as the longest, stay within _BATCH_SYMBOLS symbols."""
+    The texts are interned into one TokenTable through segment, and the IDF is
+    fit on every original plus every back-translation. Consecutive groups share
+    a batch while its candidates, each counted as long as the longest, stay
+    within _BATCH_SYMBOLS symbols."""
     texts = [*originals, *(cand for _, cands in groups for cand in cands)]
-    table = TokenTable(texts, config.level, lexicon, words)
+    table = TokenTable(texts, config.level, segment)
     idf = table.idf(texts)
     batch: list = []
     count = longest = 0

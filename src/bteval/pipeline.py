@@ -20,7 +20,6 @@ import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import chain, groupby
@@ -43,8 +42,7 @@ from .metrics import (
 from .segmentation import (
     DEFAULT_TRADITIONAL_THRESHOLD,
     Lexicon,
-    TokenList,
-    default_lexicon,
+    Segmenter,
     default_variant_table,
     segment_words,
     traditional_flag,
@@ -57,9 +55,11 @@ EN_TO_ZH = "en_to_zh"
 DEFAULT_VERBATIM_THRESHOLD = 0.70
 
 # Size caps checked when a config loads: a larger value would allocate or start
-# threads without bound before any request is made.
+# threads without bound before any request is made, or, for max_retries, back off
+# for 0.5 * 2**attempt s (about 8.5 min in all at the cap) until time.sleep overflows.
 MAX_REPETITIONS = 1000
 MAX_WORKERS = 64
+MAX_RETRIES = 10
 
 # Instruction phrasings rotated across repetitions; {text} is the payload slot.
 PROMPT_VARIANTS = {
@@ -125,12 +125,12 @@ class BackendConfig:
         for name in ("drop_prob", "swap_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"backend {self.id}: {name} must lie in [0, 1]")
-        for name, low in (("max_retries", 0), ("max_workers", 1)):
+        for name, low, cap in (("max_retries", 0, MAX_RETRIES), ("max_workers", 1, MAX_WORKERS)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
                 raise ConfigError(f"backend {self.id}: {name} must be an integer >= {low}")
-        if self.max_workers > MAX_WORKERS:
-            raise ConfigError(f"backend {self.id}: max_workers must be <= {MAX_WORKERS}")
+            if value > cap:
+                raise ConfigError(f"backend {self.id}: {name} must be <= {cap}")
         for name in ("rate_limit_rps", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"backend {self.id}: {name} must be > 0")
@@ -280,43 +280,26 @@ _REVERSE_TABLE = {en: zh for zh, en in BILINGUAL_TABLE.items()}
 
 class LexiconMapperMock:
     """Bilingual token mapper: segment, map each token, join; exactly invertible.
+    segment is a run's Segmenter; a mock made outside a run keeps nothing."""
 
-    Each forward text is segmented once and kept in words, which a run shares
-    among its mocks and its scorer; threads that race on a text compute the
-    same value.
-    """
-
-    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None,
-                 words: dict[str, TokenList] | None = None) -> None:
+    def __init__(self, config: BackendConfig, segment: Segmenter | None = None) -> None:
         self.config = config
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self.words = {} if words is None else words
+        self.segment = Segmenter() if segment is None else segment
 
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         if direction == ZH_TO_EN:
-            tokens = self.words.get(text)
-            if tokens is None:
-                tokens = self.words[text] = segment_words(text, self.lexicon)
-            return " ".join([BILINGUAL_TABLE.get(t, t) for t in tokens])
+            return " ".join([BILINGUAL_TABLE.get(t, t) for t in self.segment(text)])
         return "".join(_REVERSE_TABLE.get(t, t) for t in text.split(" "))
 
 
-class NoiseMock:
+class NoiseMock(LexiconMapperMock):
     """Seeded token drop/swap noise over the mapper mock."""
 
-    def __init__(self, config: BackendConfig, lexicon: Lexicon | None = None,
-                 words: dict[str, TokenList] | None = None) -> None:
-        self.config = config
-        self.base = LexiconMapperMock(config, lexicon, words)
-
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
-        clean = self.base.translate(text, direction, seed, variant)
+        clean = super().translate(text, direction, seed, variant)
         # int-only seed material: hash() of strings is salted per process
         rng = random.Random(seed * 2 + (1 if direction == EN_TO_ZH else 0))
-        if direction == ZH_TO_EN:
-            tokens = clean.split(" ")
-        else:
-            tokens = list(segment_words(clean, self.base.lexicon).tokens)
+        tokens = clean.split(" ") if direction == ZH_TO_EN else list(self.segment(clean))
         kept = [t for t in tokens if rng.random() >= self.config.drop_prob]
         if not kept:
             kept = tokens[:1]
@@ -474,16 +457,14 @@ class HttpBackend:
         return content.strip() if isinstance(content, str) else ""
 
 
-def make_backend(config: BackendConfig, lexicon: Lexicon | None = None,
-                 words: dict[str, TokenList] | None = None):
-    """The backend for a config; the mapper and noise mocks keep their forward
-    texts' segmentations in words."""
+def make_backend(config: BackendConfig, segment: Segmenter | None = None):
+    """The backend for a config; the mapper and noise mocks segment through segment."""
     if config.kind == "mock":
         if config.model_name == "identity":
             return IdentityMock(config)
         if config.model_name == "lexicon":
-            return LexiconMapperMock(config, lexicon, words)
-        return NoiseMock(config, lexicon, words)
+            return LexiconMapperMock(config, segment)
+        return NoiseMock(config, segment)
     return HttpBackend(config)
 
 
@@ -491,7 +472,7 @@ def translate(backend, text: str, direction: str, seed: int = 0, variant: int = 
               lexicon: Lexicon | None = None) -> str:
     """One translation leg; accepts a BackendConfig or an instantiated backend."""
     if isinstance(backend, BackendConfig):
-        backend = make_backend(backend, lexicon)
+        backend = make_backend(backend, Segmenter(lexicon))
     return backend.translate(text, direction, seed, variant)
 
 
@@ -631,14 +612,15 @@ def run_experiment(
     corpus or configuration problems abort the run.
     """
     check_run_design(backends, r)
-    # each original's word segmentation, made once and shared by the mocks' forward legs and the scorer
-    words: dict[str, TokenList] = {}
+    from concurrent.futures import ThreadPoolExecutor, as_completed  # only a run needs a pool
+    # each original is segmented once, for the mocks' forward legs and the scorer
+    segment = Segmenter(lexicon, (sample.text for sample in corpus))
     with ExitStack() as stack:
         # every backend, and each HTTP backend's pool, is made before any leg starts
         instances, pools = dict(backend_instances or {}), {}
         for config in backends:
             if config.id not in instances:
-                instances[config.id] = make_backend(config, lexicon, words)
+                instances[config.id] = make_backend(config, segment)
                 if config.kind == "http_llm":
                     stack.callback(instances[config.id].close)
             if config.kind == "http_llm":
@@ -669,7 +651,7 @@ def run_experiment(
               for zhx, group in groupby(scored, key=attrgetter("zhx"))]
     if variant_table is None:
         variant_table = default_variant_table()
-    results = score_run([s.text for s in corpus], groups, scoring, lexicon, words, variant_table)
+    results = score_run([s.text for s in corpus], groups, scoring, segment, variant_table)
     for rec, (vector, similarity, han, traditional) in zip(scored, results):
         rec.verbatim_flag = similarity >= verbatim_threshold
         _, rec.traditional_flag = traditional_flag(han, traditional, traditional_threshold)

@@ -169,6 +169,20 @@ def segment_words(text: str, lexicon: Lexicon | None = None) -> TokenList:
     return TokenList(tuple(tokens))
 
 
+class Segmenter:
+    """segment_words for one run: each text in keep (a run's originals) is
+    segmented once, at construction, and kept; any other text is segmented on
+    every call and not stored, so the object never grows."""
+
+    def __init__(self, lexicon: Lexicon | None = None, keep=()) -> None:
+        self.lexicon = lexicon
+        self._kept = {text: segment_words(text, lexicon) for text in dict.fromkeys(keep)}
+
+    def __call__(self, text: str) -> TokenList:
+        tokens = self._kept.get(text)
+        return segment_words(text, self.lexicon) if tokens is None else tokens
+
+
 def segment_chars(text: str) -> TokenList:
     """One token per non-whitespace Unicode scalar value."""
     return TokenList(tuple(ch for ch in text if not ch.isspace()))

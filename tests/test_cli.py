@@ -376,6 +376,9 @@ def one_http_backend(**fields):
     ({"repetitions": 10 ** 30}, "repetitions must be <= 1000"),
     ({"scoring": {"chrf_max_n": 1e30}}, "chrf_max_n must be <= 32"),
     (one_mock_backend(max_workers=10 ** 30), "max_workers must be <= 64"),
+    (one_mock_backend(max_retries=11), "max_retries must be <= 10"),
+    (one_mock_backend(max_retries=40), "max_retries must be <= 10"),
+    (one_mock_backend(max_retries=1e308), "max_retries must be <= 10"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
         "bleu-unif-weights-length", "smoothing-epsilon-zero", "zero-repetitions",
@@ -389,7 +392,8 @@ def one_http_backend(**fields):
         "negative-max-missing-fraction", "int-backend-id", "int-api-key-env", "int-endpoint",
         "int-prompt-template", "int-corpus", "int-lexicon", "scoring-array", "bool-max-workers",
         "empty-scoring-array", "rate-limit-slots-overflow", "repetitions-1e308",
-        "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30"])
+        "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30",
+        "max-retries-11", "max-retries-40", "max-retries-1e308"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -719,10 +723,10 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_import_does_not_load_requests_or_cookiejar():
-    # only an http_llm backend, once built, loads the HTTP stack
+    # only an http_llm backend, once built, loads the HTTP stack, and only a run its pools
     code = ('import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
-            'loaded = {"http.cookiejar", "http.client", "ssl"} & set(sys.modules); '
-            'assert not loaded, loaded')
+            'loaded = {"http.cookiejar", "http.client", "ssl", "concurrent.futures"} '
+            '& set(sys.modules); assert not loaded, loaded')
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -870,8 +874,7 @@ def test_run_segments_each_original_once(monkeypatch, capsys, tmp_path, scoring)
         calls[text] += 1
         return segment_words(text, lexicon)
 
-    for module in (segmentation, metrics, pipeline):
-        monkeypatch.setattr(module, "segment_words", counting)
+    monkeypatch.setattr(segmentation, "segment_words", counting)
     corpus = corpus_head(tmp_path, 12)
     config = write_run_config(tmp_path, corpus, GOLDEN_RUN_BACKENDS,
                               scoring=GOLDEN_RUN_SCORINGS[scoring])

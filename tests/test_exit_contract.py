@@ -116,6 +116,7 @@ def loaded_within_caps(text: str):
     assert 1 <= config.repetitions <= pipeline.MAX_REPETITIONS
     assert 1 <= config.scoring.chrf_max_n <= MAX_CHRF_ORDER
     assert all(1 <= b.max_workers <= pipeline.MAX_WORKERS for b in config.backends)
+    assert all(0 <= b.max_retries <= pipeline.MAX_RETRIES for b in config.backends)
     return config
 
 
@@ -182,14 +183,15 @@ def test_matrix_leaf_swaps_keep_the_exit_code_contract(path, value):
     ("repetitions", pipeline.MAX_REPETITIONS),
     ("chrf_max_n", MAX_CHRF_ORDER),
     ("max_workers", pipeline.MAX_WORKERS),
+    ("max_retries", pipeline.MAX_RETRIES),
 ])
 def test_size_caps_hold_at_their_bounds(field, cap):
     def load(value):
         data = run_config("corpus.jsonl")
         if field == "chrf_max_n":
             data["scoring"] = dict(SCORING, chrf_max_n=value)
-        elif field == "max_workers":
-            data["backends"][0]["max_workers"] = value
+        elif field in ("max_workers", "max_retries"):
+            data["backends"][0][field] = value
         else:
             data[field] = value
         return pipeline.config_from_json(pipeline.RunConfig, data, "run config")

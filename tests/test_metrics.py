@@ -35,7 +35,8 @@ from bteval.metrics import (
 )
 from bteval.corpus import parse_corpus
 from bteval.pipeline import BackendConfig, config_from_json, run_experiment
-from bteval.segmentation import CHARACTER, WORD, Lexicon, segment_chars, segment_words, tokenize
+from bteval.segmentation import (CHARACTER, WORD, Lexicon, Segmenter, segment_chars,
+                                 segment_words, tokenize)
 
 from conftest import FIXTURES
 
@@ -753,7 +754,7 @@ def test_batch_scorer_rejects_empty_reference():
         with pytest.raises(MetricError, match="reference must be non-empty"):
             score_groups(ScoringConfig(), [(["a"], [["a"]]), (ref, [["b"]])], idf)
     with pytest.raises(MetricError, match="reference must be non-empty"):
-        next(score_run(["a", " "], [("a", ["a"]), (" ", ["b"])], ScoringConfig(), None, {}, {}))
+        next(score_run(["a", " "], [("a", ["a"]), (" ", ["b"])], ScoringConfig(), Segmenter(), {}))
 
 
 @pytest.mark.parametrize("level", [WORD, CHARACTER])
@@ -761,7 +762,7 @@ def test_score_run_verbatim_similarity_is_word_bleu_at_either_level(level):
     originals = [s.text for s in parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")][:6]
     groups = [(text, [text, text[::-1], text[:len(text) // 2], text[3:] + text[:3]])
               for text in originals]
-    scored = score_run(originals, groups, ScoringConfig(level=level), None, {}, {})
+    scored = score_run(originals, groups, ScoringConfig(level=level), Segmenter(), {})
     word_bleus, char_bleus = [], []
     for ref, cands in groups:
         for cand in cands:

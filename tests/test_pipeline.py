@@ -7,7 +7,8 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
+import concurrent.futures
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -35,6 +36,7 @@ from bteval.pipeline import (
     translate,
     write_records,
 )
+from bteval.segmentation import Segmenter
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text
 
@@ -160,23 +162,26 @@ def test_lexicon_mock_is_invertible_on_arbitrary_text():
 
 def test_mapper_mocks_segment_each_forward_text_once(monkeypatch):
     calls = Counter()
-    original = pipeline.segment_words
+    original = segmentation.segment_words
 
     def counting(text, lexicon=None):
         calls[text] += 1
         return original(text, lexicon)
 
-    monkeypatch.setattr(pipeline, "segment_words", counting)
+    monkeypatch.setattr(segmentation, "segment_words", counting)
     text = "化学工程领域的研究与分析和实验过程"
     for model in ("lexicon", "noise"):
         calls.clear()
         config = mock_config(model, drop_prob=0.3, swap_prob=0.2)
-        backend = make_backend(config)
+        backend = make_backend(config, Segmenter(keep=[text]))  # as a run builds it
         legs = [backend.translate(text, ZH_TO_EN, seed, 0) for seed in range(4)]
         assert calls[text] == 1
-        # the memo only skips work: a fresh instance gives the same legs
-        assert legs == [make_backend(config).translate(text, ZH_TO_EN, seed, 0)
-                        for seed in range(4)]
+        # the kept text only skips work: a fresh instance, which keeps nothing, gives the
+        # same legs and segments on every one
+        calls.clear()
+        fresh = make_backend(config)
+        assert legs == [fresh.translate(text, ZH_TO_EN, seed, 0) for seed in range(4)]
+        assert calls[text] == 4
 
 
 def test_noise_mock_is_seed_deterministic():
@@ -787,20 +792,20 @@ class NoPool:
 
 
 def test_run_experiment_runs_mock_legs_inline(monkeypatch):
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
     _, records, _ = run_experiment(tiny_corpus(), NOISY, r=2, master_seed=4)
     assert len(records) == 8 and all(rec.error is None for rec in records)
 
 
 def test_run_experiment_pools_http_legs_by_max_workers(monkeypatch):
     sizes = []
-    real_pool = pipeline.ThreadPoolExecutor
+    real_pool = ThreadPoolExecutor
 
     def recording_pool(max_workers):
         sizes.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     config = http_config(9, id="h", max_workers=3)
     _, records, _ = run_experiment(tiny_corpus(), [config], r=2, master_seed=4,
                                    backend_instances={"h": make_backend(mock_config())})
@@ -949,7 +954,7 @@ def test_http_backend_keeps_connections_alive_without_cookies():
     assert seen["cookies"] == [None] * 12
 
 
-class SequentialPool(pipeline.ThreadPoolExecutor):
+class SequentialPool(ThreadPoolExecutor):
     """The one-backend-at-a-time schedule: each leg runs when it is submitted."""
 
     def submit(self, fn, /, *args, **kwargs):
@@ -975,7 +980,7 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
         matrices, records, _ = run_experiment(corpus, configs, r=2, master_seed=11)
         sys.setswitchinterval(interval)
         singles = [run_experiment(corpus, [config], r=2, master_seed=11) for config in configs]
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SequentialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SequentialPool)
         sequential, sequential_records, _ = run_experiment(corpus, configs, r=2, master_seed=11)
     finally:
         sys.setswitchinterval(interval)

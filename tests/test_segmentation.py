@@ -5,10 +5,12 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bteval import segmentation
 from bteval.corpus import parse_corpus
 from bteval.segmentation import (
     Lexicon,
     LexiconError,
+    Segmenter,
     TokenList,
     DEFAULT_TRADITIONAL_THRESHOLD,
     default_lexicon,
@@ -180,6 +182,31 @@ def test_segment_words_matches_two_pass_oracle_on_corpus():
         expected = [t for chunk in sample.text.split()
                     for t in two_pass_segment_chunk(chunk, lexicon)]
         assert list(segment_words(sample.text, lexicon).tokens) == expected
+
+
+# lexicon characters, whitespace, and 丁 and latin letters, which no entry covers
+TEXTS = st.text(alphabet="甲乙丙丁ab \t\n", max_size=12)
+
+
+@given(SMALL_LEXICONS, st.lists(TEXTS, max_size=6), st.lists(TEXTS, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_segmenter_keeps_only_its_kept_texts(entries, keep, others):
+    lexicon = Lexicon(entries)
+    calls = []
+
+    def counting(text, lexicon=None):
+        calls.append(text)
+        return segment_words(text, lexicon)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segmentation, "segment_words", counting)
+        segment = Segmenter(lexicon, keep)
+        assert sorted(calls) == sorted(set(keep))  # each kept text once, at construction
+        calls.clear()
+        for text in [*keep, *others, *others]:
+            assert segment(text) == segment_words(text, lexicon)
+    # an unkept text is segmented on every call: nothing was stored
+    assert sorted(calls) == sorted(2 * [text for text in others if text not in keep])
 
 
 @pytest.mark.parametrize("seed", range(20))
