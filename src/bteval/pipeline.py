@@ -289,7 +289,7 @@ class LexiconMapperMock:
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         if direction == ZH_TO_EN:
             return " ".join([BILINGUAL_TABLE.get(t, t) for t in self.segment(text)])
-        return "".join(_REVERSE_TABLE.get(t, t) for t in text.split(" "))
+        return "".join([_REVERSE_TABLE.get(t, t) for t in text.split(" ")])
 
 
 class NoiseMock(LexiconMapperMock):
@@ -298,14 +298,15 @@ class NoiseMock(LexiconMapperMock):
     def translate(self, text: str, direction: str, seed: int, variant: int) -> str:
         clean = super().translate(text, direction, seed, variant)
         # int-only seed material: hash() of strings is salted per process
-        rng = random.Random(seed * 2 + (1 if direction == EN_TO_ZH else 0))
+        draw = random.Random(seed * 2 + (1 if direction == EN_TO_ZH else 0)).random
+        drop_prob, swap_prob = self.config.drop_prob, self.config.swap_prob
         tokens = clean.split(" ") if direction == ZH_TO_EN else list(self.segment(clean))
-        kept = [t for t in tokens if rng.random() >= self.config.drop_prob]
+        kept = [t for t in tokens if draw() >= drop_prob]
         if not kept:
             kept = tokens[:1]
         i = 0
         while i < len(kept) - 1:
-            if rng.random() < self.config.swap_prob:
+            if draw() < swap_prob:
                 kept[i], kept[i + 1] = kept[i + 1], kept[i]
                 i += 2
             else:
@@ -612,7 +613,9 @@ def run_experiment(
     corpus or configuration problems abort the run.
     """
     check_run_design(backends, r)
-    from concurrent.futures import ThreadPoolExecutor, as_completed  # only a run needs a pool
+    if any(config.kind == "http_llm" for config in backends):
+        # only HTTP legs go to a pool, so a mock-only run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor, as_completed
     # each original is segmented once, for the mocks' forward legs and the scorer
     segment = Segmenter(lexicon, (sample.text for sample in corpus))
     with ExitStack() as stack:
@@ -633,7 +636,7 @@ def run_experiment(
             pools[config.id].submit(_roundtrip, instances[config.id], config, sample, rep,
                                     master_seed)
             for config in backends if config.id in pools
-            for sample in corpus for rep in range(1, r + 1)])
+            for sample in corpus for rep in range(1, r + 1)]) if pools else ()
         inline = (_roundtrip(instances[config.id], config, sample, rep, master_seed)
                   for config in backends if config.id not in pools
                   for sample in corpus for rep in range(1, r + 1))

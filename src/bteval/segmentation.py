@@ -57,8 +57,9 @@ class TokenList:
 class Lexicon:
     """Frequency lexicon, built once into the table the segmenter reads: the
     floor -log(total) for characters no entry covers, and a trie of the
-    entries, one nested dict per character, whose node for an entry holds
-    (log(f) - log(total), the entry) under the key None."""
+    entries that maps each character to a (children, log_prob, entry) node:
+    log(f) - log(total) and the entry's own string where an entry ends there,
+    None and None where none does."""
 
     entries: dict[str, int]
     floor: float = field(init=False, repr=False)
@@ -74,9 +75,12 @@ class Lexicon:
         trie: dict = {}
         for word, frequency in self.entries.items():
             node = trie
-            for ch in word:
-                node = node.setdefault(ch, {})
-            node[None] = (math.log(frequency) - log_total, word)
+            for k, ch in enumerate(word, 1):
+                children, log_prob, entry = node.get(ch, ({}, None, None))
+                if k == len(word):
+                    log_prob, entry = math.log(frequency) - log_total, word
+                node[ch] = (children, log_prob, entry)
+                node = children
         # the dataclass is frozen, so the derived table is set here, once
         object.__setattr__(self, "floor", -log_total)
         object.__setattr__(self, "trie", trie)
@@ -129,27 +133,27 @@ def _segment_chunk(chunk: str, lexicon: Lexicon) -> list[str]:
     n = len(chunk)
     # score[i] is the best score from i to the end, reached by taking word[i],
     # which ends at end[i]; built right to left over the lexicon matches
-    # starting at i, or the lone character at the floor when none match. Ends
-    # grow as the trie is walked, so replacing on >= keeps the longer first
-    # token on ties: the maximum over (score, end).
+    # starting at i, or else the lone character (end's and word's first value)
+    # at the floor. Ends grow as the trie is walked, so replacing on >= keeps
+    # the longer first token on ties: the maximum over (score, end).
     score = [0.0] * (n + 1)
-    end = [0] * (n + 1)
-    word: list = [None] * n
+    end = list(range(1, n + 1))
+    word = list(chunk)
+    unmatched = -math.inf
     for i in range(n - 1, -1, -1):
-        best, best_end, best_word = -math.inf, 0, None
-        node = trie
-        for j in range(i, n):
-            node = node.get(chunk[j])
-            if node is None:
+        best = unmatched
+        node, j = trie, i
+        while j < n:  # most walks end within two characters, so a range per i costs more
+            hit = node.get(chunk[j])
+            if hit is None:
                 break
-            entry = node.get(None)
+            node, log_prob, entry = hit
+            j += 1
             if entry is not None:
-                s = entry[0] + score[j + 1]
+                s = log_prob + score[j]
                 if s >= best:
-                    best, best_end, best_word = s, j + 1, entry[1]
-        if best_word is None:
-            best, best_end, best_word = floor + score[i + 1], i + 1, chunk[i]
-        score[i], end[i], word[i] = best, best_end, best_word
+                    best, end[i], word[i] = s, j, entry
+        score[i] = floor + score[i + 1] if best == unmatched else best
 
     tokens = []
     i = 0

@@ -724,9 +724,22 @@ def test_usage_error_exits_2(capsys):
 
 def test_import_does_not_load_requests_or_cookiejar():
     # only an http_llm backend, once built, loads the HTTP stack, and only a run its pools
-    code = ('import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
-            'loaded = {"http.cookiejar", "http.client", "ssl", "concurrent.futures"} '
-            '& set(sys.modules); assert not loaded, loaded')
+    assert_runs_in_fresh_python(
+        'import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
+        'loaded = {"http.cookiejar", "http.client", "ssl", "concurrent.futures"} '
+        '& set(sys.modules); assert not loaded, loaded')
+
+
+def test_mock_only_run_does_not_load_concurrent_futures():
+    assert_runs_in_fresh_python(
+        'import sys; from bteval.corpus import Corpus, TextSample; '
+        'from bteval.pipeline import BackendConfig, run_experiment; '
+        'corpus = Corpus(name="c", samples=[TextSample(id="S1", domain="d", text="化学")]); '
+        'run_experiment(corpus, [BackendConfig(id="m", kind="mock", model_name="noise")], 2); '
+        'assert "concurrent.futures" not in sys.modules')
+
+
+def assert_runs_in_fresh_python(code):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -1,6 +1,7 @@
 """Word/character segmentation against a brute-force route oracle."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -184,6 +185,91 @@ def test_segment_words_matches_two_pass_oracle_on_corpus():
         assert list(segment_words(sample.text, lexicon).tokens) == expected
 
 
+def nested_dict_lexicon(entries: dict[str, int]) -> SimpleNamespace:
+    """The earlier Lexicon table, kept as an oracle (its build loop verbatim):
+    one nested dict per character, whose node for an entry holds
+    (log(f) - log(total), the entry) under the key None."""
+    log_total = math.log(sum(entries.values()))
+    trie: dict = {}
+    for word, frequency in entries.items():
+        node = trie
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[None] = (math.log(frequency) - log_total, word)
+    return SimpleNamespace(trie=trie, floor=-log_total)
+
+
+def nested_dict_segment_chunk(chunk: str, lexicon) -> list[str]:
+    """The earlier _segment_chunk, kept verbatim as an oracle: two probes per
+    trie step, the child and then its None key."""
+    trie, floor = lexicon.trie, lexicon.floor
+    n = len(chunk)
+    score = [0.0] * (n + 1)
+    end = [0] * (n + 1)
+    word: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        best, best_end, best_word = -math.inf, 0, None
+        node = trie
+        for j in range(i, n):
+            node = node.get(chunk[j])
+            if node is None:
+                break
+            entry = node.get(None)
+            if entry is not None:
+                s = entry[0] + score[j + 1]
+                if s >= best:
+                    best, best_end, best_word = s, j + 1, entry[1]
+        if best_word is None:
+            best, best_end, best_word = floor + score[i + 1], i + 1, chunk[i]
+        score[i], end[i], word[i] = best, best_end, best_word
+
+    tokens = []
+    i = 0
+    while i < n:
+        tokens.append(word[i])
+        i = end[i]
+    return tokens
+
+
+@st.composite
+def prefix_lexicons(draw):
+    """Lexicons over 甲乙丙 whose entries share prefixes: each stem comes with
+    the stem followed by 乙. The first two entries are a word and one of its
+    prefixes, in a drawn order, so that a prefix goes into the trie both
+    before and after the longer entry; one entry is a single character.
+    Frequencies are all equal half the time, to force ties."""
+    longer = draw(st.text(alphabet="甲乙丙", min_size=2, max_size=5))
+    prefix = longer[:draw(st.integers(1, len(longer) - 1))]
+    pair = [prefix, longer] if draw(st.booleans()) else [longer, prefix]
+    stems = draw(st.lists(st.text(alphabet="甲乙丙", min_size=1, max_size=3), max_size=8))
+    words = pair + [draw(st.sampled_from("甲乙丙"))] + [w + x for w in stems for x in ("", "乙")]
+    if draw(st.booleans()):
+        return dict.fromkeys(words, 7)
+    return {w: draw(st.integers(1, 3)) for w in words}
+
+
+def with_corpus_examples(test):
+    """The test with every fixture corpus text, under the default lexicon, as an example."""
+    for path in sorted((FIXTURES / "corpora").glob("*.jsonl")):
+        for sample in parse_corpus(path):
+            test = example(default_lexicon().entries, sample.text)(test)
+    return test
+
+
+# lexicon characters, whitespace, and 戊 and latin letters, which no entry covers
+@given(prefix_lexicons(), st.text(alphabet="甲乙丙戊a \t\n", max_size=40))
+@with_corpus_examples
+@settings(max_examples=300, deadline=None)
+def test_segment_words_matches_nested_dict_oracle(entries, text):
+    lexicon, oracle = Lexicon(entries), nested_dict_lexicon(entries)
+    tokens = segment_words(text, lexicon).tokens
+    assert list(tokens) == [t for chunk in text.split()
+                            for t in nested_dict_segment_chunk(chunk, oracle)]
+    # a token longer than one character is the lexicon's own string
+    surfaces = {id(w) for w in lexicon.entries}
+    assert all(id(t) in surfaces for t in tokens if len(t) > 1)
+
+
 # lexicon characters, whitespace, and 丁 and latin letters, which no entry covers
 TEXTS = st.text(alphabet="甲乙丙丁ab \t\n", max_size=12)
 
@@ -236,20 +322,20 @@ def test_load_lexicon(tmp_path):
     assert any(surface.startswith("人工") for surface in lexicon.entries)
 
 
-def trie_paths(node, path=""):
-    """Every (path, node) below a trie node, the node itself included."""
-    yield path, node
-    for ch, child in node.items():
-        if ch is not None:
-            yield from trie_paths(child, path + ch)
+def trie_paths(trie, path=""):
+    """(path, (log_prob, entry)) for every node below a trie."""
+    for ch, (children, log_prob, entry) in trie.items():
+        yield path + ch, (log_prob, entry)
+        yield from trie_paths(children, path + ch)
 
 
 def test_lexicon_table_matches_entries():
     lexicon = default_lexicon()
     total = sum(lexicon.entries.values())
     paths = dict(trie_paths(lexicon.trie))
-    assert set(paths) - {""} == {w[:i] for w in lexicon.entries for i in range(1, len(w) + 1)}
-    terminals = {path: node[None] for path, node in paths.items() if None in node}
+    assert set(paths) == {w[:i] for w in lexicon.entries for i in range(1, len(w) + 1)}
+    # a node where no entry ends holds (None, None)
+    terminals = {path: node for path, node in paths.items() if node != (None, None)}
     assert terminals == {w: (math.log(f) - math.log(total), w) for w, f in lexicon.entries.items()}
     # an entry's node holds the lexicon's own string, which segmentation emits
     surfaces = {id(w) for w in lexicon.entries}
