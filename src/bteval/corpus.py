@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional
+from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional, has_surrogate
 
 SIMPLIFIED = "simplified"
 TRADITIONAL = "traditional"
@@ -80,6 +80,9 @@ def _parse_record(data: dict, where: str) -> TextSample:
             raise CorpusError(f"{where}: field {key!r} must be a string")
     if not isinstance(data.get("title"), (str, type(None))):
         raise CorpusError(f"{where}: field 'title' must be a string or null")
+    for key in ("id", "domain", "text", "title"):
+        if has_surrogate(data.get(key) or ""):
+            raise CorpusError(f"{where}: field {key!r} holds a lone surrogate, not UTF-8")
     extra = {k: v for k, v in data.items() if k not in _KNOWN_FIELDS}
     try:
         return TextSample(

@@ -25,7 +25,6 @@ from .segmentation import (
     Lexicon,
     Segmenter,
     code_points,
-    traditional_counts,
 )
 
 TECHNICAL_WEIGHTS = (0.5, 0.5, 0.0, 0.0)
@@ -55,8 +54,8 @@ class BleuConfig:
             raise MetricError("weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise MetricError("weights must sum to 1")
-        if self.smoothing_epsilon is not None and not self.smoothing_epsilon > 0:
-            raise MetricError("smoothing_epsilon must be > 0 or null")
+        if self.smoothing_epsilon is not None and not 0 < self.smoothing_epsilon <= 1:
+            raise MetricError("smoothing_epsilon must be > 0 and <= 1, or null")
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,9 @@ def _bleu(weights, epsilon: float | None, matched: list[int], cand_len: int,
         if total == 0 and ref_len < n:
             continue
         if matched[n] == 0:
-            if epsilon is None or total == 0:
+            p = 0.0 if epsilon is None or total == 0 else epsilon / total
+            if p == 0.0:  # unsmoothed, or a subnormal epsilon's quotient underflowed
                 return 0.0
-            p = epsilon / total
         else:
             p = matched[n] / total
         log_sum += weight * math.log(p)
@@ -516,16 +515,12 @@ def _score(tokens, chars, words, cand_ref: np.ndarray, config: ScoringConfig,
     return scored
 
 
-def score_pair(
-    original: str,
-    backtranslation: str,
-    lexicon: Lexicon | None = None,
-    config: ScoringConfig = DEFAULT_SCORING,
-) -> MetricVector:
+def score_pair(original: str, backtranslation: str, lexicon: Lexicon | None = None,
+               config: ScoringConfig = DEFAULT_SCORING) -> MetricVector:
     """All five metrics for one pair: a run of one round-trip, so the pair
     itself is the IDF's fitting corpus."""
     return next(score_run([original], [(original, [backtranslation])], config,
-                          Segmenter(lexicon), {}))[0]
+                          Segmenter(lexicon)))[0]
 
 
 class TokenTable:
@@ -554,11 +549,10 @@ class TokenTable:
         return _gather(keys, _idf_weights(len(documents), df))
 
 
-def score_run(originals: list[str], groups, config: ScoringConfig, segment: Segmenter,
-              variant_table: dict[str, str]) -> Iterator[tuple[MetricVector, float, int, int]]:
+def score_run(originals: list[str], groups, config: ScoringConfig,
+              segment: Segmenter) -> Iterator[tuple[MetricVector, float]]:
     """Per back-translation of each (original, [back-translations]) group, in
-    order: its five metrics, its verbatim similarity (as _score gives it), and
-    its Han and traditional-only character counts.
+    order: its five metrics and its verbatim similarity, as _score gives them.
 
     The texts are interned into one TokenTable through segment, and the IDF is
     fit on every original plus every back-translation. Consecutive groups share
@@ -572,16 +566,16 @@ def score_run(originals: list[str], groups, config: ScoringConfig, segment: Segm
     for ref, cands in groups:
         size = max(map(len, cands))
         if batch and (count + len(cands)) * max(longest, size) > _BATCH_SYMBOLS:
-            yield from _score_batch(batch, table, config, idf, variant_table)
+            yield from _score_batch(batch, table, config, idf)
             batch, count, longest = [], 0, 0
         batch.append((ref, cands))
         count, longest = count + len(cands), max(longest, size)
     if batch:
-        yield from _score_batch(batch, table, config, idf, variant_table)
+        yield from _score_batch(batch, table, config, idf)
 
 
-def _score_batch(batch, table: TokenTable, config: ScoringConfig, idf: IdfGather,
-                 variant_table: dict[str, str]):
+def _score_batch(batch, table: TokenTable, config: ScoringConfig,
+                 idf: IdfGather) -> list[tuple[MetricVector, float]]:
     refs = [ref for ref, _ in batch]
     cands = [cand for _, group in batch for cand in group]
     cand_ref = np.repeat(np.arange(len(batch)), [len(group) for _, group in batch])
@@ -589,8 +583,5 @@ def _score_batch(batch, table: TokenTable, config: ScoringConfig, idf: IdfGather
     def packed(of) -> tuple:
         return _pack([of(ref) for ref in refs]), _pack([of(cand) for cand in cands])
 
-    chars = packed(table.chars.get)
-    han, traditional = traditional_counts(*chars[1], variant_table)
-    scored = _score(packed(table.ids.get), chars, packed(table.words.get), cand_ref, config, idf)
-    for (vector, similarity), h, t in zip(scored, han.tolist(), traditional.tolist()):
-        yield vector, similarity, h, t
+    return _score(packed(table.ids.get), packed(table.chars.get), packed(table.words.get),
+                  cand_ref, config, idf)

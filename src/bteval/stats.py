@@ -18,6 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import tails
+from .segmentation import has_surrogate
 
 DEFAULT_ALPHA = 0.05
 
@@ -78,16 +79,12 @@ class ScoreMatrix:
         return flat[~np.isnan(flat)]
 
     def to_dict(self) -> dict:
-        grid = [
-            [[None if math.isnan(v) else v for v in cell] for cell in block]
-            for block in self.values.tolist()
-        ]
         return {
             "metric": self.metric,
             "design": asdict(self.design),
             "block_ids": list(self.block_ids),
             "treatment_ids": list(self.treatment_ids),
-            "values": grid,
+            "values": np.where(np.isnan(self.values), None, self.values).tolist(),
         }
 
     @classmethod
@@ -107,6 +104,8 @@ class ScoreMatrix:
         for key in ("block_ids", "treatment_ids"):
             if not isinstance(data[key], list) or not all(isinstance(v, str) for v in data[key]):
                 raise TypeError(f"{key} must be an array of strings")
+        if any(map(has_surrogate, [data["metric"], *data["block_ids"], *data["treatment_ids"]])):
+            raise ValueError("metric, block_ids or treatment_ids holds a lone surrogate, not UTF-8")
         return cls(design, data["metric"], values, list(data["block_ids"]),
                    list(data["treatment_ids"]))
 

@@ -333,6 +333,8 @@ def one_http_backend(**fields):
     ({"scoring": {"bleu_weights": [0.5, 0.5, 0.5, 0.0]}}, "weights must sum to 1"),
     ({"scoring": {"bleu_unif_weights": [0.5, 0.5]}}, "exactly 4 n-gram weights"),
     ({"scoring": {"smoothing_epsilon": 0}}, "smoothing_epsilon must be > 0"),
+    ({"scoring": {"smoothing_epsilon": 4}}, "smoothing_epsilon must be > 0 and <= 1"),
+    ({"scoring": {"smoothing_epsilon": 1e400}}, "smoothing_epsilon must be > 0 and <= 1"),
     ({"repetitions": 0}, "repetitions must be >= 1"),
     ({"backends": MOCK_BACKENDS[:1] * 2}, "backend ids must be unique within a run"),
     (one_mock_backend(drop_prob=2.0), "drop_prob must lie in [0, 1]"),
@@ -379,9 +381,12 @@ def one_http_backend(**fields):
     (one_mock_backend(max_retries=11), "max_retries must be <= 10"),
     (one_mock_backend(max_retries=40), "max_retries must be <= 10"),
     (one_mock_backend(max_retries=1e308), "max_retries must be <= 10"),
+    (one_mock_backend(id="m\ud800"), "backends[0] 'id' holds a lone surrogate"),
+    ({"lexicon": "lexicon\udfff.txt"}, "run config 'lexicon' holds a lone surrogate"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
-        "bleu-unif-weights-length", "smoothing-epsilon-zero", "zero-repetitions",
+        "bleu-unif-weights-length", "smoothing-epsilon-zero", "smoothing-epsilon-four",
+        "smoothing-epsilon-1e400", "zero-repetitions",
         "duplicate-backend-ids", "drop-prob-above-one",
         "negative-swap-prob", "negative-max-retries", "zero-rate-limit", "zero-max-workers",
         "zero-timeout", "timeout-overflows", "infinite-timeout", "rate-limit-wait-overflows",
@@ -393,7 +398,8 @@ def one_http_backend(**fields):
         "int-prompt-template", "int-corpus", "int-lexicon", "scoring-array", "bool-max-workers",
         "empty-scoring-array", "rate-limit-slots-overflow", "repetitions-1e308",
         "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30",
-        "max-retries-11", "max-retries-40", "max-retries-1e308"])
+        "max-retries-11", "max-retries-40", "max-retries-1e308", "lone-surrogate-backend-id",
+        "lone-surrogate-lexicon"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -402,6 +408,20 @@ def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_p
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
     assert not out_dir.exists()  # a rejected run leaves no output directory behind
+
+
+@pytest.mark.parametrize("field", ["id", "domain", "text", "title"])
+def test_run_with_a_lone_surrogate_in_the_corpus_exits_2_before_running(capsys, tmp_path, field):
+    # JSON reads the escape; UTF-8, in which records.jsonl is written, cannot encode it
+    corpus = tmp_path / "corpus.jsonl"
+    record = dict(TINY_CORPUS_RECORDS[0], **{field: "\ud800化学研究"})
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    config = write_run_config(tmp_path, corpus, MOCK_BACKENDS)
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and f"field {field!r} holds a lone surrogate" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("key, message", [
@@ -596,16 +616,21 @@ TWO_BY_TWO = ('{"metric": "bleu", "design": {"n": 2, "k": 2, "r": 1}, "block_ids
     (ONE_CELL.replace("0.5", '"0.5"'), "must be numbers or null, found ['str']"),
     (TWO_BY_TWO.replace('["x", "y"]', '["x", "x"]'), "treatment_ids must be unique, found ['x']"),
     (TWO_BY_TWO.replace('["a", "b"]', '["a", "a"]'), "block_ids must be unique, found ['a']"),
+    (ONE_CELL.replace('"bleu"', '"bleu\\ud800"'), "holds a lone surrogate"),
+    (ONE_CELL.replace('["b"]', '["b\\udc00"]'), "holds a lone surrogate"),
+    (ONE_CELL.replace('["x"]', '["\\udfffx"]'), "holds a lone surrogate"),
 ], ids=["truncated", "missing-design", "ragged-grid", "integer-past-digit-limit",
         "metric-array", "metric-number", "metric-null", "block-ids-string",
         "treatment-id-number", "cell-bool", "cell-string", "treatment-id-repeated",
-        "block-id-repeated"])
+        "block-id-repeated", "lone-surrogate-metric", "lone-surrogate-block-id",
+        "lone-surrogate-treatment-id"])
 def test_stats_malformed_matrix_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content, encoding="utf-8")
     code, _, err = invoke(capsys, "stats", str(path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value, code", [("true", EXIT_USAGE), ("1.5", EXIT_USAGE), ("1.0", EXIT_OK)],

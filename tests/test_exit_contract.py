@@ -23,7 +23,8 @@ from bteval.metrics import MAX_CHRF_ORDER, MetricError
 
 # JSON texts, so 1e400 and 10^30 reach the reader as written
 VALUES = ("null", "true", "false", "0", "-1", "0.5", "1e308", "-1e308", "1e400", "-1e400",
-          "1" + "0" * 30, '""', '"x"', '"化学"', "[]", '[1, "a"]', "{}", '{"id": "x"}')
+          "1" + "0" * 30, '""', '"x"', '"化学"', '"\\ud800"', "[]", '[1, "a"]', "{}",
+          '{"id": "x"}')
 
 CORPUS_LINES = [
     {"id": "S1", "domain": "chemistry", "text": "化学工程领域的研究与分析。", "title": "研究",

@@ -317,6 +317,33 @@ def test_bleu_epsilon_smoothing():
     assert bleu(["a", "x"], ["a", "b"], BleuConfig((0.5, 0.5, 0, 0))) == 0.0
 
 
+def test_bleu_epsilon_above_one_is_rejected():
+    # epsilon / total above one real match would lift BLEU past 1: 2.0 on this pair at 4.0
+    for epsilon in (4.0, 1e400, float("nan")):
+        with pytest.raises(MetricError, match="smoothing_epsilon must be > 0 and <= 1"):
+            BleuConfig(smoothing_epsilon=epsilon)
+        with pytest.raises(MetricError, match="smoothing_epsilon must be > 0 and <= 1"):
+            score_pair("化学研究", "研究化学", config=ScoringConfig(smoothing_epsilon=epsilon))
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=8),
+       st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       st.one_of(st.none(), st.floats(0.0, 2.0)))
+@settings(max_examples=300, deadline=None)
+@example(["a", "b"], ["b", "a"], [1, 1, 1, 1], 1.0)
+@example(["a", "a", "a"], ["a"], [0, 1, 0, 0], 5e-324)  # epsilon / 2 underflows to 0.0
+def test_bleu_lies_in_the_unit_interval_for_any_accepted_config(candidate, reference, parts,
+                                                               epsilon):
+    assume(sum(parts))
+    weights = tuple(part / sum(parts) for part in parts)
+    try:
+        config = BleuConfig(weights, epsilon)
+    except MetricError:
+        assume(False)
+    assert 0.0 <= bleu(candidate, reference, config) <= 1.0
+
+
 def test_bleu_unif_below_technical_when_higher_orders_weaker():
     rng = random.Random(99)
     checked = 0
@@ -754,7 +781,7 @@ def test_batch_scorer_rejects_empty_reference():
         with pytest.raises(MetricError, match="reference must be non-empty"):
             score_groups(ScoringConfig(), [(["a"], [["a"]]), (ref, [["b"]])], idf)
     with pytest.raises(MetricError, match="reference must be non-empty"):
-        next(score_run(["a", " "], [("a", ["a"]), (" ", ["b"])], ScoringConfig(), Segmenter(), {}))
+        next(score_run(["a", " "], [("a", ["a"]), (" ", ["b"])], ScoringConfig(), Segmenter()))
 
 
 @pytest.mark.parametrize("level", [WORD, CHARACTER])
@@ -762,11 +789,11 @@ def test_score_run_verbatim_similarity_is_word_bleu_at_either_level(level):
     originals = [s.text for s in parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")][:6]
     groups = [(text, [text, text[::-1], text[:len(text) // 2], text[3:] + text[:3]])
               for text in originals]
-    scored = score_run(originals, groups, ScoringConfig(level=level), Segmenter(), {})
+    scored = score_run(originals, groups, ScoringConfig(level=level), Segmenter())
     word_bleus, char_bleus = [], []
     for ref, cands in groups:
         for cand in cands:
-            _, similarity, _, _ = next(scored)
+            _, similarity = next(scored)
             word_bleus.append(pair_bleu(segment_words(cand), segment_words(ref), BleuConfig()))
             char_bleus.append(pair_bleu(segment_chars(cand), segment_chars(ref), BleuConfig()))
             assert similarity.hex() == word_bleus[-1].hex()

@@ -361,6 +361,28 @@ def test_http_backend_null_content_is_an_empty_completion():
         stop(server)
 
 
+def test_http_backend_completion_with_a_lone_surrogate_is_a_failed_attempt(tmp_path):
+    # JSON decodes the reply's \ud800 escape; UTF-8, in which records.jsonl is written, cannot
+    state = StubState(body="\ud800化学")
+    server = make_stub_server(state)
+    try:
+        backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
+                              sleep=lambda s: None)
+        with pytest.raises(BackendError, match="completion holds a lone surrogate"):
+            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+        assert state.calls == 2  # retried once, as an empty completion is
+        backend.close()
+        config = http_config(server.server_address[1], max_retries=0)
+        _, records, _ = run_experiment(tiny_corpus(), [config], r=1)
+        assert [rec.error for rec in records] == [
+            "h1: completion holds a lone surrogate, which UTF-8 cannot encode"] * 2
+        write_records(records, tmp_path / "records.jsonl")
+        assert read_records(tmp_path / "records.jsonl") == records
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_http_backend_raw_wire_format():
     state = StubState(body="plain 译文", raw=True)
     server = make_stub_server(state)

@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from bteval.segmentation import (
     load_variant_table,
     segment_chars,
     segment_words,
+    traditional_ratios,
 )
 
 from conftest import FIXTURES
@@ -434,6 +436,25 @@ def test_detect_traditional_equals_per_character_oracle(text, table_name, thresh
     table = default_variant_table() if table_name == "default" else MIXED_TABLE
     assert (detect_traditional(text, table, threshold)
             == oracle_detect_traditional(text, table, threshold))
+
+
+# BMP and extension-B Han, table keys, whitespace (U+3000 included) and lone surrogates,
+# which JSON can decode and the kernel still reads as code points
+RATIO_ALPHABET = (HAN_BOUNDARIES + "觀點观点元素組成" + chr(0x20BB7) + chr(0x2A6D6)
+                  + " \t\n\u3000" + "\ud800\udbff\udc00\udfff" + "A1。")
+
+
+@given(st.lists(st.text(alphabet=RATIO_ALPHABET, max_size=30), max_size=8),
+       st.sampled_from(["default", "mixed"]))
+@settings(max_examples=300, deadline=None)
+@example([], "default")
+@example(["", "\ud800", " \u3000", "觀点", chr(0x2FA1F)], "mixed")
+@example(["觀点", "", "A", "元素"] * 80, "default")  # several slices of the kernel
+def test_traditional_ratios_equal_per_text_oracle(texts, table_name):
+    table = default_variant_table() if table_name == "default" else MIXED_TABLE
+    ratios = traditional_ratios(texts, table)
+    assert ratios.dtype == np.float64
+    assert ratios.tolist() == [oracle_detect_traditional(text, table, 0.0)[0] for text in texts]
 
 
 def test_token_list_behaves_like_sequence():
