@@ -108,8 +108,8 @@ def cmd_validate(args) -> int:
 def _read_json(path, what: str) -> dict:
     """The JSON object in a config or matrix file; anything else is a CliError."""
     try:
-        data = json.loads(_read_text(path, what))
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+        data = json.loads(_read_text(path, what), parse_constant=corpus_mod.reject_json_constant)
+    except ValueError as exc:  # bad JSON, NaN or Infinity, or an integer too long to convert
         raise CliError(f"invalid JSON {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} file {path} must hold a JSON object")

@@ -28,6 +28,11 @@ class CorpusError(ValueError):
     """Malformed corpus file or record."""
 
 
+def reject_json_constant(name: str):
+    """A ``json.loads`` ``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
+    raise ValueError(f"{name} is not JSON")
+
+
 @dataclass
 class TextSample:
     id: str
@@ -50,7 +55,6 @@ class TextSample:
 class Corpus:
     name: str
     samples: list[TextSample]
-    source_path: Path | None = field(default=None, compare=False)
     sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,6 +88,10 @@ def _parse_record(data: dict, where: str) -> TextSample:
         if has_surrogate(data.get(key) or ""):
             raise CorpusError(f"{where}: field {key!r} holds a lone surrogate, not UTF-8")
     extra = {k: v for k, v in data.items() if k not in _KNOWN_FIELDS}
+    try:  # serialize_corpus writes the unknown fields back
+        json.dumps(extra, ensure_ascii=False, allow_nan=False).encode("utf-8")
+    except ValueError as exc:  # a lone surrogate, or a number that overflowed to inf
+        raise CorpusError(f"{where}: unknown fields cannot be written back as JSON ({exc})") from exc
     try:
         return TextSample(
             id=data["id"],
@@ -111,9 +119,10 @@ def parse_corpus(path: str | Path) -> Corpus:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            data = json.loads(line, parse_constant=reject_json_constant)
+        except ValueError as exc:  # bad JSON, NaN or Infinity, or an integer too long to convert
+            raise CorpusError(
+                f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(data, dict):
             raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
         sample = _parse_record(data, f"{path}: line {lineno}")
@@ -129,7 +138,6 @@ def parse_corpus(path: str | Path) -> Corpus:
     return Corpus(
         name=path.stem,
         samples=samples,
-        source_path=path,
         sha256=hashlib.sha256(raw).hexdigest(),
     )
 

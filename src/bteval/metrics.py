@@ -50,7 +50,7 @@ class BleuConfig:
     def __post_init__(self) -> None:
         if len(self.weights) != 4:
             raise MetricError("exactly 4 n-gram weights required")
-        if any(w < 0 for w in self.weights):
+        if any(not w >= 0 for w in self.weights):
             raise MetricError("weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise MetricError("weights must sum to 1")
@@ -197,10 +197,6 @@ def _clipped_matches(refs, cands, cand_ref: np.ndarray, top: int) -> np.ndarray:
     return matched
 
 
-def _windows(length: int, n: int) -> int:
-    return max(0, length - n + 1)
-
-
 def brevity_penalty(candidate_len: int, reference_len: int) -> float:
     if reference_len < 1:
         raise MetricError("reference must be non-empty")
@@ -221,7 +217,7 @@ def _bleu(weights, epsilon: float | None, matched: list[int], cand_len: int,
     for n, weight in enumerate(weights, start=1):
         if weight == 0.0:
             continue
-        total = _windows(cand_len, n)
+        total = max(0, cand_len - n + 1)
         if total == 0 and ref_len < n:
             continue
         if matched[n] == 0:

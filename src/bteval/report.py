@@ -198,7 +198,4 @@ def emit_plot_data(
 def emit_stats_report(batteries: list[MetricBattery], path: str | Path) -> None:
     """Machine-readable test battery: per-metric omnibus plus pairwise entries."""
     payload = {battery.metric: asdict(battery) for battery in batteries}
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(_json(payload) + "\n", encoding="utf-8")

@@ -43,10 +43,6 @@ class ExperimentDesign:
         if self.n < 1 or self.k < 1 or self.r < 1:
             raise StatsError("design requires n >= 1, k >= 1, r >= 1")
 
-    @property
-    def observations(self) -> int:
-        return self.n * self.k * self.r
-
 
 @dataclass
 class ScoreMatrix:
@@ -98,7 +94,12 @@ class ScoreMatrix:
         if not cells <= {int, float, type(None)}:
             raise TypeError("values must be numbers or null, "
                             f"found {sorted(t.__name__ for t in cells)}")
-        values = np.array(data["values"], dtype=float)  # null decodes to NaN
+        try:
+            values = np.array(data["values"], dtype=float)  # null decodes to NaN
+        except OverflowError as exc:  # an integer past the float range
+            raise ValueError(f"values must be finite: {exc}") from exc
+        if np.isinf(values).any():
+            raise ValueError("values must be finite: a number such as 1e400 overflowed to inf")
         if not isinstance(data["metric"], str):
             raise TypeError(f"metric must be a string, not {data['metric']!r}")
         for key in ("block_ids", "treatment_ids"):
@@ -241,7 +242,7 @@ def adjust_p(p_values, correction: str = BENJAMINI_HOCHBERG) -> list[float]:
     if correction not in (BENJAMINI_HOCHBERG, BONFERRONI, NO_CORRECTION):
         raise StatsError(f"unknown correction {correction!r}")
     ps = [float(p) for p in p_values]
-    if any(p < 0.0 or p > 1.0 for p in ps):
+    if any(not 0.0 <= p <= 1.0 for p in ps):
         raise StatsError("p-values must lie in [0, 1]")
     m = len(ps)
     if correction == NO_CORRECTION:

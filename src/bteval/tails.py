@@ -1,11 +1,12 @@
 """Tail probabilities for the chi-square, normal, t, and F distributions.
 
 Everything is built from three primitives: the regularized upper
-incomplete gamma function (series below the a+1 switchover, Lentz continued
+incomplete gamma function (series below the a+1 switchover, continued
 fraction above), the complementary error function (that gamma at a = 1/2,
 and 2 - erfc(-x) below zero), and the regularized incomplete beta function
-(continued fraction, with the symmetry switch at x = (a+1)/(a+2)). Accuracy
-is roughly 1e-12 over the parameter ranges a rank test ever produces.
+(continued fraction, with the symmetry switch at x = (a+1)/(a+2)). One
+modified Lentz evaluator serves both continued fractions. Accuracy is
+roughly 1e-12 over the parameter ranges a rank test ever produces.
 """
 
 from __future__ import annotations
@@ -17,10 +18,31 @@ _EPS = 1e-15
 _TINY = 1e-300
 
 
+def _off_zero(v: float) -> float:
+    """v, or _TINY where it is too close to zero to divide by; NaN passes through."""
+    return _TINY if abs(v) < _TINY else v
+
+
+def _lentz(h: float, c: float, d: float, steps) -> float:
+    """A continued fraction by the modified Lentz method (Thompson & Barnett 1986).
+
+    ``h``, ``c`` and ``d`` are the method's start values. Each step of ``steps``
+    is a tuple of ``(a, b)`` partial terms, and convergence is tested after a
+    step's last term.
+    """
+    for step in steps:
+        for a, b in step:
+            d = 1.0 / _off_zero(b + a * d)
+            c = _off_zero(b + a / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return h
+
+
 def _gamma_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by power series; converges fast for x < a + 1."""
-    if x <= 0.0:
-        return 0.0
+    """The power series of P(a, x) over its prefactor; converges fast for x < a + 1."""
     term = 1.0 / a
     total = term
     denom = a
@@ -30,30 +52,18 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Upper regularized gamma Q(a, x) by modified Lentz continued fraction; for x >= a + 1."""
+    """The continued fraction of Q(a, x) over its prefactor; for x >= a + 1."""
+    def steps(b):
+        for i in range(1, _MAX_ITER):
+            b += 2.0  # a running sum: b0 + 2*i rounds differently
+            yield ((-i * (i - a), b),)
+
     b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return _lentz(1.0 / b, 1.0 / _TINY, 1.0 / b, steps(b))
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
@@ -64,9 +74,10 @@ def reg_upper_gamma(a: float, x: float) -> float:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 1.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+        return 1.0 - front * _gamma_series(a, x)
+    return front * _gamma_cf(a, x)
 
 
 def erfc(x: float) -> float:
@@ -76,40 +87,13 @@ def erfc(x: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+    """The continued fraction of the incomplete beta; an even and an odd term per step."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    steps = (((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
+              (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0))
+             for m in range(1, _MAX_ITER))
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
+    return _lentz(d, 1.0, d, steps)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:

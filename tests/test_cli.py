@@ -26,12 +26,17 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# written as the JSON number 1e400, which reads as inf; json.dumps would spell inf
+# as Infinity, which is not JSON and which the config reader rejects
+OVERFLOW = "\u0000overflow\u0000"
+
+
 def write_run_config(tmp_path, corpus_path, backends, **extra):
     config = {"corpus": str(corpus_path), "repetitions": 2, "master_seed": 7,
               "backends": backends}
     config.update(extra)
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(json.dumps(config).replace(json.dumps(OVERFLOW), "1e400"), encoding="utf-8")
     return path
 
 
@@ -334,7 +339,7 @@ def one_http_backend(**fields):
     ({"scoring": {"bleu_unif_weights": [0.5, 0.5]}}, "exactly 4 n-gram weights"),
     ({"scoring": {"smoothing_epsilon": 0}}, "smoothing_epsilon must be > 0"),
     ({"scoring": {"smoothing_epsilon": 4}}, "smoothing_epsilon must be > 0 and <= 1"),
-    ({"scoring": {"smoothing_epsilon": 1e400}}, "smoothing_epsilon must be > 0 and <= 1"),
+    ({"scoring": {"smoothing_epsilon": OVERFLOW}}, "smoothing_epsilon must be > 0 and <= 1"),
     ({"repetitions": 0}, "repetitions must be >= 1"),
     ({"backends": MOCK_BACKENDS[:1] * 2}, "backend ids must be unique within a run"),
     (one_mock_backend(drop_prob=2.0), "drop_prob must lie in [0, 1]"),
@@ -344,7 +349,7 @@ def one_http_backend(**fields):
     (one_mock_backend(max_workers=0), "max_workers must be an integer >= 1"),
     (one_mock_backend(timeout=0), "timeout must be > 0"),
     (one_mock_backend(timeout=1e300), "timeout must be <= 9223372036 s"),
-    (one_mock_backend(timeout=float("inf")), "timeout must be <= 9223372036 s"),
+    (one_mock_backend(timeout=OVERFLOW), "timeout must be <= 9223372036 s"),
     (one_mock_backend(rate_limit_rps=1e-300),
      "max_workers / rate_limit_rps must be <= 9223372036 s"),
     (one_http_backend(endpoint="127.0.0.1:9/v1"), "must be an http or https URL"),
@@ -352,14 +357,14 @@ def one_http_backend(**fields):
     (one_http_backend(endpoint="http:///v1"), "has no host"),
     (one_http_backend(endpoint="http://127.0.0.1:abc/v1"), "Port could not be cast"),
     (one_http_backend(endpoint="http://127.0.0.1:9/v1", temperature=float("nan")),
-     "temperature must be finite"),
+     "NaN is not JSON"),
     ({"repetitons": 3}, "unknown run config keys: ['repetitons']"),
     ({"backends": []}, "'backends' must be a non-empty array of objects"),
     ({"backends": {"id": "a"}}, "'backends' must be a non-empty array of objects"),
     ({"repetitions": 2.7}, "'repetitions' must be int, got 2.7"),
     ({"repetitions": True}, "'repetitions' must be int, got True"),
     ({"master_seed": 1.5}, "'master_seed' must be int, got 1.5"),
-    ({"verbatim_threshold": float("nan")}, "'verbatim_threshold' must be a number in [0, 1]"),
+    ({"verbatim_threshold": float("nan")}, "NaN is not JSON"),
     ({"traditional_threshold": 1.5}, "'traditional_threshold' must be a number in [0, 1]"),
     ({"max_missing_fraction": -0.1}, "'max_missing_fraction' must be a number in [0, 1]"),
     (one_mock_backend(id=5), "backends[0] 'id' must be a string, got 5"),
@@ -383,6 +388,7 @@ def one_http_backend(**fields):
     (one_mock_backend(max_retries=1e308), "max_retries must be <= 10"),
     (one_mock_backend(id="m\ud800"), "backends[0] 'id' holds a lone surrogate"),
     ({"lexicon": "lexicon\udfff.txt"}, "run config 'lexicon' holds a lone surrogate"),
+    ({"scoring": {"bleu_weights": [float("nan"), 0.5, 0.5, 0.0]}}, "NaN is not JSON"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
         "bleu-unif-weights-length", "smoothing-epsilon-zero", "smoothing-epsilon-four",
@@ -399,7 +405,7 @@ def one_http_backend(**fields):
         "empty-scoring-array", "rate-limit-slots-overflow", "repetitions-1e308",
         "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30",
         "max-retries-11", "max-retries-40", "max-retries-1e308", "lone-surrogate-backend-id",
-        "lone-surrogate-lexicon"])
+        "lone-surrogate-lexicon", "nan-bleu-weight"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
@@ -728,11 +734,42 @@ def test_report_opposite_infinities_exit_2(capsys, tmp_path):
 
     values = np.array([[[np.inf], [0.5]], [[-np.inf], [0.5]]])
     matrix = ScoreMatrix(ExperimentDesign(2, 2, 1), "bleu", values, ["b0", "b1"], ["x", "y"])
+    # json.dumps writes the infinities as Infinity, which is not JSON
     (tmp_path / "matrix_bleu.json").write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
-    assert err.startswith("error:") and "both +inf and -inf" in err
+    assert err.startswith("error:") and "Infinity is not JSON" in err
     assert not (tmp_path / "o").exists()  # rejected before --out is created
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("NaN", "NaN is not JSON"),  # was read as a missing cell
+    ("Infinity", "Infinity is not JSON"),
+    ("-Infinity", "-Infinity is not JSON"),
+    ("1e400", "values must be finite"),  # a JSON number, read as inf
+    ("-1e400", "values must be finite"),
+    ("1" + "0" * 400, "values must be finite"),  # an integer past the float range
+], ids=["nan", "infinity", "minus-infinity", "1e400", "minus-1e400", "10-to-the-400"])
+def test_report_non_finite_matrix_cell_exits_2(capsys, tmp_path, cell, message):
+    text = ('{"metric": "bleu", "design": {"n": 2, "k": 2, "r": 1}, "block_ids": ["b0", "b1"], '
+            f'"treatment_ids": ["x", "y"], "values": [[[{cell}], [0.5]], [[0.25], [0.5]]]}}')
+    (tmp_path / "matrix_bleu.json").write_text(text, encoding="utf-8")
+    code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_score_config_with_a_non_json_constant_exits_2(capsys, tmp_path, constant):
+    # Python's json reads these; scoring with a NaN weight printed {"bleu": NaN, ...}
+    text = tmp_path / "a.txt"
+    text.write_text("化学工程领域的研究与分析。", encoding="utf-8")
+    config = tmp_path / "sc.json"
+    config.write_text(f'{{"bleu_weights": [{constant}, 0.5, 0.5, 0.0]}}', encoding="utf-8")
+    code, out, err = invoke(capsys, "score", str(text), str(text), "--config", str(config))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and f"{constant} is not JSON" in err
 
 
 def test_report_missing_dir_exits_2(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """The CLI exit-code contract, swept: each leaf of a small valid run config, matrix
 file or corpus line is replaced by a JSON value of another kind or size.
 
-Whatever the input, ``cli.main`` returns 0, 1 or 2 and never raises, and an exit 2
-leaves no ``--out`` behind. A run config the loader accepts is within the size caps
+Whatever the input, ``cli.main`` returns 0, 1 or 2 and never raises, an exit 2
+leaves no ``--out`` behind, and every JSON file an exit 0 or 1 writes is RFC 8259
+JSON, which has no NaN or Infinity. A run config the loader accepts is within the size caps
 before it is run, so no mutated size ever allocates or starts threads; a config with
 an ``http_llm`` backend is run only when its API key check fails, so it never sends.
 """
@@ -21,10 +22,11 @@ from bteval import pipeline
 from bteval.cli import EXIT_USAGE, main
 from bteval.metrics import MAX_CHRF_ORDER, MetricError
 
-# JSON texts, so 1e400 and 10^30 reach the reader as written
+# JSON texts, so 1e400, 10^30 and 10^400 reach the reader as written; NaN and Infinity
+# are not JSON, though Python's json reads them
 VALUES = ("null", "true", "false", "0", "-1", "0.5", "1e308", "-1e308", "1e400", "-1e400",
-          "1" + "0" * 30, '""', '"x"', '"化学"', '"\\ud800"', "[]", '[1, "a"]', "{}",
-          '{"id": "x"}')
+          "1" + "0" * 30, "1" + "0" * 400, '""', '"x"', '"化学"', '"\\ud800"', "[]", '[1, "a"]', "{}",
+          '{"id": "x"}', "NaN", "Infinity", "-Infinity")
 
 CORPUS_LINES = [
     {"id": "S1", "domain": "chemistry", "text": "化学工程领域的研究与分析。", "title": "研究",
@@ -98,7 +100,13 @@ def check_main(argv, out: Path) -> int:
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error:"), err.getvalue()
         assert not out.exists(), f"exit 2 left {out} behind"
+    for path in sorted(out.glob("*.json")) if out.exists() else ():
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=not_json)
     return code
+
+
+def not_json(name: str):
+    raise AssertionError(f"{name} written, which is not JSON")
 
 
 def write_corpus(directory: Path, lines) -> Path:

@@ -326,6 +326,13 @@ def test_bleu_epsilon_above_one_is_rejected():
             score_pair("化学研究", "研究化学", config=ScoringConfig(smoothing_epsilon=epsilon))
 
 
+def test_bleu_nan_weight_is_rejected():
+    # NaN fails neither w < 0 nor |sum - 1| > 1e-9, and scored every BLEU as NaN
+    for weights in ((math.nan, 0.5, 0.5, 0.0), (0.5, 0.5, 0.0, math.nan)):
+        with pytest.raises(MetricError, match="weights must be non-negative"):
+            BleuConfig(weights)
+
+
 @given(st.lists(st.sampled_from("abcd"), max_size=8),
        st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
        st.lists(st.integers(0, 4), min_size=4, max_size=4),

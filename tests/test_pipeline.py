@@ -78,6 +78,14 @@ def test_backend_config_validation():
                                          "surprise": 1}, "backend")
 
 
+def test_config_reader_rejects_a_nan_threshold():
+    # a config file cannot hold NaN; a dict built in Python still meets the field check
+    with pytest.raises(ConfigError, match=r"'verbatim_threshold' must be a number in \[0, 1\]"):
+        config_from_json(RunConfig, {"corpus": "c.jsonl", "verbatim_threshold": float("nan"),
+                                     "backends": [{"id": "m", "kind": "mock",
+                                                   "model_name": "identity"}]}, "run config")
+
+
 def test_config_reader_checks_each_json_type():
     with pytest.raises(ConfigError, match=r"backend 'id' must be a string, got 5"):
         config_from_json(BackendConfig, {"id": 5, "kind": "mock", "model_name": "identity"},

@@ -386,6 +386,13 @@ def test_adjust_p_checks_range_and_returns_floats(correction):
     assert adjust_p([], correction) == []
 
 
+@pytest.mark.parametrize("correction", [BENJAMINI_HOCHBERG, BONFERRONI, NO_CORRECTION])
+def test_adjust_p_rejects_nan(correction):
+    # NaN fails both p < 0 and p > 1; Benjamini-Hochberg returned [0.01, 0.01] here
+    with pytest.raises(StatsError, match=r"must lie in \[0, 1\]"):
+        adjust_p([math.nan, 0.01], correction)
+
+
 def test_adjust_p_none_is_identity_and_unknown_name_rejected():
     assert adjust_p([0.3, 0.01, 1.0], NO_CORRECTION) == [0.3, 0.01, 1.0]
     with pytest.raises(StatsError, match="unknown correction"):
@@ -657,6 +664,11 @@ def test_descriptive_empty_rejected():
         descriptive_stats([])
 
 
+def test_descriptive_opposite_infinities_rejected():
+    with pytest.raises(StatsError, match=r"both \+inf and -inf"):
+        descriptive_stats([math.inf, 0.5, -math.inf])
+
+
 def test_descriptive_single_infinity_has_nan_std_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # inf - inf is NaN, not a RuntimeWarning
@@ -749,12 +761,17 @@ def test_score_matrix_serialization_round_trip():
 @given(st.lists(st.one_of(st.none(), st.just(-0.0), st.integers(-2 ** 53, 2 ** 53),
                           st.floats(allow_nan=False)), min_size=6, max_size=6))
 @settings(max_examples=200, deadline=None)
+@example([None, None, None, None, None, math.inf])
 def test_score_matrix_from_dict_decodes_like_per_value_oracle(flat):
     data = {"metric": "bleu", "design": {"n": 1, "k": 2, "r": 3},
             "block_ids": ["b0"], "treatment_ids": ["t0", "t1"],
             "values": [[flat[:3], flat[3:]]]}
-    got = ScoreMatrix.from_dict(data).values
     expected = oracle_matrix_values(data)
+    if np.isinf(expected).any():  # a JSON number such as 1e400 that overflowed
+        with pytest.raises(ValueError, match="values must be finite"):
+            ScoreMatrix.from_dict(data)
+        return
+    got = ScoreMatrix.from_dict(data).values
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
