@@ -18,6 +18,7 @@ from . import corpus as corpus_mod
 from . import pipeline as pipeline_mod
 from . import report as report_mod
 from . import stats as stats_mod
+from .jsonio import config_from_json, loads
 from .metrics import MetricError, ScoringConfig, score_pair
 from .segmentation import (
     CHARACTER,
@@ -108,8 +109,8 @@ def cmd_validate(args) -> int:
 def _read_json(path, what: str) -> dict:
     """The JSON object in a config or matrix file; anything else is a CliError."""
     try:
-        data = json.loads(_read_text(path, what), parse_constant=corpus_mod.reject_json_constant)
-    except ValueError as exc:  # bad JSON, NaN or Infinity, or an integer too long to convert
+        data = loads(_read_text(path, what))
+    except ValueError as exc:  # not RFC 8259 JSON, or an integer too long to convert
         raise CliError(f"invalid JSON {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} file {path} must hold a JSON object")
@@ -121,8 +122,8 @@ def _scoring_from_path(path: str) -> ScoringConfig:
     their key sets are disjoint, so any run config key marks a run config."""
     data = _read_json(path, "config")
     if any(f.name in data for f in fields(pipeline_mod.RunConfig)):
-        return pipeline_mod.config_from_json(pipeline_mod.RunConfig, data, "run config").scoring
-    return pipeline_mod.config_from_json(ScoringConfig, data, "scoring")
+        return config_from_json(pipeline_mod.RunConfig, data, "run config").scoring
+    return config_from_json(ScoringConfig, data, "scoring")
 
 
 def _unit_interval(closed: bool):
@@ -144,8 +145,8 @@ _fraction = _unit_interval(closed=True)  # a ratio threshold
 
 
 def cmd_run(args) -> int:
-    config = pipeline_mod.config_from_json(pipeline_mod.RunConfig,
-                                           _read_json(args.config, "config"), "run config")
+    config = config_from_json(pipeline_mod.RunConfig, _read_json(args.config, "config"),
+                              "run config")
     loaded = corpus_mod.parse_corpus(_require_file(config.corpus, "corpus"))
     lexicon = _load_lexicon_arg(config.lexicon)
     table = _load_variant_table_arg(config.variant_table)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional, has_surrogate
+from .jsonio import ConfigError, config_from_json, loads
+from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional
 
 SIMPLIFIED = "simplified"
 TRADITIONAL = "traditional"
@@ -26,11 +27,6 @@ _KNOWN_FIELDS = ("id", "domain", "title", "text", "variant")
 
 class CorpusError(ValueError):
     """Malformed corpus file or record."""
-
-
-def reject_json_constant(name: str):
-    """A ``json.loads`` ``parse_constant`` hook: RFC 8259 JSON has no NaN or Infinity."""
-    raise ValueError(f"{name} is not JSON")
 
 
 @dataclass
@@ -76,35 +72,6 @@ class Corpus:
         return self.samples[i]
 
 
-def _parse_record(data: dict, where: str) -> TextSample:
-    for key in ("id", "domain", "text"):
-        if key not in data:
-            raise CorpusError(f"{where}: missing field {key!r}")
-        if not isinstance(data[key], str):
-            raise CorpusError(f"{where}: field {key!r} must be a string")
-    if not isinstance(data.get("title"), (str, type(None))):
-        raise CorpusError(f"{where}: field 'title' must be a string or null")
-    for key in ("id", "domain", "text", "title"):
-        if has_surrogate(data.get(key) or ""):
-            raise CorpusError(f"{where}: field {key!r} holds a lone surrogate, not UTF-8")
-    extra = {k: v for k, v in data.items() if k not in _KNOWN_FIELDS}
-    try:  # serialize_corpus writes the unknown fields back
-        json.dumps(extra, ensure_ascii=False, allow_nan=False).encode("utf-8")
-    except ValueError as exc:  # a lone surrogate, or a number that overflowed to inf
-        raise CorpusError(f"{where}: unknown fields cannot be written back as JSON ({exc})") from exc
-    try:
-        return TextSample(
-            id=data["id"],
-            domain=data["domain"],
-            text=data["text"],
-            title=data.get("title"),
-            variant=data.get("variant", UNKNOWN),
-            extra=extra,
-        )
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
-
-
 def parse_corpus(path: str | Path) -> Corpus:
     """Parse a JSONL corpus, preserving line order; errors carry 1-based line numbers."""
     path = Path(path)
@@ -118,28 +85,34 @@ def parse_corpus(path: str | Path) -> Corpus:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         try:
-            data = json.loads(line, parse_constant=reject_json_constant)
-        except ValueError as exc:  # bad JSON, NaN or Infinity, or an integer too long to convert
-            raise CorpusError(
-                f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            data = loads(line)
+        except ValueError as exc:  # not RFC 8259 JSON, or an integer too long to convert
+            raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(data, dict):
-            raise CorpusError(f"{path}: line {lineno}: record must be a JSON object")
-        sample = _parse_record(data, f"{path}: line {lineno}")
+            raise CorpusError(f"{where}: record must be a JSON object")
+        try:
+            sample = config_from_json(TextSample, {k: data[k] for k in _KNOWN_FIELDS if k in data},
+                                      "record")
+        except (ConfigError, CorpusError) as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
+        extra = {key: value for key, value in data.items() if key not in _KNOWN_FIELDS}
+        if extra:
+            try:  # serialize_corpus writes the unknown fields back
+                json.dumps(extra, ensure_ascii=False, allow_nan=False).encode("utf-8")
+            except (ValueError, RecursionError) as exc:  # a lone surrogate, inf, or deep nesting
+                raise CorpusError(
+                    f"{where}: unknown fields cannot be written back as JSON ({exc})") from exc
+            sample.extra = extra
         if sample.id in seen:
             raise CorpusError(
-                f"{path}: line {lineno}: duplicate id {sample.id!r} "
-                f"(first seen on line {seen[sample.id]})"
-            )
+                f"{where}: duplicate id {sample.id!r} (first seen on line {seen[sample.id]})")
         seen[sample.id] = lineno
         samples.append(sample)
     if not samples:
         raise CorpusError(f"{path}: empty corpus")
-    return Corpus(
-        name=path.stem,
-        samples=samples,
-        sha256=hashlib.sha256(raw).hexdigest(),
-    )
+    return Corpus(name=path.stem, samples=samples, sha256=hashlib.sha256(raw).hexdigest())
 
 
 def serialize_corpus(corpus: Corpus, path: str | Path) -> None:

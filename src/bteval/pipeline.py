@@ -21,16 +21,16 @@ import random
 import threading
 import time
 from contextlib import ExitStack
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from .corpus import Corpus, TextSample
+from .jsonio import ConfigError, config_from_json, loads
 from .metrics import (
     METRIC_NAMES,
     BleuConfig,
@@ -78,10 +78,6 @@ PROMPT_VARIANTS = {
 
 class BackendError(RuntimeError):
     """A translation request that failed after all retries."""
-
-
-class ConfigError(ValueError):
-    """Invalid backend or run configuration."""
 
 
 @dataclass
@@ -397,22 +393,14 @@ class HttpBackend:
             body = json.dumps(payload, allow_nan=False).encode()
         # retry jitter derives from the request seed so the schedule replays
         jitter_rng = random.Random(seed * 4 + 3)
-        last_error = "no attempt made"
         for attempt in range(self.config.max_retries + 1):
             self._bucket.acquire()
             try:
-                status, reply_headers, reply = self._post(body)
+                return self._completion(*self._post(body))
             except self._transport_errors as exc:
                 last_error = f"transport error: {exc}"
-            else:
-                if 200 <= status < 300:
-                    completion = self._extract(reply_headers, reply)
-                    if completion and not has_surrogate(completion):
-                        return completion
-                    last_error = ("completion holds a lone surrogate, which UTF-8 cannot encode"
-                                  if completion else "empty completion")
-                else:
-                    last_error = f"HTTP {status}"
+            except ValueError as exc:  # an error status, or a 2xx reply without a completion
+                last_error = str(exc)
             if attempt < self.config.max_retries:
                 self._sleep((2 ** attempt) * 0.5 + jitter_rng.random() * 0.1)
         raise BackendError(f"{self.config.id}: {last_error}")
@@ -443,20 +431,29 @@ class HttpBackend:
         self._idle.put(conn)
         return response.status, response.headers, reply
 
-    def _extract(self, headers, reply: bytes) -> str:
+    def _completion(self, status: int, headers, reply: bytes) -> str:
+        """The completion a reply carries; a ValueError says why it carries none."""
+        if not 200 <= status < 300:
+            raise ValueError(f"HTTP {status}")
         if self.config.wire_format == "raw":
-            # the prompt goes out as UTF-8, so the reply is UTF-8 unless it names a charset
+            # the prompt goes out as UTF-8, so the reply is UTF-8 unless it names a text codec
             charset = headers.get_content_charset() or "utf-8"
             try:
-                return reply.decode(charset, errors="replace").strip()
-            except LookupError:
-                return reply.decode("utf-8", errors="replace").strip()
-        try:
-            content = json.loads(reply)["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError):
-            return ""
-        # a refusal or tool call carries null content: an empty completion
-        return content.strip() if isinstance(content, str) else ""
+                completion = reply.decode(charset, errors="replace").strip()
+            except (LookupError, UnicodeError):  # no such codec, or idna or undefined
+                completion = reply.decode("utf-8", errors="replace").strip()
+        else:
+            try:
+                content = loads(reply)["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed reply: {type(exc).__name__}: {exc}") from None
+            # a refusal or tool call carries null content: an empty completion
+            completion = content.strip() if isinstance(content, str) else ""
+        if not completion:
+            raise ValueError("empty completion")
+        if has_surrogate(completion):
+            raise ValueError("completion holds a lone surrogate, which UTF-8 cannot encode")
+        return completion
 
 
 def make_backend(config: BackendConfig, segment: Segmenter | None = None):
@@ -546,56 +543,6 @@ class RunConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"run config {name!r} must be a number in [0, 1], got {value!r}")
         check_run_design(self.backends, self.repetitions)
-
-
-def config_from_json(cls, data, what: str):
-    """The config dataclass cls read from parsed JSON, named what in errors.
-
-    Each key must name a field, and each value have its field's JSON type;
-    a nested config is read the same way. cls's own checks then run.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
-    hints = get_type_hints(cls)  # one per field
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} {'keys' if cls is RunConfig else 'fields'}: {unknown}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
-    if missing:
-        raise ConfigError(f"{what} requires {missing}")
-    return cls(**{key: _from_json(hints[key], value, what, key) for key, value in data.items()})
-
-
-_JSON_TYPES = {str: "a string", int: "int", float: "a number"}
-
-
-def _from_json(hint, value, what: str, key: str):
-    """value read as field key of type hint; a value of another JSON type is a ConfigError."""
-    args = get_args(hint)
-    if type(None) in args:  # X | None
-        return None if value is None else _from_json(args[0], value, what, key)
-    if is_dataclass(hint):
-        return config_from_json(hint, value, key)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if get_origin(hint) is tuple:
-        if isinstance(value, list) and value:
-            return tuple(_from_json(args[0], item, what, f"{key}[{i}]")
-                         for i, item in enumerate(value))
-        expected = f"a non-empty array of {'objects' if is_dataclass(args[0]) else 'numbers'}"
-    else:
-        expected = _JSON_TYPES[hint]
-        if hint is str and isinstance(value, str):
-            if has_surrogate(value):
-                raise ConfigError(f"{what} {key!r} holds a lone surrogate, not UTF-8")
-            return value
-        if hint is int and number and (isinstance(value, int) or value.is_integer()):
-            return int(value)
-        if hint is float and number:
-            try:
-                return float(value)
-            except OverflowError:  # an integer literal beyond the float range
-                pass
-    raise ConfigError(f"{what} {key!r} must be {expected}, got {value!r}")
 
 
 def run_experiment(
@@ -698,8 +645,5 @@ def write_records(records: list[TranslationRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[TranslationRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(TranslationRecord(**json.loads(line)))
-    return records
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [TranslationRecord(**loads(line)) for line in lines if line.strip()]

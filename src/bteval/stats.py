@@ -18,6 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import tails
+from .jsonio import config_from_json
 from .segmentation import has_surrogate
 
 DEFAULT_ALPHA = 0.05
@@ -85,10 +86,7 @@ class ScoreMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreMatrix":
-        if not isinstance(data["design"], dict):
-            raise TypeError(f"design must be an object, not {data['design']!r}")
-        design = ExperimentDesign(**{key: _json_int(value, f"design {key}")
-                                     for key, value in data["design"].items()})
+        design = config_from_json(ExperimentDesign, data["design"], "design")
         # np.array would read true as 1.0 and "0.5" as 0.5
         cells = set(map(type, chain.from_iterable(chain.from_iterable(data["values"]))))
         if not cells <= {int, float, type(None)}:
@@ -109,16 +107,6 @@ class ScoreMatrix:
             raise ValueError("metric, block_ids or treatment_ids holds a lone surrogate, not UTF-8")
         return cls(design, data["metric"], values, list(data["block_ids"]),
                    list(data["treatment_ids"]))
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON integer as a run config reads one: a number that is not a bool,
-    and either an int or an integral float."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

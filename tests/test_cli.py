@@ -171,7 +171,8 @@ def test_validate_corpus_with_a_null_text_exits_2(capsys, tmp_path):
     path.write_text('{"id": "a", "domain": "d", "text": null}\n', encoding="utf-8")
     code, out, err = invoke(capsys, "validate", str(path))
     assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error:") and "null.jsonl: line 1: field 'text' must be a string" in err
+    assert err.startswith("error:")
+    assert "null.jsonl: line 1: record 'text' must be a string, got None" in err
     assert "Traceback" not in err
 
 
@@ -329,7 +330,7 @@ def one_http_backend(**fields):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"scoring": {"bogus": 1}}, "unknown scoring fields"),
+    ({"scoring": {"bogus": 1}}, "unknown scoring keys: ['bogus']"),
     ({"scoring": {"level": "sentence"}}, "scoring level"),
     ({"repetitions": "three"}, "'repetitions' must be int"),
     ({"scoring": {"chrf_max_n": 0}}, "chrf_max_n must be an integer >= 1"),
@@ -369,12 +370,12 @@ def one_http_backend(**fields):
     ({"max_missing_fraction": -0.1}, "'max_missing_fraction' must be a number in [0, 1]"),
     (one_mock_backend(id=5), "backends[0] 'id' must be a string, got 5"),
     (one_http_backend(endpoint="http://127.0.0.1:9/v1", api_key_env=5),
-     "backends[0] 'api_key_env' must be a string, got 5"),
+     "backends[0] 'api_key_env' must be a string or null, got 5"),
     (one_http_backend(endpoint=5), "backends[0] 'endpoint' must be a string, got 5"),
     (one_mock_backend(prompt_template_forward=5),
-     "backends[0] 'prompt_template_forward' must be a string, got 5"),
+     "backends[0] 'prompt_template_forward' must be a string or null, got 5"),
     ({"corpus": 5}, "run config 'corpus' must be a string, got 5"),
-    ({"lexicon": 5}, "run config 'lexicon' must be a string, got 5"),
+    ({"lexicon": 5}, "run config 'lexicon' must be a string or null, got 5"),
     ({"scoring": [["level", "character"]]}, "scoring must be a JSON object"),
     (one_mock_backend(max_workers=True), "backends[0] 'max_workers' must be int, got True"),
     ({"scoring": []}, "scoring must be a JSON object, got []"),
@@ -426,7 +427,7 @@ def test_run_with_a_lone_surrogate_in_the_corpus_exits_2_before_running(capsys, 
     out_dir = tmp_path / "out"
     code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
     assert code == EXIT_USAGE
-    assert err.startswith("error:") and f"field {field!r} holds a lone surrogate" in err
+    assert err.startswith("error:") and f"line 1: record {field!r} holds a lone surrogate" in err
     assert not out_dir.exists()
 
 
@@ -647,7 +648,8 @@ def test_stats_design_counts_read_as_json_integers(capsys, tmp_path, value, code
     got, _, err = invoke(capsys, "stats", str(path), "--out", str(tmp_path / "o"))
     assert got == code
     if code == EXIT_USAGE:
-        assert err.startswith("error: malformed matrix file") and "design n" in err
+        assert err.startswith("error: malformed matrix file")
+        assert "design 'n' must be int, got " + {"true": "True"}.get(value, value) in err
     else:
         from bteval.stats import ScoreMatrix
         assert ScoreMatrix.from_dict(json.loads(path.read_text())).to_dict()["design"]["n"] == 1
@@ -799,6 +801,15 @@ def test_mock_only_run_does_not_load_concurrent_futures():
         'corpus = Corpus(name="c", samples=[TextSample(id="S1", domain="d", text="化学")]); '
         'run_experiment(corpus, [BackendConfig(id="m", kind="mock", model_name="noise")], 2); '
         'assert "concurrent.futures" not in sys.modules')
+
+
+def test_one_module_decodes_json():
+    # configs, corpus lines, matrix files, record logs and chat replies all read through
+    # bteval.jsonio, so a new reader cannot bring its own rules for what JSON it accepts
+    package = Path(__file__).resolve().parent.parent / "src" / "bteval"
+    decoders = sorted(path.name for path in package.glob("*.py") if re.search(
+        r"json\.loads|json\.load\(|JSONDecoder", path.read_text(encoding="utf-8")))
+    assert decoders == ["jsonio.py"]
 
 
 def assert_runs_in_fresh_python(code):

@@ -71,11 +71,11 @@ def test_parse_missing_field(tmp_path):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("text", None, "field 'text' must be a string"),
-    ("text", ["元素", "观点"], "field 'text' must be a string"),
-    ("id", 5, "field 'id' must be a string"),
-    ("domain", {"name": "d"}, "field 'domain' must be a string"),
-    ("title", 3, "field 'title' must be a string or null"),
+    ("text", None, "record 'text' must be a string, got None"),
+    ("text", ["元素", "观点"], "record 'text' must be a string, got \\['元素', '观点'\\]"),
+    ("id", 5, "record 'id' must be a string, got 5"),
+    ("domain", {"name": "d"}, "record 'domain' must be a string, got \\{'name': 'd'\\}"),
+    ("title", 3, "record 'title' must be a string or null, got 3"),
 ], ids=["null-text", "list-text", "int-id", "object-domain", "int-title"])
 def test_parse_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value, message):
     path = tmp_path / "typed.jsonl"

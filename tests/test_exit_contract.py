@@ -1,5 +1,7 @@
 """The CLI exit-code contract, swept: each leaf of a small valid run config, matrix
-file or corpus line is replaced by a JSON value of another kind or size.
+file or corpus line is replaced by a JSON value of another kind or size, or by
+arrays nested just short of the reader's recursion limit; whole files that nest
+past it, or hold no JSON object, are cases too.
 
 Whatever the input, ``cli.main`` returns 0, 1 or 2 and never raises, an exit 2
 leaves no ``--out`` behind, and every JSON file an exit 0 or 1 writes is RFC 8259
@@ -12,13 +14,14 @@ import contextlib
 import io
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bteval import pipeline
+from bteval import jsonio, pipeline
 from bteval.cli import EXIT_USAGE, main
 from bteval.metrics import MAX_CHRF_ORDER, MetricError
 
@@ -208,3 +211,72 @@ def test_size_caps_hold_at_their_bounds(field, cap):
     load(cap)  # loading only: no run at the cap
     with pytest.raises((pipeline.ConfigError, MetricError), match=f"{field} must be <= {cap}"):
         load(cap + 1)
+
+
+# written as text, since json.dumps recurses too; no reader may decode this deep
+DEEP = "[" * 100_000
+
+WHOLE_FILES = {"deep": DEEP, "array": "[]", "string": '"x"'}
+
+
+@pytest.mark.parametrize("document", WHOLE_FILES.values(), ids=WHOLE_FILES.keys())
+@pytest.mark.parametrize("command", ["stats", "run", "validate"])
+def test_whole_file_cases_exit_2(tmp_path, command, document):
+    out = tmp_path / "out"
+    if command == "validate":  # a corpus line, or its text when deep
+        deep_text = '{"id": "S1", "domain": "chemistry", "text": ' + DEEP
+        line = deep_text if document is DEEP else document
+        argv = ["validate", str(write_corpus(tmp_path, [line]))]
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(document, encoding="utf-8")
+        argv = ["stats", str(path), "--out", str(out)] if command == "stats" else [
+            "run", "--config", str(path), "--out", str(out)]
+    assert check_main(argv, out) == EXIT_USAGE
+
+
+def deepest_decodable() -> int:
+    """The deepest array nesting the reader decodes when called from here."""
+    depth = sys.getrecursionlimit()
+    while True:
+        try:
+            jsonio.loads("[" * depth + "]" * depth)
+            return depth
+        except ValueError:
+            depth -= 1
+
+
+DEEP_LEAVES = ([("run", path) for path in leaves(run_config("corpus.jsonl"))]
+               + [("run", path) for path in leaves(http_run_config("corpus.jsonl"))
+                  if path[:2] == ("backends", 1)]
+               + [("corpus", path) for path in leaves(dict(CORPUS_LINES[0], note=None))]
+               + [("matrix", path) for path in leaves(MATRIX)])
+
+
+@pytest.mark.parametrize("kind, path", DEEP_LEAVES,
+                         ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, path in DEEP_LEAVES])
+def test_leaves_nested_near_the_recursion_limit_keep_the_contract(kind, path):
+    # Nesting a little shallower than the reader's limit decodes; whatever then
+    # reads, checks, shows or re-encodes the value must not exceed the limit itself.
+    # Only the corpus line's unknown field may hold an array, which it keeps.
+    deepest = deepest_decodable()
+    with workdir() as directory:
+        corpus = write_corpus(directory, [json.dumps(line, ensure_ascii=False)
+                                          for line in CORPUS_LINES])
+        config, matrix = directory / "run.json", directory / "matrix_bleu.json"
+        for depth in range(deepest - 12, deepest + 3):
+            value, out = "[" * depth + "]" * depth, directory / f"out{depth}"
+            if kind == "matrix":
+                matrix.write_text(mutated(MATRIX, path, value), encoding="utf-8")
+                assert check_main(["stats", str(matrix), "--out", str(out)], out) == EXIT_USAGE
+                assert check_main(["report", str(directory), "--out", str(out)], out) == EXIT_USAGE
+            elif kind == "corpus":
+                corpus.write_text(mutated(dict(CORPUS_LINES[0], note=None), path, value) + "\n",
+                                  encoding="utf-8")
+                code = check_main(["validate", str(corpus)], out)
+                assert code == EXIT_USAGE or path == ("note",)
+            else:
+                make = http_run_config if path[:2] == ("backends", 1) else run_config
+                config.write_text(mutated(make(str(corpus)), path, value), encoding="utf-8")
+                assert check_main(["run", "--config", str(config), "--out", str(out)],
+                                  out) == EXIT_USAGE

@@ -15,7 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from bteval import metrics, pipeline, segmentation
+from bteval import cli, metrics, pipeline, segmentation
 from bteval.corpus import Corpus, TextSample, parse_corpus
 from bteval.metrics import UNIFORM_WEIGHTS, ScoringConfig, fit_idf, semantic_similarity
 from bteval.pipeline import (
@@ -73,7 +73,7 @@ def test_backend_config_validation():
     with pytest.raises(ConfigError, match="placeholder"):
         BackendConfig(id="x", kind="mock", model_name="identity",
                       prompt_template_forward="no slot here")
-    with pytest.raises(ConfigError, match="unknown backend fields"):
+    with pytest.raises(ConfigError, match=r"unknown backend keys: \['surprise'\]"):
         config_from_json(BackendConfig, {"id": "x", "kind": "mock", "model_name": "identity",
                                          "surprise": 1}, "backend")
 
@@ -635,9 +635,11 @@ def test_http_backend_chat_body_is_compact_json():
     assert seen["bodies"] == [json.dumps(payload, allow_nan=False).encode()]
 
 
-def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8():
+@pytest.mark.parametrize("charset", ["x-no-such-codec", "idna", "undefined"])
+def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8(charset):
+    # idna and undefined exist but decode no text: each raises UnicodeError, not LookupError
     reply = "译文".encode("utf-8") + b"\xff"
-    server, _ = serve_canned([(200, "text/plain; charset=x-no-such-codec", reply)])
+    server, _ = serve_canned([(200, f"text/plain; charset={charset}", reply)])
     config = http_config(server.server_address[1], wire_format="raw")
     backend = HttpBackend(config, sleep=lambda s: None)
     try:
@@ -645,6 +647,37 @@ def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8():
     finally:
         backend.close()
         stop(server)
+
+
+def test_http_backend_sends_the_configured_prompt_templates():
+    server, seen = serve_canned([chat_reply("translation"), chat_reply("译文")])
+    config = http_config(server.server_address[1], prompt_template_forward="EN please: {text}",
+                         prompt_template_backward="ZH please: {text}")
+    backend = HttpBackend(config, sleep=lambda s: None)
+    try:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=2) == "translation"
+        assert backend.translate("translation", EN_TO_ZH, seed=1, variant=2) == "译文"
+    finally:
+        backend.close()
+        stop(server)
+    assert [json.loads(body)["messages"][0]["content"] for body in seen["bodies"]] == [
+        "EN please: 化学", "ZH please: translation"]
+
+
+def test_https_endpoint_connects_with_a_verifying_tls_context():
+    import http.client
+    import ssl
+
+    backend = HttpBackend(BackendConfig(id="h1", kind="http_llm", model_name="x",
+                                        endpoint="https://api.example.org/v1/chat"))
+    conn = backend._connect()  # a connection object; nothing is sent until a request
+    try:
+        assert isinstance(conn, http.client.HTTPSConnection) and conn.sock is None
+        assert (conn.host, conn.port) == ("api.example.org", 443)
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED and conn._context.check_hostname
+        assert backend._target == "/v1/chat"
+    finally:
+        conn.close()
 
 
 def test_token_bucket_with_fake_clock():
@@ -1027,6 +1060,34 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
         assert np.array_equal(matrices[name].values, stacked)
     for name, matrix in matrices.items():
         assert matrix.to_dict() == sequential[name].to_dict()
+
+
+def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
+    # a reply nested past the recursion limit raised RecursionError out of the whole run
+    corpus, r = cnki_head(3), 2
+    good_server, _ = serve_http11(lambda path, payload: payload_text(payload))
+    bad_server, _ = serve_canned([(200, "application/json", b"[" * 100_000)] * (len(corpus) * r))
+    good = http_config(good_server.server_address[1], id="good", max_retries=0)
+    bad = http_config(bad_server.server_address[1], id="bad", max_retries=0)
+    lines = "\n".join(json.dumps({"id": s.id, "domain": s.domain, "text": s.text},
+                                 ensure_ascii=False) for s in corpus)
+    (tmp_path / "corpus.jsonl").write_text(lines + "\n", encoding="utf-8")
+    config = {"corpus": str(tmp_path / "corpus.jsonl"), "repetitions": r,
+              "backends": [asdict(good), asdict(bad)]}
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    try:
+        code = cli.main(["run", "--config", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "out")])
+        _, alone, _ = run_experiment(corpus, [good], r)
+    finally:
+        stop(good_server)
+        stop(bad_server)
+    assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
+    records = read_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == len(corpus) * 2 * r
+    errors = {rec.error for rec in records if rec.backend_id == "bad"}
+    assert errors == {"bad: malformed reply: ValueError: JSON nested too deeply"}
+    assert [rec for rec in records if rec.backend_id == "good"] == alone
 
 
 def test_backtranslate_matches_run_experiment_and_detectors():
