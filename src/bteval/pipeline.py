@@ -60,6 +60,8 @@ DEFAULT_VERBATIM_THRESHOLD = 0.70
 MAX_REPETITIONS = 1000
 MAX_WORKERS = 64
 MAX_RETRIES = 10
+# A reply body longer than this is a failed attempt, not read into memory.
+MAX_REPLY_BYTES = 16 * 1024 * 1024
 
 # Instruction phrasings rotated across repetitions; {text} is the payload slot.
 PROMPT_VARIANTS = {
@@ -399,7 +401,7 @@ class HttpBackend:
                 return self._completion(*self._post(body))
             except self._transport_errors as exc:
                 last_error = f"transport error: {exc}"
-            except ValueError as exc:  # an error status, or a 2xx reply without a completion
+            except ValueError as exc:  # an oversized reply, an error status, or no completion
                 last_error = str(exc)
             if attempt < self.config.max_retries:
                 self._sleep((2 ** attempt) * 0.5 + jitter_rng.random() * 0.1)
@@ -424,7 +426,9 @@ class HttpBackend:
                 conn.close()
                 conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
-            reply = response.read()
+            reply = response.read(MAX_REPLY_BYTES + 1)
+            if len(reply) > MAX_REPLY_BYTES:  # closed below: its unread rest would be the next reply
+                raise ValueError(f"reply longer than MAX_REPLY_BYTES ({MAX_REPLY_BYTES} bytes)")
         except BaseException:
             conn.close()
             raise

@@ -148,10 +148,13 @@ def _json_cells(values: np.ndarray) -> np.ndarray:
     return np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype=object)
 
 
-# one scatter entry of the indent=2 bundle, and the separators of its [x, y] points
-_SCATTER_ENTRY = ('{{\n      "adjusted_p": {},\n      "metric_a": {},\n      "metric_b": {},'
-                  '\n      "points": {},\n      "rho": {}\n    }}')
+# one scatter entry of the indent=2 bundle, split around its points, the
+# separators of those [x, y] points, and the rows of points per write
+_SCATTER_HEAD = ('{{\n      "adjusted_p": {},\n      "metric_a": {},\n      "metric_b": {},'
+                 '\n      "points": ')
+_SCATTER_TAIL = ',\n      "rho": {}\n    }}'
 _POINT_SEP, _VALUE_SEP = "\n        ],\n        [\n          ", ",\n          "
+_SLICE_ROWS = 4096
 
 
 def emit_plot_data(
@@ -184,13 +187,17 @@ def emit_plot_data(
         for i, a in enumerate(names):
             for j, b in enumerate(names[i + 1:], i + 1):
                 mask = present[i] & present[j]
-                pairs = map(_VALUE_SEP.join, zip(cells[i][mask], cells[j][mask]))
-                points = ("[\n        [\n          " + _POINT_SEP.join(pairs) + "\n        ]\n      ]"
-                          if mask.any() else "[]")
+                x, y = cells[i][mask], cells[j][mask]
                 entry = annotation.get((a, b)) or annotation.get((b, a))
-                handle.write(separator + _SCATTER_ENTRY.format(
-                    _json(entry and entry.adjusted_p), _json(a), _json(b), points,
-                    _json(entry and entry.rho)))
+                handle.write(separator + _SCATTER_HEAD.format(
+                    _json(entry and entry.adjusted_p), _json(a), _json(b)))
+                # the points go out a slice of rows at a time, never as one string
+                for start in range(0, x.size, _SLICE_ROWS):
+                    rows = slice(start, start + _SLICE_ROWS)
+                    handle.write(("[\n        [\n          " if start == 0 else _POINT_SEP)
+                                 + _POINT_SEP.join(map(_VALUE_SEP.join, zip(x[rows], y[rows]))))
+                handle.write(("\n        ]\n      ]" if x.size else "[]")
+                             + _SCATTER_TAIL.format(_json(entry and entry.rho)))
                 separator = ",\n    "
         handle.write("\n  ]\n}\n" if len(names) > 1 else "[]\n}\n")
 

@@ -170,16 +170,22 @@ def _block_ranks(grid: np.ndarray) -> np.ndarray:
     order = np.argsort(grid, axis=1, kind="stable")
     ordered = np.take_along_axis(grid, order, axis=1)
     starts = np.ones((n, k), dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # column 0 always starts a run, so no run crosses a row boundary
-    flat_starts = np.flatnonzero(starts)
-    lengths = np.diff(np.append(flat_starts, n * k))
-    first = flat_starts % k
-    last = first + lengths - 1
-    run_ranks = (first + last) / 2.0 + 1.0
-    ranks = np.empty((n, k))
-    np.put_along_axis(ranks, order, np.repeat(run_ranks, lengths).reshape(n, k), axis=1)
-    return ranks
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    del ordered  # each n x k temporary is freed before the next is allocated
+    # a sorted cell's run spans first..last: the nearest run start at or before
+    # it, and the nearest run end (a cell followed by a start) at or after it
+    positions = np.arange(k, dtype=float)
+    first = np.zeros((n, k))
+    np.copyto(first, positions, where=starts)
+    np.maximum.accumulate(first, axis=1, out=first)
+    last = np.full((n, k), k - 1.0)
+    np.copyto(last[:, :-1], positions[:-1], where=starts[:, 1:])
+    np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
+    first += last  # a whole number, so halving it is exact: ranks are half-integers
+    first /= 2.0
+    first += 1.0
+    np.put_along_axis(last, order, first, axis=1)  # last becomes the ranks
+    return last
 
 
 def rank_with_ties(values) -> list[float]:

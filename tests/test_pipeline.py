@@ -616,6 +616,22 @@ def test_http_backend_reuses_its_connection_after_an_error_status():
     assert seen["connections"] == 1 and len(seen["bodies"]) == 2
 
 
+def test_http_backend_reply_over_the_cap_fails_and_its_connection_is_not_reused(monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_REPLY_BYTES", 64)
+    server, seen = serve_canned([chat_reply("长" * 64), chat_reply("译文")])
+    backend = HttpBackend(http_config(server.server_address[1], max_retries=0),
+                          sleep=lambda s: None)
+    try:
+        with pytest.raises(BackendError, match=r"reply longer than MAX_REPLY_BYTES \(64 bytes\)"):
+            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+        assert backend.translate("化学", ZH_TO_EN, seed=2, variant=0) == "译文"
+    finally:
+        backend.close()
+        stop(server)
+    # the oversized reply's unread rest never reaches the next request
+    assert seen["connections"] == 2 and len(seen["bodies"]) == 2
+
+
 def test_http_backend_chat_body_is_compact_json():
     server, seen = serve_canned([chat_reply("译文")])
     config = http_config(server.server_address[1], temperature=0.25)

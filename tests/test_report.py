@@ -378,6 +378,36 @@ def test_emit_plot_data_encodes_each_metric_once(monkeypatch, tmp_path):
         reference_plot_json(matrices, correlations)
 
 
+def test_emit_plot_data_streams_the_scatter_points(monkeypatch, tmp_path):
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        write = handle.write
+
+        def recorded(text):
+            writes.append(len(text.encode("utf-8")))
+            return write(text)
+
+        handle.write = recorded
+        return handle
+
+    rng = np.random.default_rng(27)
+    matrices = {}
+    for m in ("bleu", "chrf", "ter"):
+        values = rng.random((500, 8, 5))
+        values[rng.random(values.shape) < 0.05] = math.nan  # each pair has its own rows
+        matrices[m] = make_matrix(values, metric=m)
+    correlations = metric_correlations(matrices)
+    monkeypatch.setattr(report, "open", recording_open, raising=False)
+    emit_plot(matrices, correlations, tmp_path / "plot_bundle.json")
+    monkeypatch.undo()
+    assert sum(writes) > 4 * 2 ** 20  # several MiB of points, ...
+    assert max(writes) <= 2 ** 20  # ... none of them written at once
+    assert (tmp_path / "plot_bundle.json").read_bytes() == \
+        reference_plot_json(matrices, correlations)
+
+
 def test_emit_plot_data_matches_reference_encoder_on_edge_cases():
     quoted = 'q"\\ 译\x01'
     values = np.array([[[1e-05]], [[5e-324]], [[math.nan]]])

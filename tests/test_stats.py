@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -176,6 +177,20 @@ def test_block_ranks_match_loop_oracle_per_row(grid):
     ranks = _block_ranks(np.array(grid))
     assert ranks.shape == (len(grid), len(grid[0]))
     assert [row.tolist() for row in ranks] == [oracle_rank_with_ties(row) for row in grid]
+
+
+def test_block_ranks_transient_memory_stays_within_six_inputs():
+    # the ranks are 1x; every n x k temporary beside them is freed before the next.
+    # Distinct values are the costliest grid: one tie run per cell.
+    grid = np.random.default_rng(27).random((5, 100_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _block_ranks(grid)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * grid.nbytes
 
 
 def test_rank_with_ties_signed_zeros_and_nan_runs():
