@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, astuple, dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -139,17 +140,19 @@ def _json(value, level: int = 0) -> str:
     return text.replace("\n", "\n" + "  " * level)
 
 
-def _json_cells(values: np.ndarray) -> np.ndarray:
-    """The JSON text of each float in ``values``, from one C-encoder call.
+def _json_cells(values: np.ndarray) -> list[str]:
+    """The JSON text of ``values`` in chunks of ``_SLICE_ROWS`` cells, each the
+    C encoder's comma-joined floats, one byte per character.
 
-    A float's repr never holds ``", "``, so splitting the encoded list is exact,
-    and NaN and the infinities are spelled as ``json.dumps`` spells them.
+    A float's repr never holds a comma, so splitting a chunk is exact, and NaN
+    and the infinities are spelled as ``json.dumps`` spells them.
     """
-    return np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype=object)
+    return [json.dumps(values[s:s + _SLICE_ROWS].tolist(), separators=(",", ":"))[1:-1]
+            for s in range(0, values.size, _SLICE_ROWS)]
 
 
 # one scatter entry of the indent=2 bundle, split around its points, the
-# separators of those [x, y] points, and the rows of points per write
+# separators of those [x, y] points, and the cells per chunk
 _SCATTER_HEAD = ('{{\n      "adjusted_p": {},\n      "metric_a": {},\n      "metric_b": {},'
                  '\n      "points": ')
 _SCATTER_TAIL = ',\n      "rho": {}\n    }}'
@@ -187,16 +190,19 @@ def emit_plot_data(
         for i, a in enumerate(names):
             for j, b in enumerate(names[i + 1:], i + 1):
                 mask = present[i] & present[j]
-                x, y = cells[i][mask], cells[j][mask]
                 entry = annotation.get((a, b)) or annotation.get((b, a))
                 handle.write(separator + _SCATTER_HEAD.format(
                     _json(entry and entry.adjusted_p), _json(a), _json(b)))
-                # the points go out a slice of rows at a time, never as one string
-                for start in range(0, x.size, _SLICE_ROWS):
-                    rows = slice(start, start + _SLICE_ROWS)
-                    handle.write(("[\n        [\n          " if start == 0 else _POINT_SEP)
-                                 + _POINT_SEP.join(map(_VALUE_SEP.join, zip(x[rows], y[rows]))))
-                handle.write(("\n        ]\n      ]" if x.size else "[]")
+                # the points go out a chunk at a time, never as one string
+                head = "[\n        [\n          "  # until the first point is written
+                for start, x, y in zip(range(0, mask.size, _SLICE_ROWS), cells[i], cells[j]):
+                    keep = mask[start:start + _SLICE_ROWS].tolist()
+                    points = _POINT_SEP.join(map(_VALUE_SEP.join, compress(
+                        zip(x.split(","), y.split(",")), keep)))
+                    if points:
+                        handle.write(head + points)
+                        head = _POINT_SEP
+                handle.write(("\n        ]\n      ]" if head == _POINT_SEP else "[]")
                              + _SCATTER_TAIL.format(_json(entry and entry.rho)))
                 separator = ",\n    "
         handle.write("\n  ]\n}\n" if len(names) > 1 else "[]\n}\n")

@@ -325,7 +325,7 @@ def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list
     """Spearman over every unordered pair of named series, jointly adjusted.
 
     Pairs are checked in order, raising what ``spearman`` would for the first
-    bad pair; every series is then ranked in one call and shared by its pairs.
+    bad pair; each series is then ranked once and shared by its pairs.
     """
     names = list(series)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
@@ -342,7 +342,8 @@ def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list
             raise StatsError("spearman inputs must not be NaN")
         if constant[i] or constant[j]:
             raise StatsError("constant input: rho undefined")
-    ranks = _block_ranks(np.stack(arrays)) if pairs else None
+    # one row at a time: the same kernel on the same rows, with no stacked copy
+    ranks = [_block_ranks(a.reshape(1, -1))[0] for a in arrays] if pairs else []
     results = [_spearman_ranked(ranks[i], ranks[j]) for i, j in pairs]
     adjusted = adjust_p([p for _, p in results], correction)
     return [

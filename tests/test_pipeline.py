@@ -3,6 +3,7 @@
 import json
 import re
 import socketserver
+import ssl
 import sys
 import threading
 import time
@@ -39,6 +40,8 @@ from bteval.pipeline import (
 from bteval.segmentation import Segmenter
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text
+
+TLS_CERT, TLS_KEY = FIXTURES / "tls" / "localhost.crt", FIXTURES / "tls" / "localhost.key"
 
 
 def mock_config(model="identity", backend_id="m1", **kwargs):
@@ -511,8 +514,11 @@ def test_http_backend_unreachable_raises_backend_error():
         backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
 
 
-def serve_canned(replies, drop_after_reply=False):
+def serve_canned(replies, drop_after_reply=False, tls=False):
     """HTTP/1.1 stub sending replies[i] = (status, content_type, body) to the i-th request.
+
+    With tls the stub speaks HTTPS with the self-signed fixture certificate for
+    127.0.0.1 and localhost.
 
     seen["connections"] counts accepted connections and seen["bodies"] holds
     each request body. With drop_after_reply the server closes every
@@ -551,6 +557,10 @@ def serve_canned(replies, drop_after_reply=False):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, seen
 
@@ -694,6 +704,47 @@ def test_https_endpoint_connects_with_a_verifying_tls_context():
         assert backend._target == "/v1/chat"
     finally:
         conn.close()
+
+
+def https_config(port, **kwargs):
+    return http_config(port, endpoint=f"https://127.0.0.1:{port}/v1/chat/completions", **kwargs)
+
+
+def test_https_round_trip_verifies_the_fixture_certificate(monkeypatch):
+    # the backend's own verifying context, told to trust the fixture certificate
+    create, contexts = ssl.create_default_context, []
+
+    def trusting_fixture(*args, **kwargs):
+        contexts.append(create(*args, cafile=str(TLS_CERT), **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(ssl, "create_default_context", trusting_fixture)
+    server, seen = serve_canned([chat_reply("译文")], tls=True)
+    backend = HttpBackend(https_config(server.server_address[1], max_retries=0),
+                          sleep=lambda s: None)
+    try:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+    finally:
+        backend.close()
+        stop(server)
+    [context] = contexts
+    assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+    assert seen["connections"] == 1 and len(seen["bodies"]) == 1
+
+
+def test_https_with_an_untrusted_certificate_is_a_failed_attempt():
+    server, seen = serve_canned([], tls=True)  # no request may reach it
+    waits = []
+    backend = HttpBackend(https_config(server.server_address[1], max_retries=1),
+                          sleep=waits.append)
+    try:
+        with pytest.raises(BackendError, match="transport error: .*certificate verify failed"):
+            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+    finally:
+        backend.close()
+        stop(server)
+    assert len(waits) == 1  # one retry, its backoff recorded rather than slept
+    assert seen["bodies"] == []
 
 
 def test_token_bucket_with_fake_clock():

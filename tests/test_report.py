@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -406,6 +407,45 @@ def test_emit_plot_data_streams_the_scatter_points(monkeypatch, tmp_path):
     assert max(writes) <= 2 ** 20  # ... none of them written at once
     assert (tmp_path / "plot_bundle.json").read_bytes() == \
         reference_plot_json(matrices, correlations)
+
+
+def traced_peak(call) -> int:
+    """Bytes traced at the peak of ``call()``, beyond those live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def five_metrics_with_missing_cells():
+    """Five 1000x8x5 matrices with 5% of cells missing, so each pair has its own rows."""
+    rng, matrices = np.random.default_rng(28), {}
+    for m in ("bleu", "bleu_unif", "chrf", "semantic_similarity", "ter"):
+        values = rng.random((1000, 8, 5))
+        values[rng.random(values.shape) < 0.05] = math.nan
+        matrices[m] = make_matrix(values, metric=m)
+    return matrices
+
+
+def test_emit_plot_data_peak_memory_stays_within_five_inputs(tmp_path):
+    # each series is held as JSON text in chunks, and only one chunk's cells are
+    # split at a time: no Python str per float for the whole series
+    matrices = five_metrics_with_missing_cells()
+    correlations, summaries = metric_correlations(matrices), summaries_of(matrices)
+    path = tmp_path / "plot_bundle.json"
+    peak = traced_peak(lambda: emit_plot_data(matrices, correlations, summaries, path))
+    assert peak <= 5 * sum(m.values.nbytes for m in matrices.values())
+    assert path.read_bytes() == reference_plot_json(matrices, correlations)
+
+
+def test_metric_correlations_peak_memory_stays_within_three_inputs():
+    # the series are ranked one at a time, never stacked into one n x k grid
+    matrices = five_metrics_with_missing_cells()
+    peak = traced_peak(lambda: metric_correlations(matrices))
+    assert peak <= 3 * sum(m.values.nbytes for m in matrices.values())
 
 
 def test_emit_plot_data_matches_reference_encoder_on_edge_cases():

@@ -509,13 +509,13 @@ def test_spearman_battery_errors(series, message):
         spearman_battery(series)
 
 
-def test_spearman_battery_ranks_every_series_in_one_call(monkeypatch):
+def test_spearman_battery_ranks_each_series_once(monkeypatch):
     shapes = []
     monkeypatch.setattr(stats_module, "_block_ranks",
                         lambda grid: shapes.append(grid.shape) or _block_ranks(grid))
     rng = np.random.default_rng(9)
     spearman_battery({name: rng.random(30) for name in "abcd"})
-    assert shapes == [(4, 30)]
+    assert shapes == [(1, 30)] * 4  # once per series, never once per pair
 
 
 def test_spearman_battery_with_fewer_than_two_series_is_empty():
