@@ -19,6 +19,7 @@ from .metrics import (
 )
 from .pipeline import (
     BackendConfig,
+    RunConfig,
     RunManifest,
     TranslationRecord,
     detect_verbatim,

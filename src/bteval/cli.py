@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -147,6 +147,8 @@ _fraction = _unit_interval(closed=True)  # a ratio threshold
 def cmd_run(args) -> int:
     config = config_from_json(pipeline_mod.RunConfig, _read_json(args.config, "config"),
                               "run config")
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
     loaded = corpus_mod.parse_corpus(_require_file(config.corpus, "corpus"))
     lexicon = _load_lexicon_arg(config.lexicon)
     table = _load_variant_table_arg(config.variant_table)
@@ -156,16 +158,7 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
-        loaded,
-        config.backends,
-        config.repetitions,
-        config.scoring,
-        config.master_seed if args.seed is None else args.seed,
-        lexicon=lexicon,
-        variant_table=table,
-        verbatim_threshold=config.verbatim_threshold,
-        traditional_threshold=config.traditional_threshold,
-    )
+        loaded, config, lexicon=lexicon, variant_table=table)
 
     pipeline_mod.write_records(records, out_dir / "records.jsonl")
     (out_dir / "manifest.json").write_text(

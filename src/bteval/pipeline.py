@@ -18,6 +18,7 @@ import math
 import os
 import queue
 import random
+import re
 import threading
 import time
 from contextlib import ExitStack
@@ -146,19 +147,24 @@ class BackendConfig:
 
 
 def _check_endpoint(backend_id: str, endpoint: str) -> None:
-    """An http_llm endpoint must be an http(s) URL with a host and a valid port."""
+    """An http_llm endpoint must be an http(s) URL with a host and a valid port, that
+    http.client can send: no space or control character, and an ASCII path and query
+    (a non-ASCII host is sent as IDNA)."""
     if not endpoint:
         raise ConfigError(f"backend {backend_id}: http_llm requires an endpoint")
-    parts = urlsplit(endpoint)
+    try:
+        parts = urlsplit(endpoint)
+        parts.port
+    except ValueError as exc:  # an unclosed IPv6 bracket, or a port that is not one
+        raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r}: {exc}") from exc
+    if re.search(r"[\x00-\x20\x7f]", endpoint) or not (parts.path + parts.query).isascii():
+        raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r} holds a space, a control "
+                          "character, or a non-ASCII character in its path or query")
     if parts.scheme not in ("http", "https"):
         raise ConfigError(
             f"backend {backend_id}: endpoint {endpoint!r} must be an http or https URL")
     if not parts.hostname:
         raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r} has no host")
-    try:
-        parts.port
-    except ValueError as exc:
-        raise ConfigError(f"backend {backend_id}: endpoint {endpoint!r}: {exc}") from exc
 
 
 @dataclass
@@ -516,19 +522,10 @@ def _roundtrip(backend, config: BackendConfig, sample: TextSample, repetition: i
     return record
 
 
-def check_run_design(backends: list[BackendConfig], r: int) -> None:
-    """A run needs 1 to MAX_REPETITIONS repetitions and one id per backend."""
-    if r < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if r > MAX_REPETITIONS:
-        raise ConfigError(f"repetitions must be <= {MAX_REPETITIONS}")
-    if len({b.id for b in backends}) != len(backends):
-        raise ConfigError("backend ids must be unique within a run")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """A run config file: what a run reads, whom it asks, and how it scores and judges."""
+    """A run: what it reads, whom it asks, and how it scores and judges. The paths name
+    the caller's inputs; run_experiment reads every other field and no file."""
 
     corpus: str
     backends: tuple[BackendConfig, ...]
@@ -546,28 +543,34 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"run config {name!r} must be a number in [0, 1], got {value!r}")
-        check_run_design(self.backends, self.repetitions)
+        r = self.repetitions
+        if not isinstance(r, int):
+            raise ConfigError(f"repetitions must be an integer, got {r!r}")
+        if r < 1:
+            raise ConfigError("repetitions must be >= 1")
+        if r > MAX_REPETITIONS:
+            raise ConfigError(f"repetitions must be <= {MAX_REPETITIONS}")
+        if not self.backends:
+            raise ConfigError("a run needs at least one backend")
+        if len({b.id for b in self.backends}) != len(self.backends):
+            raise ConfigError("backend ids must be unique within a run")
 
 
 def run_experiment(
     corpus: Corpus,
-    backends: list[BackendConfig],
-    r: int,
-    scoring: ScoringConfig = DEFAULT_SCORING,
-    master_seed: int = 0,
+    config: RunConfig,
     lexicon: Lexicon | None = None,
     variant_table: dict[str, str] | None = None,
-    verbatim_threshold: float = DEFAULT_VERBATIM_THRESHOLD,
-    traditional_threshold: float = DEFAULT_TRADITIONAL_THRESHOLD,
     backend_instances: dict | None = None,
 ) -> tuple[dict[str, ScoreMatrix], list[TranslationRecord], RunManifest]:
-    """Full grid execution: per-metric score matrices, the sorted record log, and a manifest.
+    """config's grid over corpus: per-metric score matrices, the sorted record log, and a
+    manifest. The caller loads the corpus, lexicon and variant table config's paths name.
 
     Backend failures become error records and missing score cells; only
     corpus or configuration problems abort the run.
     """
-    check_run_design(backends, r)
-    if any(config.kind == "http_llm" for config in backends):
+    backends, r, master_seed = config.backends, config.repetitions, config.master_seed
+    if any(backend.kind == "http_llm" for backend in backends):
         # only HTTP legs go to a pool, so a mock-only run never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor, as_completed
     # each original is segmented once, for the mocks' forward legs and the scorer
@@ -575,24 +578,24 @@ def run_experiment(
     with ExitStack() as stack:
         # every backend, and each HTTP backend's pool, is made before any leg starts
         instances, pools = dict(backend_instances or {}), {}
-        for config in backends:
-            if config.id not in instances:
-                instances[config.id] = make_backend(config, segment)
-                if config.kind == "http_llm":
-                    stack.callback(instances[config.id].close)
-            if config.kind == "http_llm":
-                pools[config.id] = ThreadPoolExecutor(max_workers=config.max_workers)
-                stack.callback(pools[config.id].shutdown, cancel_futures=True)
+        for backend in backends:
+            if backend.id not in instances:
+                instances[backend.id] = make_backend(backend, segment)
+                if backend.kind == "http_llm":
+                    stack.callback(instances[backend.id].close)
+            if backend.kind == "http_llm":
+                pools[backend.id] = ThreadPoolExecutor(max_workers=backend.max_workers)
+                stack.callback(pools[backend.id].shutdown, cancel_futures=True)
         # Every HTTP leg is submitted before the GIL-bound mock legs run inline, so the
         # HTTP backends wait on I/O together and while the mocks run; as_completed lets
         # go of each future it yields. A run that raises drops the legs not yet started.
         finished = as_completed([
-            pools[config.id].submit(_roundtrip, instances[config.id], config, sample, rep,
-                                    master_seed)
-            for config in backends if config.id in pools
+            pools[backend.id].submit(_roundtrip, instances[backend.id], backend, sample, rep,
+                                     master_seed)
+            for backend in backends if backend.id in pools
             for sample in corpus for rep in range(1, r + 1)]) if pools else ()
-        inline = (_roundtrip(instances[config.id], config, sample, rep, master_seed)
-                  for config in backends if config.id not in pools
+        inline = (_roundtrip(instances[backend.id], backend, sample, rep, master_seed)
+                  for backend in backends if backend.id not in pools
                   for sample in corpus for rep in range(1, r + 1))
         # the one place where every finished record arrives, the HTTP ones in completion order
         records = list(chain(inline, (future.result() for future in finished)))
@@ -608,10 +611,10 @@ def run_experiment(
               for zhx, group in groupby(scored, key=attrgetter("zhx"))]
     # flagged before scoring: ratios alive through the scorer cost the 89x5x3 run 0.8 MiB peak RSS
     for rec, ratio in zip(scored, traditional_ratios([r.zhy for r in scored], variant_table)):
-        rec.traditional_flag = bool(ratio > traditional_threshold)
-    results = score_run([s.text for s in corpus], groups, scoring, segment)
+        rec.traditional_flag = bool(ratio > config.traditional_threshold)
+    results = score_run([s.text for s in corpus], groups, config.scoring, segment)
     for rec, (vector, similarity) in zip(scored, results):
-        rec.verbatim_flag = similarity >= verbatim_threshold
+        rec.verbatim_flag = similarity >= config.verbatim_threshold
         b, t = block_index[rec.sample_id], treatment_index[rec.backend_id]
         for name in METRIC_NAMES:
             grids[name][b, t, rec.repetition - 1] = getattr(vector, name)
@@ -631,11 +634,11 @@ def run_experiment(
         corpus_sha256=corpus.sha256 or "",
         backend_ids=[b.id for b in backends],
         design=asdict(design),
-        scoring=asdict(scoring),
+        scoring=asdict(config.scoring),
         master_seed=master_seed,
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        verbatim_threshold=verbatim_threshold,
-        traditional_threshold=traditional_threshold,
+        verbatim_threshold=config.verbatim_threshold,
+        traditional_threshold=config.traditional_threshold,
     )
     return matrices, records, manifest
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from bteval.pipeline import RunConfig
 from bteval.segmentation import Lexicon
 
 REPO = Path(__file__).resolve().parent.parent
@@ -14,6 +15,11 @@ HUA_YAO_MODELS = (
 
 def fixture_text(relative: str) -> str:
     return (FIXTURES / relative).read_text(encoding="utf-8").strip()
+
+
+def run_config(backends, repetitions=1, **fields) -> RunConfig:
+    """The RunConfig of a run on an in-memory corpus; run_experiment reads none of its paths."""
+    return RunConfig(corpus="", backends=tuple(backends), repetitions=repetitions, **fields)
 
 
 @pytest.fixture(scope="session")

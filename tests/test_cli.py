@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,8 @@ import pytest
 
 from bteval import metrics, pipeline, segmentation
 from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
+from bteval.corpus import parse_corpus
+from bteval.jsonio import config_from_json
 
 from conftest import FIXTURES
 from test_pipeline import StubState, make_stub_server
@@ -255,6 +257,30 @@ def test_run_seed_flag_overrides_config(capsys, tmp_path, tiny_corpus_path):
     assert (a / "records.jsonl").read_bytes() != (b / "records.jsonl").read_bytes()
     manifest = json.loads((a / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["master_seed"] == 99
+
+
+def test_library_run_writes_the_bytes_of_the_cli_run(capsys, tmp_path, tiny_corpus_path):
+    # `bteval run --seed 99` is run_experiment on the config it read, with the seed replaced
+    path = write_run_config(tmp_path, tiny_corpus_path, MOCK_BACKENDS, verbatim_threshold=0.5,
+                            traditional_threshold=0.2, scoring={"smoothing_epsilon": 0.1})
+    out = tmp_path / "out"
+    code, _, _ = invoke(capsys, "run", "--config", str(path), "--out", str(out), "--seed", "99")
+    assert code == EXIT_OK
+    config = config_from_json(pipeline.RunConfig, json.loads(path.read_text(encoding="utf-8")),
+                              "run config")
+    matrices, records, manifest = pipeline.run_experiment(
+        parse_corpus(config.corpus), replace(config, master_seed=99))
+    pipeline.write_records(records, tmp_path / "records.jsonl")
+    assert (tmp_path / "records.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
+    for name, matrix in matrices.items():
+        encoded = json.dumps(matrix.to_dict(), ensure_ascii=False) + "\n"
+        assert (out / f"matrix_{name}.json").read_bytes() == encoded.encode("utf-8"), name
+    # the same manifest bytes, but for the timestamp line
+    written, expected = ((out / "manifest.json").read_text(encoding="utf-8"),
+                         json.dumps(asdict(manifest), ensure_ascii=False, indent=2) + "\n")
+    assert '"master_seed": 99,' in written and written != expected
+    timestamp = re.compile(r'\n  "timestamp": "[^"]*",')
+    assert timestamp.sub("", written) == timestamp.sub("", expected)
 
 
 def test_run_unreachable_backend_degrades_to_missing(capsys, tmp_path, tiny_corpus_path):
@@ -797,9 +823,10 @@ def test_import_does_not_load_requests_or_cookiejar():
 def test_mock_only_run_does_not_load_concurrent_futures():
     assert_runs_in_fresh_python(
         'import sys; from bteval.corpus import Corpus, TextSample; '
-        'from bteval.pipeline import BackendConfig, run_experiment; '
+        'from bteval.pipeline import BackendConfig, RunConfig, run_experiment; '
         'corpus = Corpus(name="c", samples=[TextSample(id="S1", domain="d", text="化学")]); '
-        'run_experiment(corpus, [BackendConfig(id="m", kind="mock", model_name="noise")], 2); '
+        'backends = (BackendConfig(id="m", kind="mock", model_name="noise"),); '
+        'run_experiment(corpus, RunConfig("c.jsonl", backends, repetitions=2)); '
         'assert "concurrent.futures" not in sys.modules')
 
 

@@ -38,7 +38,7 @@ from bteval.pipeline import BackendConfig, config_from_json, run_experiment
 from bteval.segmentation import (CHARACTER, WORD, Lexicon, Segmenter, segment_chars,
                                  segment_words, tokenize)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_config
 
 
 # ---------------------------------------------------------------- oracles
@@ -486,7 +486,7 @@ def test_edit_distance_matches_dp_oracle_on_corpus_run():
     corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
     config = BackendConfig(id="noisy", kind="mock", model_name="noise",
                            drop_prob=0.1, swap_prob=0.05)
-    matrices, records, _ = run_experiment(corpus, [config], r=1, master_seed=7)
+    matrices, records, _ = run_experiment(corpus, run_config([config], master_seed=7))
     assert len(records) == 89 and all(rec.error is None for rec in records)
     ter_matrix = matrices["ter"]
     longest = 0
@@ -839,7 +839,8 @@ def test_run_experiment_scores_equal_per_pair_oracles(config):
     corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
     backend = BackendConfig(id="noisy", kind="mock", model_name="noise",
                             drop_prob=0.1, swap_prob=0.05)
-    matrices, records, _ = run_experiment(corpus, [backend], r=2, scoring=config, master_seed=11)
+    run = run_config([backend], 2, scoring=config, master_seed=11)
+    matrices, records, _ = run_experiment(corpus, run)
     assert all(rec.error is None for rec in records)
     tokens = {text: tokenize(text, config.level)
               for text in [s.text for s in corpus] + [rec.zhy for rec in records]}

@@ -15,8 +15,8 @@ PUBLIC = {
     "detect_traditional",
     "ScoringConfig", "BleuConfig", "IdfModel", "MetricVector", "fit_idf", "score_pair",
     "bleu", "chrf", "ter", "semantic_similarity",
-    "BackendConfig", "TranslationRecord", "RunManifest", "run_experiment", "translate",
-    "detect_verbatim",
+    "BackendConfig", "RunConfig", "TranslationRecord", "RunManifest", "run_experiment",
+    "translate", "detect_verbatim",
     "ExperimentDesign", "ScoreMatrix", "StatTestResult", "cell_means", "friedman",
     "dunn_posthoc", "benjamini_hochberg", "spearman", "rank_with_ties",
     "descriptive_stats", "shapiro_wilk", "levene",

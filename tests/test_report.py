@@ -639,9 +639,7 @@ def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
     capsys.readouterr()
 
     config = config_from_json(RunConfig, data, "run config")
-    matrices, _, manifest = run_experiment(parse_corpus(corpus_path), config.backends,
-                                           config.repetitions, config.scoring,
-                                           config.master_seed)
+    matrices, _, manifest = run_experiment(parse_corpus(corpus_path), config)
     design = matrices["bleu"].design
     written = (out / "manifest.json").read_text(encoding="utf-8")
     expected = {
