@@ -4,6 +4,7 @@ Scores Chinese -> English -> Chinese round-trips with segmentation-aware
 metrics and establishes model differences with rank-based statistics.
 """
 
+from .config import BackendConfig, RunConfig, RunManifest
 from .corpus import Corpus, CorpusError, TextSample, parse_corpus, serialize_corpus, validate_corpus
 from .metrics import (
     BleuConfig,
@@ -17,15 +18,7 @@ from .metrics import (
     semantic_similarity,
     ter,
 )
-from .pipeline import (
-    BackendConfig,
-    RunConfig,
-    RunManifest,
-    TranslationRecord,
-    detect_verbatim,
-    run_experiment,
-    translate,
-)
+from .pipeline import TranslationRecord, detect_verbatim, run_experiment, translate
 from .segmentation import (
     Lexicon,
     TokenList,

@@ -18,7 +18,8 @@ from . import corpus as corpus_mod
 from . import pipeline as pipeline_mod
 from . import report as report_mod
 from . import stats as stats_mod
-from .jsonio import config_from_json, loads
+from .config import RunConfig, api_key
+from .jsonio import ConfigError, config_from_json, loads
 from .metrics import MetricError, ScoringConfig, score_pair
 from .segmentation import (
     CHARACTER,
@@ -121,8 +122,8 @@ def _scoring_from_path(path: str) -> ScoringConfig:
     """A run config's scoring (the default if it has none), or a bare scoring object;
     their key sets are disjoint, so any run config key marks a run config."""
     data = _read_json(path, "config")
-    if any(f.name in data for f in fields(pipeline_mod.RunConfig)):
-        return config_from_json(pipeline_mod.RunConfig, data, "run config").scoring
+    if any(f.name in data for f in fields(RunConfig)):
+        return config_from_json(RunConfig, data, "run config").scoring
     return config_from_json(ScoringConfig, data, "scoring")
 
 
@@ -145,8 +146,7 @@ _fraction = _unit_interval(closed=True)  # a ratio threshold
 
 
 def cmd_run(args) -> int:
-    config = config_from_json(pipeline_mod.RunConfig, _read_json(args.config, "config"),
-                              "run config")
+    config = config_from_json(RunConfig, _read_json(args.config, "config"), "run config")
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     loaded = corpus_mod.parse_corpus(_require_file(config.corpus, "corpus"))
@@ -154,7 +154,7 @@ def cmd_run(args) -> int:
     table = _load_variant_table_arg(config.variant_table)
     for backend in config.backends:
         if backend.kind == "http_llm":
-            pipeline_mod.api_key(backend)  # a bad key exits 2 before --out exists
+            api_key(backend)  # a bad key exits 2 before --out exists
     out_dir = _out_dir(args.out)
 
     matrices, records, manifest = pipeline_mod.run_experiment(
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, corpus_mod.CorpusError, LexiconError, MetricError,
-            stats_mod.StatsError, pipeline_mod.ConfigError) as exc:
+            stats_mod.StatsError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bteval.pipeline import RunConfig
+from bteval.config import RunConfig
 from bteval.segmentation import Lexicon
 
 REPO = Path(__file__).resolve().parent.parent

@@ -15,6 +15,7 @@ import pytest
 
 from bteval import metrics, pipeline, segmentation
 from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
+from bteval.config import RunConfig
 from bteval.corpus import parse_corpus
 from bteval.jsonio import config_from_json
 
@@ -266,7 +267,7 @@ def test_library_run_writes_the_bytes_of_the_cli_run(capsys, tmp_path, tiny_corp
     out = tmp_path / "out"
     code, _, _ = invoke(capsys, "run", "--config", str(path), "--out", str(out), "--seed", "99")
     assert code == EXIT_OK
-    config = config_from_json(pipeline.RunConfig, json.loads(path.read_text(encoding="utf-8")),
+    config = config_from_json(RunConfig, json.loads(path.read_text(encoding="utf-8")),
                               "run config")
     matrices, records, manifest = pipeline.run_experiment(
         parse_corpus(config.corpus), replace(config, master_seed=99))
@@ -823,7 +824,7 @@ def test_import_does_not_load_requests_or_cookiejar():
 def test_mock_only_run_does_not_load_concurrent_futures():
     assert_runs_in_fresh_python(
         'import sys; from bteval.corpus import Corpus, TextSample; '
-        'from bteval.pipeline import BackendConfig, RunConfig, run_experiment; '
+        'from bteval.config import BackendConfig, RunConfig; from bteval.pipeline import run_experiment; '
         'corpus = Corpus(name="c", samples=[TextSample(id="S1", domain="d", text="化学")]); '
         'backends = (BackendConfig(id="m", kind="mock", model_name="noise"),); '
         'run_experiment(corpus, RunConfig("c.jsonl", backends, repetitions=2)); '

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bteval import jsonio, pipeline
+from bteval import jsonio
+from bteval.config import MAX_REPETITIONS, MAX_RETRIES, MAX_WORKERS, RunConfig, api_key
 from bteval.cli import EXIT_USAGE, main
 from bteval.metrics import MAX_CHRF_ORDER, MetricError
 
@@ -122,13 +123,13 @@ def loaded_within_caps(text: str):
     """The run config text as the loader reads it, or None if it is rejected;
     an accepted config is asserted to be within every size cap."""
     try:
-        config = pipeline.config_from_json(pipeline.RunConfig, json.loads(text), "run config")
-    except (pipeline.ConfigError, MetricError):
+        config = jsonio.config_from_json(RunConfig, json.loads(text), "run config")
+    except (jsonio.ConfigError, MetricError):
         return None
-    assert 1 <= config.repetitions <= pipeline.MAX_REPETITIONS
+    assert 1 <= config.repetitions <= MAX_REPETITIONS
     assert 1 <= config.scoring.chrf_max_n <= MAX_CHRF_ORDER
-    assert all(1 <= b.max_workers <= pipeline.MAX_WORKERS for b in config.backends)
-    assert all(0 <= b.max_retries <= pipeline.MAX_RETRIES for b in config.backends)
+    assert all(1 <= b.max_workers <= MAX_WORKERS for b in config.backends)
+    assert all(0 <= b.max_retries <= MAX_RETRIES for b in config.backends)
     return config
 
 
@@ -144,8 +145,8 @@ def check_run(directory: Path, text: str) -> None:
     http = [b for b in config.backends if b.kind == "http_llm"]
     try:
         for backend in http:
-            pipeline.api_key(backend)
-    except pipeline.ConfigError:
+            api_key(backend)
+    except jsonio.ConfigError:
         assert check_main(argv, out) == EXIT_USAGE  # rejected before any request
         return
     if not http:  # a run that would send is never started
@@ -192,10 +193,10 @@ def test_matrix_leaf_swaps_keep_the_exit_code_contract(path, value):
 
 
 @pytest.mark.parametrize("field, cap", [
-    ("repetitions", pipeline.MAX_REPETITIONS),
+    ("repetitions", MAX_REPETITIONS),
     ("chrf_max_n", MAX_CHRF_ORDER),
-    ("max_workers", pipeline.MAX_WORKERS),
-    ("max_retries", pipeline.MAX_RETRIES),
+    ("max_workers", MAX_WORKERS),
+    ("max_retries", MAX_RETRIES),
 ])
 def test_size_caps_hold_at_their_bounds(field, cap):
     def load(value):
@@ -206,10 +207,10 @@ def test_size_caps_hold_at_their_bounds(field, cap):
             data["backends"][0][field] = value
         else:
             data[field] = value
-        return pipeline.config_from_json(pipeline.RunConfig, data, "run config")
+        return jsonio.config_from_json(RunConfig, data, "run config")
 
     load(cap)  # loading only: no run at the cap
-    with pytest.raises((pipeline.ConfigError, MetricError), match=f"{field} must be <= {cap}"):
+    with pytest.raises((jsonio.ConfigError, MetricError), match=f"{field} must be <= {cap}"):
         load(cap + 1)
 
 

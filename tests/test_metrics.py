@@ -34,7 +34,9 @@ from bteval.metrics import (
     ter,
 )
 from bteval.corpus import parse_corpus
-from bteval.pipeline import BackendConfig, config_from_json, run_experiment
+from bteval.config import BackendConfig
+from bteval.jsonio import config_from_json
+from bteval.pipeline import run_experiment
 from bteval.segmentation import (CHARACTER, WORD, Lexicon, Segmenter, segment_chars,
                                  segment_words, tokenize)
 

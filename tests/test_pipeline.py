@@ -1,5 +1,9 @@
 """Round-trip pipeline: mocks, HTTP backend behavior, flags, and replay."""
 
+import encodings.aliases
+import gc
+import http.client
+import io
 import json
 import re
 import socketserver
@@ -16,19 +20,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from bteval import cli, metrics, pipeline, segmentation
+from bteval import cli, metrics, pipeline, segmentation, transport
+from bteval.config import EN_TO_ZH, PROMPT_VARIANTS, ZH_TO_EN, BackendConfig, RunConfig, api_key
 from bteval.corpus import Corpus, TextSample, parse_corpus
+from bteval.jsonio import ConfigError, config_from_json
 from bteval.metrics import UNIFORM_WEIGHTS, ScoringConfig, fit_idf, semantic_similarity
 from bteval.pipeline import (
-    EN_TO_ZH,
-    ZH_TO_EN,
-    BackendConfig,
-    BackendError,
-    ConfigError,
-    HttpBackend,
-    RunConfig,
-    TokenBucket,
-    config_from_json,
     derive_seed,
     detect_verbatim,
     make_backend,
@@ -38,6 +35,7 @@ from bteval.pipeline import (
     write_records,
 )
 from bteval.segmentation import Segmenter
+from bteval.transport import BackendError, HttpBackend, TokenBucket
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config
 
@@ -499,7 +497,7 @@ def test_api_key_that_no_header_may_carry_is_a_config_error(monkeypatch, key, me
         monkeypatch.setenv("BTEVAL_TEST_API_KEY", key)
     config = http_config(9, api_key_env="BTEVAL_TEST_API_KEY")
     with pytest.raises(ConfigError, match=message) as raised:
-        pipeline.api_key(config)
+        api_key(config)
     assert not key or key.strip() not in str(raised.value)  # the key is never shown
 
 
@@ -599,6 +597,22 @@ def test_http_backend_reopens_a_dropped_keep_alive_connection():
     assert seen["connections"] == 2 and len(seen["bodies"]) == 2
 
 
+def test_translate_closes_the_http_backend_it_builds_and_no_other():
+    server, seen = serve_canned([chat_reply("一"), chat_reply("二"), chat_reply("三")])
+    config = http_config(server.server_address[1], max_retries=0)
+    backend = HttpBackend(config, sleep=lambda s: None)
+    try:
+        assert translate(config, "化学", ZH_TO_EN) == "一"
+        gc.collect()  # a socket left open warns when collected, an error under pyproject.toml
+        assert seen["closed"].acquire(timeout=5)
+        assert translate(backend, "化学", ZH_TO_EN) == "二"
+        assert translate(backend, "化学", ZH_TO_EN) == "三"  # over the same connection
+    finally:
+        backend.close()
+        stop(server)
+    assert seen["connections"] == 2
+
+
 @pytest.mark.parametrize("status_line", [
     b"NOT HTTP AT ALL\r\n\r\n",
     b"",  # closed with no reply: RemoteDisconnected on a fresh connection
@@ -642,7 +656,7 @@ def test_http_backend_reuses_its_connection_after_an_error_status():
 
 
 def test_http_backend_reply_over_the_cap_fails_and_its_connection_is_not_reused(monkeypatch):
-    monkeypatch.setattr(pipeline, "MAX_REPLY_BYTES", 64)
+    monkeypatch.setattr(transport, "MAX_REPLY_BYTES", 64)
     server, seen = serve_canned([chat_reply("长" * 64), chat_reply("译文")])
     backend = HttpBackend(http_config(server.server_address[1], max_retries=0),
                           sleep=lambda s: None)
@@ -668,7 +682,7 @@ def test_http_backend_chat_body_is_compact_json():
         stop(server)
     payload = {
         "model": "stub-model",
-        "messages": [{"role": "user", "content": pipeline.PROMPT_VARIANTS[ZH_TO_EN][1]
+        "messages": [{"role": "user", "content": PROMPT_VARIANTS[ZH_TO_EN][1]
                       .replace("{text}", "化学")}],
         "temperature": 0.25,
         "seed": 9,
@@ -688,6 +702,58 @@ def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8(charset):
     finally:
         backend.close()
         stop(server)
+
+
+def chat_json(content) -> str:
+    return json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+RAW_CHARSETS = sorted(set(encodings.aliases.aliases) | set(encodings.aliases.aliases.values())
+                      | {"idna", "punycode", "undefined", "rot13", "base64", "x-no-such-codec"})
+RAW_BODIES = [b"", b" \n", "译文".encode("utf-8") + b"\xff", "译文".encode("utf-16"),
+              b"\\ud800", b"+2AA-", b"\x00\xd8", b"\xff" * 8, b"translation"]
+CHAT_BODIES = [
+    b"[" * 100_000,
+    b"\xff\xfe{\x80",
+    chat_json("\ud800").encode("ascii"),  # a \ud800 escape: JSON, but not UTF-8
+    b'{"choices": [{"message": {"content": NaN}}]}',
+    chat_json(["译文"]).encode(), chat_json(None).encode(), chat_json(7).encode(),
+    chat_json("  ").encode(), chat_json("译文").encode(),
+    b'{"choices": []}', b'{"choices": {"0": {"message": {"content": "x"}}}}',
+    chat_json("译文").encode("utf-16"), chat_json("\ud800").encode("utf-16"),
+    chat_json("译文").encode("utf-32"), b"", b"null", b'"choices"',
+]
+
+
+def test_reply_parser_returns_a_completion_or_raises_value_error():
+    # every reply either yields a non-empty, UTF-8-encodable completion or is a failed
+    # attempt (ValueError); no other exception may escape into a run's worker
+    def headers(content_type):
+        return http.client.parse_headers(io.BytesIO(f"Content-Type: {content_type}\r\n\r\n"
+                                                    .encode("latin-1")))
+
+    raw = HttpBackend(http_config(9, wire_format="raw"))
+    chat = HttpBackend(http_config(9))
+    cases = [(raw, headers(f"text/plain; charset={charset}"), body)
+             for charset in RAW_CHARSETS for body in RAW_BODIES]
+    cases += [(chat, headers("application/json"), body) for body in CHAT_BODIES]
+    outcomes = Counter()
+    for backend, reply_headers, body in cases:
+        try:
+            completion = backend._completion(200, reply_headers, body)
+        except ValueError:
+            outcomes["failed"] += 1
+        else:
+            assert isinstance(completion, str) and completion
+            completion.encode("utf-8")  # no lone surrogate
+            outcomes["completion"] += 1
+    assert outcomes["failed"] and outcomes["completion"]
+    for backend in (raw, chat):
+        for status in (-1, 0, 100, 199, 300, 302, 404, 500, 600):
+            with pytest.raises(ValueError, match=f"HTTP {status}"):
+                backend._completion(status, headers("application/json"), chat_json("译文").encode())
+    assert chat._completion(200, headers("application/json"),
+                            chat_json("译文").encode("utf-16")) == "译文"
 
 
 def test_http_backend_sends_the_configured_prompt_templates():
@@ -1204,10 +1270,30 @@ def test_run_config_rejects_no_backends():
         run_config([])
 
 
-@pytest.mark.parametrize("repetitions", [2.0, "2", None])
+@pytest.mark.parametrize("repetitions", [2.0, "2", None, True])
 def test_run_config_rejects_repetitions_that_are_not_an_integer(repetitions):
     with pytest.raises(ConfigError, match="repetitions must be an integer, got"):
         run_config([mock_config()], repetitions)
+
+
+# a config built in code, which the JSON reader never sees, is type-checked when built
+@pytest.mark.parametrize("field, value, message", [
+    ("scoring", None, "run config 'scoring' must be a ScoringConfig, got None"),
+    ("master_seed", "7", "master_seed must be an integer, got '7'"),
+    ("master_seed", True, "master_seed must be an integer, got True"),
+    ("verbatim_threshold", "0.5", "run config 'verbatim_threshold' must be a number in [0, 1]"),
+    ("traditional_threshold", True, "run config 'traditional_threshold' must be a number in"),
+    ("max_missing_fraction", "1", "run config 'max_missing_fraction' must be a number in"),
+], ids=["scoring-none", "seed-str", "seed-bool", "threshold-str", "threshold-bool",
+        "missing-fraction-str"])
+def test_run_config_rejects_a_field_of_the_wrong_type(field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_config([mock_config()], **{field: value})
+
+
+def test_run_config_rejects_a_backend_that_is_not_a_backend_config():
+    with pytest.raises(ConfigError, match="must hold BackendConfig objects, got a dict"):
+        run_config([{"id": "m1", "kind": "mock", "model_name": "identity"}])
 
 
 def test_run_experiment_rejects_duplicate_backend_ids():

@@ -1,12 +1,15 @@
-"""The names ``import bteval`` exports, and the README's "Library use" section."""
+"""The names ``import bteval`` exports, the README's "Library use" section, and the
+names the benchmark's tracer looks up."""
 
+import importlib.util
 import re
 import types
 from pathlib import Path
 
 import bteval
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
 
 PUBLIC = {
     "Corpus", "TextSample", "CorpusError", "parse_corpus", "serialize_corpus",
@@ -50,3 +53,20 @@ def test_readme_library_example_runs(monkeypatch):
                                           "semantic_similarity"}
     assert len(namespace["records"]) == 89 * 3
     assert 0.0 <= namespace["vector"].bleu <= 1.0
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py reads these by name, so a name moved to another module would break
+    # every traced benchmark pass; the file is loaded by path, as nothing imports bench/
+    spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(f"bteval.{name}") for name in tracing.MODULES}
+    pipeline = modules["pipeline"]
+    for cls_name in tracing.TRANSLATE_CLASSES:
+        assert callable(getattr(pipeline, cls_name).translate), cls_name
+    assert callable(pipeline.TokenBucket.acquire)
+    for short, names in tracing.PRIVATE.items():
+        for name in names:
+            assert callable(getattr(modules[short], name)), f"{short}.{name}"
+    assert "_load_matrices" in tracing.PRIVATE["cli"]

@@ -16,7 +16,9 @@ from bteval import report
 from bteval.cli import EXIT_OK, main
 from bteval.corpus import parse_corpus
 from bteval.metrics import score_pair
-from bteval.pipeline import RunConfig, config_from_json, run_experiment
+from bteval.config import RunConfig
+from bteval.jsonio import config_from_json
+from bteval.pipeline import run_experiment
 from bteval.segmentation import default_lexicon
 from bteval.stats import (
     CorrelationEntry,
