@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from .jsonio import ConfigError
+from .jsonio import ConfigError, check_fields
 from .metrics import DEFAULT_SCORING, ScoringConfig
 from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD
 
@@ -62,6 +62,7 @@ class BackendConfig:
     swap_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self, ConfigError, "backend")
         if not self.id:
             raise ConfigError("backend id must be non-empty")
         if self.kind not in ("http_llm", "mock"):
@@ -84,10 +85,9 @@ class BackendConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"backend {self.id}: {name} must lie in [0, 1]")
         for name, low, cap in (("max_retries", 0, MAX_RETRIES), ("max_workers", 1, MAX_WORKERS)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if getattr(self, name) < low:
                 raise ConfigError(f"backend {self.id}: {name} must be an integer >= {low}")
-            if value > cap:
+            if getattr(self, name) > cap:
                 raise ConfigError(f"backend {self.id}: {name} must be <= {cap}")
         for name in ("rate_limit_rps", "timeout"):
             if not getattr(self, name) > 0:
@@ -184,28 +184,14 @@ class RunConfig:
     max_missing_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        # a config read from a file has its types checked by the reader; one built in code
-        # is checked here, so a wrong type fails before any round-trip, not after them all
+        check_fields(self, ConfigError, "run config")  # before any round-trip, not after them all
         for name in ("verbatim_threshold", "traditional_threshold", "max_missing_fraction"):
             value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not 0.0 <= value <= 1.0):
+            if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"run config {name!r} must be a number in [0, 1], got {value!r}")
-        for name in ("repetitions", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.repetitions > MAX_REPETITIONS:
             raise ConfigError(f"repetitions must be <= {MAX_REPETITIONS}")
-        if not isinstance(self.scoring, ScoringConfig):
-            raise ConfigError(f"run config 'scoring' must be a ScoringConfig, got {self.scoring!r}")
-        if not self.backends:
-            raise ConfigError("a run needs at least one backend")
-        for backend in self.backends:
-            if not isinstance(backend, BackendConfig):
-                raise ConfigError("run config 'backends' must hold BackendConfig objects, got "
-                                  f"a {type(backend).__name__}")
         if len({b.id for b in self.backends}) != len(self.backends):
             raise ConfigError("backend ids must be unique within a run")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .jsonio import ConfigError, config_from_json, loads
+from .jsonio import ConfigError, check_fields, config_from_json, loads
 from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional
 
 SIMPLIFIED = "simplified"
@@ -39,6 +39,7 @@ class TextSample:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(self, CorpusError, "sample")
         if not self.id:
             raise CorpusError("sample id must be non-empty")
         if not self.text.strip():

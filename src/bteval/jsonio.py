@@ -1,8 +1,9 @@
 """The one JSON reader: configs, matrix files, corpus lines, record logs and chat
-replies are decoded as strict RFC 8259 JSON, and a JSON object is read into a
-config dataclass field by field, each value checked against its field's type.
+replies are decoded as strict RFC 8259 JSON, and a JSON object is read into a config
+dataclass field by field, each value checked by the type rules of configs built in code.
 """
 
+import contextlib
 import functools
 import json
 import reprlib
@@ -60,35 +61,43 @@ def _schema(cls) -> tuple[dict, list]:
                                  if f.default is MISSING and f.default_factory is MISSING]
 
 
-_JSON_TYPES = {str: "a string", int: "int", float: "a number"}
+def check_fields(obj, error: type[Exception], what: str) -> None:
+    """The config obj's fields checked by the reader's type rules; a wrong type raises error."""
+    try:
+        for key, hint in _schema(type(obj))[0].items():
+            _from_json(hint, getattr(obj, key), what, key, read=False)
+    except ConfigError as exc:
+        raise error(str(exc)) from None
 
 
-def _from_json(hint, value, what: str, key: str, nullable: bool = False):
-    """value read as field key of type hint; a value of another JSON type is a ConfigError."""
+def _from_json(hint, value, what: str, key: str, read: bool = True, nullable: bool = False):
+    """value read as field key of type hint; with read False, checked as built in code, so a
+    tuple for an array, a config for an object, and no 2.0 for an int. Else a ConfigError."""
     if hint is str and isinstance(value, str):  # most fields, tested first
         if has_surrogate(value):
             raise ConfigError(f"{what} {key!r} holds a lone surrogate, not UTF-8")
         return value
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int and number and (isinstance(value, int) or value.is_integer()):
+    if hint is int and number and (isinstance(value, int) or read and value.is_integer()):
         return int(value)
     if hint is float and number:
-        try:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
             return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
+    if type(value) is hint:  # a nested config, or TextSample.extra's dict, built in code
+        return value
     args = get_args(hint)
     if type(None) in args:  # X | None
-        return None if value is None else _from_json(args[0], value, what, key, True)
-    if is_dataclass(hint):
+        return None if value is None else _from_json(args[0], value, what, key, read, True)
+    if read and is_dataclass(hint):
         return config_from_json(hint, value, key)
     if get_origin(hint) is tuple:
-        if isinstance(value, list) and value:
-            return tuple(_from_json(args[0], item, what, f"{key}[{i}]")
+        if isinstance(value, list if read else tuple) and value:
+            return tuple(_from_json(args[0], item, what, f"{key}[{i}]", read)
                          for i, item in enumerate(value))
-        expected = f"a non-empty array of {'objects' if is_dataclass(args[0]) else 'numbers'}"
+        expected = (f"a non-empty {'array' if read else 'tuple'} of "
+                    f"{'objects' if is_dataclass(args[0]) else 'numbers'}")
     else:
-        expected = _JSON_TYPES[hint]
+        expected = {str: "a string", int: "int", float: "a number"}.get(hint, f"a {hint.__name__}")
     # reprlib bounds the depth shown, where repr could pass the recursion limit
     raise ConfigError(f"{what} {key!r} must be {expected}{' or null' if nullable else ''}, "
                       f"got {reprlib.repr(value)}")

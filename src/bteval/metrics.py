@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .jsonio import check_fields
 from .segmentation import (
     WORD,
     CHARACTER,
@@ -48,6 +49,7 @@ class BleuConfig:
     smoothing_epsilon: float | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self, MetricError, "BLEU config")
         if len(self.weights) != 4:
             raise MetricError("exactly 4 n-gram weights required")
         if any(not w >= 0 for w in self.weights):
@@ -92,9 +94,10 @@ class ScoringConfig:
     level: str = WORD
 
     def __post_init__(self) -> None:
+        check_fields(self, MetricError, "scoring")
         if self.level not in (WORD, CHARACTER):
             raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
-        if not isinstance(self.chrf_max_n, int) or self.chrf_max_n < 1:
+        if self.chrf_max_n < 1:
             raise MetricError(f"chrf_max_n must be an integer >= 1, not {self.chrf_max_n!r}")
         if self.chrf_max_n > MAX_CHRF_ORDER:
             raise MetricError(f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {self.chrf_max_n!r}")

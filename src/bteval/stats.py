@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import tails
-from .jsonio import config_from_json
+from .jsonio import check_fields, config_from_json
 from .segmentation import has_surrogate
 
 DEFAULT_ALPHA = 0.05
@@ -39,6 +39,7 @@ class ExperimentDesign:
     r: int  # repetitions per cell
 
     def __post_init__(self) -> None:
+        check_fields(self, StatsError, "design")
         # single-cell matrices are legal pipeline output; the rank tests
         # themselves insist on n >= 2 and k >= 2
         if self.n < 1 or self.k < 1 or self.r < 1:
@@ -265,8 +266,8 @@ def dunn_posthoc(
 ) -> list[PairwiseComparison]:
     """All-pairs Dunn z-tests on mean within-block ranks.
 
-    mean_difference reports the difference of raw metric means for the
-    pair, which is what the summary tables quote.
+    mean_difference is the difference of the pair's column means in means, the
+    imputed cell-mean grid, not of the observation means the summary tables quote.
     """
     grid = np.asarray(means, dtype=float)
     n, k = grid.shape

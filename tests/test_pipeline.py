@@ -16,15 +16,18 @@ import concurrent.futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 from bteval import cli, metrics, pipeline, segmentation, transport
 from bteval.config import EN_TO_ZH, PROMPT_VARIANTS, ZH_TO_EN, BackendConfig, RunConfig, api_key
-from bteval.corpus import Corpus, TextSample, parse_corpus
+from bteval.corpus import Corpus, CorpusError, TextSample, parse_corpus
 from bteval.jsonio import ConfigError, config_from_json
-from bteval.metrics import UNIFORM_WEIGHTS, ScoringConfig, fit_idf, semantic_similarity
+from bteval.metrics import (
+    UNIFORM_WEIGHTS, BleuConfig, MetricError, ScoringConfig, fit_idf, semantic_similarity,
+)
 from bteval.pipeline import (
     derive_seed,
     detect_verbatim,
@@ -35,6 +38,7 @@ from bteval.pipeline import (
     write_records,
 )
 from bteval.segmentation import Segmenter
+from bteval.stats import ExperimentDesign, StatsError
 from bteval.transport import BackendError, HttpBackend, TokenBucket
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config
@@ -1266,24 +1270,26 @@ def test_zero_repetitions_is_a_config_error():
 
 
 def test_run_config_rejects_no_backends():
-    with pytest.raises(ConfigError, match="a run needs at least one backend"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "run config 'backends' must be a non-empty tuple of objects, got ()")):
         run_config([])
 
 
 @pytest.mark.parametrize("repetitions", [2.0, "2", None, True])
 def test_run_config_rejects_repetitions_that_are_not_an_integer(repetitions):
-    with pytest.raises(ConfigError, match="repetitions must be an integer, got"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"run config 'repetitions' must be int, got {repetitions!r}")):
         run_config([mock_config()], repetitions)
 
 
 # a config built in code, which the JSON reader never sees, is type-checked when built
 @pytest.mark.parametrize("field, value, message", [
     ("scoring", None, "run config 'scoring' must be a ScoringConfig, got None"),
-    ("master_seed", "7", "master_seed must be an integer, got '7'"),
-    ("master_seed", True, "master_seed must be an integer, got True"),
-    ("verbatim_threshold", "0.5", "run config 'verbatim_threshold' must be a number in [0, 1]"),
-    ("traditional_threshold", True, "run config 'traditional_threshold' must be a number in"),
-    ("max_missing_fraction", "1", "run config 'max_missing_fraction' must be a number in"),
+    ("master_seed", "7", "run config 'master_seed' must be int, got '7'"),
+    ("master_seed", True, "run config 'master_seed' must be int, got True"),
+    ("verbatim_threshold", "0.5", "run config 'verbatim_threshold' must be a number, got '0.5'"),
+    ("traditional_threshold", True, "run config 'traditional_threshold' must be a number, got True"),
+    ("max_missing_fraction", "1", "run config 'max_missing_fraction' must be a number, got '1'"),
 ], ids=["scoring-none", "seed-str", "seed-bool", "threshold-str", "threshold-bool",
         "missing-fraction-str"])
 def test_run_config_rejects_a_field_of_the_wrong_type(field, value, message):
@@ -1292,8 +1298,47 @@ def test_run_config_rejects_a_field_of_the_wrong_type(field, value, message):
 
 
 def test_run_config_rejects_a_backend_that_is_not_a_backend_config():
-    with pytest.raises(ConfigError, match="must hold BackendConfig objects, got a dict"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "run config 'backends[0]' must be a BackendConfig, got {'id': 'm1'")):
         run_config([{"id": "m1", "kind": "mock", "model_name": "identity"}])
+
+
+# One valid construction in code of each config class, and the error it raises.
+VALID_CONFIGS = {
+    BackendConfig: ({"id": "m1", "kind": "mock", "model_name": "identity"}, ConfigError),
+    RunConfig: ({"corpus": "", "backends": (BackendConfig("m1", "mock", "identity"),)},
+                ConfigError),
+    ScoringConfig: ({}, MetricError),
+    BleuConfig: ({}, MetricError),
+    TextSample: ({"id": "S1", "domain": "chemistry", "text": "化学"}, CorpusError),
+    ExperimentDesign: ({"n": 1, "k": 1, "r": 1}, StatsError),
+}
+
+# a value of each kind; a field admits the kinds ADMITTED names for its type, and None
+# where its type is X | None
+KINDS = {"str": "x", "int": 3, "float": 2.5, "integral-float": 2.0, "bool": True, "none": None,
+         "list": [0.25, 0.25, 0.25, 0.25], "dict": {"id": "m1"}}
+ADMITTED = {str: {"str"}, int: {"int"}, float: {"int", "float", "integral-float"}, dict: {"dict"}}
+EXTRA_KINDS = {str: {"lone-surrogate": "\ud800"}, float: {"10**400": 10**400}}
+
+
+def wrong_field_values():
+    for cls in VALID_CONFIGS:
+        for name, hint in get_type_hints(cls).items():
+            nullable = type(None) in get_args(hint)
+            base = get_args(hint)[0] if nullable else hint
+            admitted = ADMITTED.get(base, set()) | ({"none"} if nullable else set())
+            kinds = {kind: value for kind, value in KINDS.items() if kind not in admitted}
+            for kind, value in (kinds | EXTRA_KINDS.get(base, {})).items():
+                yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{kind}")
+
+
+@pytest.mark.parametrize("cls, name, value", wrong_field_values())
+def test_each_config_class_rejects_each_wrong_kind_of_field_value(cls, name, value):
+    # never a TypeError, AttributeError or OverflowError from a later check
+    kwargs, error = VALID_CONFIGS[cls]
+    with pytest.raises(error, match=re.escape(repr(name))):
+        cls(**(kwargs | {name: value}))
 
 
 def test_run_experiment_rejects_duplicate_backend_ids():
