@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .jsonio import ConfigError, check_fields, config_from_json, loads
+from .jsonio import check_fields, loads
 from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional
 
 SIMPLIFIED = "simplified"
@@ -39,7 +39,7 @@ class TextSample:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(self, CorpusError, "sample")
+        check_fields(self, CorpusError, "record")
         if not self.id:
             raise CorpusError("sample id must be non-empty")
         if not self.text.strip():
@@ -93,10 +93,12 @@ def parse_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(data, dict):
             raise CorpusError(f"{where}: record must be a JSON object")
+        missing = [key for key in ("id", "domain", "text") if key not in data]
+        if missing:
+            raise CorpusError(f"{where}: record requires {missing}")
         try:
-            sample = config_from_json(TextSample, {k: data[k] for k in _KNOWN_FIELDS if k in data},
-                                      "record")
-        except (ConfigError, CorpusError) as exc:
+            sample = TextSample(**{key: data[key] for key in _KNOWN_FIELDS if key in data})
+        except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
         extra = {key: value for key, value in data.items() if key not in _KNOWN_FIELDS}
         if extra:

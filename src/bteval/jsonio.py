@@ -1,16 +1,16 @@
 """The one JSON reader: configs, matrix files, corpus lines, record logs and chat
 replies are decoded as strict RFC 8259 JSON, and a JSON object is read into a config
 dataclass field by field, each value checked by the type rules of configs built in code.
+Strings are strict text: one holding a lone surrogate, which UTF-8 cannot encode, is refused.
 """
 
 import contextlib
 import functools
 import json
+import re
 import reprlib
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
-
-from .segmentation import has_surrogate
 
 
 class ConfigError(ValueError):
@@ -22,6 +22,12 @@ def _reject_constant(name: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_surrogate(text: str) -> bool:
+    """Whether text holds a surrogate code point, which UTF-8 cannot encode."""
+    return _SURROGATE.search(text) is not None
 
 
 def loads(document: str | bytes):
@@ -72,7 +78,8 @@ def check_fields(obj, error: type[Exception], what: str) -> None:
 
 def _from_json(hint, value, what: str, key: str, read: bool = True, nullable: bool = False):
     """value read as field key of type hint; with read False, checked as built in code, so a
-    tuple for an array, a config for an object, and no 2.0 for an int. Else a ConfigError."""
+    tuple (or a list, for a list hint) for an array, a config for an object, and no 2.0 for an
+    int. Else a ConfigError."""
     if hint is str and isinstance(value, str):  # most fields, tested first
         if has_surrogate(value):
             raise ConfigError(f"{what} {key!r} holds a lone surrogate, not UTF-8")
@@ -90,12 +97,13 @@ def _from_json(hint, value, what: str, key: str, read: bool = True, nullable: bo
         return None if value is None else _from_json(args[0], value, what, key, read, True)
     if read and is_dataclass(hint):
         return config_from_json(hint, value, key)
-    if get_origin(hint) is tuple:
-        if isinstance(value, list if read else tuple) and value:
-            return tuple(_from_json(args[0], item, what, f"{key}[{i}]", read)
-                         for i, item in enumerate(value))
-        expected = (f"a non-empty {'array' if read else 'tuple'} of "
-                    f"{'objects' if is_dataclass(args[0]) else 'numbers'}")
+    sequence = get_origin(hint)
+    if sequence in (tuple, list):
+        if isinstance(value, list if read else sequence) and value:
+            return sequence(_from_json(args[0], item, what, f"{key}[{i}]", read)
+                            for i, item in enumerate(value))
+        items = "objects" if is_dataclass(args[0]) else "strings" if args[0] is str else "numbers"
+        expected = f"a non-empty {'array' if read else sequence.__name__} of {items}"
     else:
         expected = {str: "a string", int: "int", float: "a number"}.get(hint, f"a {hint.__name__}")
     # reprlib bounds the depth shown, where repr could pass the recursion limit

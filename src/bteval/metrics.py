@@ -84,6 +84,17 @@ class IdfModel:
         return math.log((1 + self.document_count) / (1 + df)) + 1.0
 
 
+def _check_chrf(max_n: int, beta: float) -> None:
+    """chrF's parameters, for a ScoringConfig and the public chrf alike: a MetricError
+    unless max_n is 1..MAX_CHRF_ORDER and beta is positive with a finite square."""
+    if max_n < 1:
+        raise MetricError(f"chrf_max_n must be an integer >= 1, not {max_n!r}")
+    if max_n > MAX_CHRF_ORDER:
+        raise MetricError(f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {max_n!r}")
+    if not (beta > 0 and math.isfinite(beta * beta)):
+        raise MetricError(f"chrf_beta must be > 0 with a finite square, not {beta!r}")
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     bleu_weights: tuple[float, float, float, float] = TECHNICAL_WEIGHTS
@@ -97,12 +108,7 @@ class ScoringConfig:
         check_fields(self, MetricError, "scoring")
         if self.level not in (WORD, CHARACTER):
             raise MetricError(f"scoring level must be {WORD} or {CHARACTER}, not {self.level!r}")
-        if self.chrf_max_n < 1:
-            raise MetricError(f"chrf_max_n must be an integer >= 1, not {self.chrf_max_n!r}")
-        if self.chrf_max_n > MAX_CHRF_ORDER:
-            raise MetricError(f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {self.chrf_max_n!r}")
-        if not (self.chrf_beta > 0 and math.isfinite(self.chrf_beta * self.chrf_beta)):
-            raise MetricError(f"chrf_beta must be > 0 with a finite square, not {self.chrf_beta!r}")
+        _check_chrf(self.chrf_max_n, self.chrf_beta)
         for weights in (self.bleu_weights, self.bleu_unif_weights):
             BleuConfig(weights, self.smoothing_epsilon)
 
@@ -254,8 +260,6 @@ def _chrf(matched: np.ndarray, cand_lens: np.ndarray, ref_lens: np.ndarray, max_
     """Each candidate's mean F-beta over the orders 1..max_n that it or its
     reference (ref_lens, one per candidate) reaches, whitespace-free, summed
     left to right."""
-    if max_n < 1:
-        return np.zeros(len(cand_lens))
     hits = matched[:, 1:]
     orders = np.arange(1, max_n + 1)
     cand_total = np.maximum(cand_lens[:, None] - orders + 1, 0)
@@ -277,6 +281,7 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
     Orders longer than both strings are excluded from the mean, so
     identical strings score 1.0 regardless of length.
     """
+    _check_chrf(max_n, beta)
     cand, ref = _text_points(candidate), _text_points(reference)
     if not len(ref):
         raise MetricError("reference must be non-empty")
@@ -582,5 +587,5 @@ def _score_batch(batch, table: TokenTable, config: ScoringConfig,
     def packed(of) -> tuple:
         return _pack([of(ref) for ref in refs]), _pack([of(cand) for cand in cands])
 
-    return _score(packed(table.ids.get), packed(table.chars.get), packed(table.words.get),
-                  cand_ref, config, idf)
+    chars, words = packed(table.chars.get), packed(table.words.get)
+    return _score(words if config.level == WORD else chars, chars, words, cand_ref, config, idf)

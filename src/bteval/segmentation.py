@@ -12,7 +12,6 @@ any input is segmentable.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -219,14 +218,6 @@ def default_variant_table() -> dict[str, str]:
     ref = resources.files("bteval").joinpath("data/variant_table.txt")
     with resources.as_file(ref) as path:
         return load_variant_table(path)
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def has_surrogate(text: str) -> bool:
-    """Whether text holds a surrogate code point, which UTF-8 cannot encode."""
-    return _SURROGATE.search(text) is not None
 
 
 def code_points(text: str) -> np.ndarray:

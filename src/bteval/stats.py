@@ -19,7 +19,6 @@ import numpy as np
 
 from . import tails
 from .jsonio import check_fields, config_from_json
-from .segmentation import has_surrogate
 
 DEFAULT_ALPHA = 0.05
 
@@ -58,6 +57,7 @@ class ScoreMatrix:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
+        check_fields(self, StatsError, "matrix")
         expected = (self.design.n, self.design.k, self.design.r)
         if self.values.shape != expected:
             raise StatsError(f"values shape {self.values.shape} != design {expected}")
@@ -99,15 +99,7 @@ class ScoreMatrix:
             raise ValueError(f"values must be finite: {exc}") from exc
         if np.isinf(values).any():
             raise ValueError("values must be finite: a number such as 1e400 overflowed to inf")
-        if not isinstance(data["metric"], str):
-            raise TypeError(f"metric must be a string, not {data['metric']!r}")
-        for key in ("block_ids", "treatment_ids"):
-            if not isinstance(data[key], list) or not all(isinstance(v, str) for v in data[key]):
-                raise TypeError(f"{key} must be an array of strings")
-        if any(map(has_surrogate, [data["metric"], *data["block_ids"], *data["treatment_ids"]])):
-            raise ValueError("metric, block_ids or treatment_ids holds a lone surrogate, not UTF-8")
-        return cls(design, data["metric"], values, list(data["block_ids"]),
-                   list(data["treatment_ids"]))
+        return cls(design, data["metric"], values, data["block_ids"], data["treatment_ids"])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ import time
 from urllib.parse import urlsplit
 
 from .config import PROMPT_VARIANTS, ZH_TO_EN, BackendConfig, api_key
-from .jsonio import loads
-from .segmentation import has_surrogate
+from .jsonio import has_surrogate, loads
 
 # A reply body longer than this is a failed attempt, not read into memory.
 MAX_REPLY_BYTES = 16 * 1024 * 1024

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bteval import jsonio
 from bteval.cli import EXIT_USAGE, main
 from bteval.corpus import (
     Corpus,
@@ -29,6 +30,18 @@ def test_parse_shipped_cnki_corpus():
     assert corpus[0].id == "CNKI-CHE-89-01"
     assert corpus[17].id == "CNKI-CHE-89-18"  # file order preserved
     assert corpus.sha256 is not None
+
+
+def test_parse_corpus_checks_each_string_field_once(monkeypatch):
+    # TextSample's constructor is the one type check of a record
+    path = FIXTURES / "corpora" / "cnki_che_89.jsonl"
+    checked = []
+    monkeypatch.setattr(jsonio, "has_surrogate", lambda text: checked.append(text) or False)
+    assert len(parse_corpus(path)) == 89
+    records = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    strings = [value for record in records for value in record.values() if isinstance(value, str)]
+    assert len(strings) == 89 * 5
+    assert sorted(checked) == sorted(strings)
 
 
 def test_parse_populates_unknown_variant(tmp_path):

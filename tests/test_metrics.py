@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import asdict
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bteval.metrics import (
+    MAX_CHRF_ORDER,
     BleuConfig,
     IdfModel,
     MetricError,
@@ -830,9 +832,21 @@ def test_scores_sum_left_to_right_on_every_interpreter():
     assert math.fsum(orders) / 6 == 0.2282466223028837
 
 
-def test_chrf_orders_outside_one_through_max_n():
-    # max_n below 1 leaves no order to average
-    assert chrf("abc", "abc", max_n=0) == pair_chrf("abc", "abc", max_n=0) == 0.0
+@pytest.mark.parametrize("max_n, beta, message", [
+    (0, 2.0, "chrf_max_n must be an integer >= 1, not 0"),
+    (-1, 2.0, "chrf_max_n must be an integer >= 1, not -1"),
+    (MAX_CHRF_ORDER + 1, 2.0, f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {MAX_CHRF_ORDER + 1}"),
+    (6, 0.0, "chrf_beta must be > 0 with a finite square, not 0.0"),
+    (6, -2.0, "chrf_beta must be > 0 with a finite square, not -2.0"),
+    (6, 1e200, "chrf_beta must be > 0 with a finite square, not 1e+200"),
+], ids=["max-n-0", "max-n-negative", "max-n-past-cap", "beta-0", "beta-negative",
+        "beta-square-inf"])
+def test_chrf_orders_outside_one_through_max_n(max_n, beta, message):
+    # the public chrf follows ScoringConfig's rules: max_n 0 would leave no order to average
+    with pytest.raises(MetricError, match=re.escape(message)):
+        chrf("abc", "abc", max_n=max_n, beta=beta)
+    with pytest.raises(MetricError, match=re.escape(message)):
+        ScoringConfig(chrf_max_n=max_n, chrf_beta=beta)
 
 
 @pytest.mark.parametrize("config", [ScoringConfig(), ScoringConfig(level=CHARACTER)],

@@ -38,7 +38,7 @@ from bteval.pipeline import (
     write_records,
 )
 from bteval.segmentation import Segmenter
-from bteval.stats import ExperimentDesign, StatsError
+from bteval.stats import ExperimentDesign, ScoreMatrix, StatsError
 from bteval.transport import BackendError, HttpBackend, TokenBucket
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config
@@ -1312,14 +1312,19 @@ VALID_CONFIGS = {
     BleuConfig: ({}, MetricError),
     TextSample: ({"id": "S1", "domain": "chemistry", "text": "化学"}, CorpusError),
     ExperimentDesign: ({"n": 1, "k": 1, "r": 1}, StatsError),
+    ScoreMatrix: ({"design": ExperimentDesign(1, 1, 1), "metric": "bleu", "values": [[[0.5]]],
+                   "block_ids": ["b"], "treatment_ids": ["x"]}, StatsError),
 }
 
 # a value of each kind; a field admits the kinds ADMITTED names for its type, and None
 # where its type is X | None
 KINDS = {"str": "x", "int": 3, "float": 2.5, "integral-float": 2.0, "bool": True, "none": None,
          "list": [0.25, 0.25, 0.25, 0.25], "dict": {"id": "m1"}}
-ADMITTED = {str: {"str"}, int: {"int"}, float: {"int", "float", "integral-float"}, dict: {"dict"}}
-EXTRA_KINDS = {str: {"lone-surrogate": "\ud800"}, float: {"10**400": 10**400}}
+# a matrix's values are whatever np.asarray(..., dtype=float) takes; its shape is checked
+ADMITTED = {str: {"str"}, int: {"int"}, float: {"int", "float", "integral-float"}, dict: {"dict"},
+            np.ndarray: set(KINDS)}
+EXTRA_KINDS = {str: {"lone-surrogate": "\ud800"}, float: {"10**400": 10**400},
+               list[str]: {"tuple": ("x",), "lone-surrogate-item": ["\ud800"]}}
 
 
 def wrong_field_values():
@@ -1330,14 +1335,16 @@ def wrong_field_values():
             admitted = ADMITTED.get(base, set()) | ({"none"} if nullable else set())
             kinds = {kind: value for kind, value in KINDS.items() if kind not in admitted}
             for kind, value in (kinds | EXTRA_KINDS.get(base, {})).items():
-                yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{kind}")
+                # a list given for a list field is wrong in its first item
+                key = f"{name}[0]" if isinstance(value, list) and base == list[str] else name
+                yield pytest.param(cls, name, value, key, id=f"{cls.__name__}.{name}-{kind}")
 
 
-@pytest.mark.parametrize("cls, name, value", wrong_field_values())
-def test_each_config_class_rejects_each_wrong_kind_of_field_value(cls, name, value):
+@pytest.mark.parametrize("cls, name, value, key", wrong_field_values())
+def test_each_config_class_rejects_each_wrong_kind_of_field_value(cls, name, value, key):
     # never a TypeError, AttributeError or OverflowError from a later check
     kwargs, error = VALID_CONFIGS[cls]
-    with pytest.raises(error, match=re.escape(repr(name))):
+    with pytest.raises(error, match=re.escape(repr(key))):
         cls(**(kwargs | {name: value}))
 
 

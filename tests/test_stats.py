@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
-from bteval import stats as stats_module, tails
+from bteval import jsonio, stats as stats_module, tails
 from bteval.report import emit_stats_report
 from bteval.stats import (
     BENJAMINI_HOCHBERG,
@@ -771,6 +771,37 @@ def test_score_matrix_serialization_round_trip():
     assert again.metric == "chrf"
     assert np.array_equal(again.values, matrix.values, equal_nan=True)
     assert again.block_ids == matrix.block_ids
+
+
+@st.composite
+def matrix_fields(draw):
+    """A matrix's fields; in about half, the metric and ids are drawn from text
+    that includes lone surrogates, which UTF-8 cannot encode."""
+    n, k, r = (draw(st.integers(1, 3)) for _ in range(3))
+    surrogates = st.sampled_from("\ud800\udbff\udc00\udfff")
+    text = st.text(st.one_of(st.characters(), surrogates) if draw(st.booleans())
+                   else st.characters(), max_size=4)
+    # finite cells: to_dict has no strict JSON for inf, and from_dict refuses it
+    cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
+    values = draw(st.lists(cells, min_size=n * k * r, max_size=n * k * r))
+    return {"design": ExperimentDesign(n, k, r), "metric": draw(text),
+            "values": np.reshape(values, (n, k, r)),
+            "block_ids": draw(st.lists(text, min_size=n, max_size=n, unique=True)),
+            "treatment_ids": draw(st.lists(text, min_size=k, max_size=k, unique=True))}
+
+
+@given(matrix_fields())
+@settings(max_examples=200, deadline=None)
+def test_score_matrix_the_constructor_accepts_round_trips_through_a_matrix_file(fields):
+    try:
+        matrix = ScoreMatrix(**fields)
+    except StatsError:  # a lone surrogate
+        return
+    text = json.dumps(matrix.to_dict(), ensure_ascii=False)
+    again = ScoreMatrix.from_dict(jsonio.loads(text))
+    assert (again.metric, again.block_ids, again.treatment_ids) == (
+        matrix.metric, matrix.block_ids, matrix.treatment_ids)
+    assert again.values.tobytes() == matrix.values.tobytes()
 
 
 @given(st.lists(st.one_of(st.none(), st.just(-0.0), st.integers(-2 ** 53, 2 ** 53),
