@@ -69,9 +69,15 @@ def _schema(cls) -> tuple[dict, list]:
 
 def check_fields(obj, error: type[Exception], what: str) -> None:
     """The config obj's fields checked by the reader's type rules; a wrong type raises error."""
+    for key, hint in _schema(type(obj))[0].items():
+        check_value(hint, getattr(obj, key), error, what, key)
+
+
+def check_value(hint, value, error: type[Exception], what: str, key: str) -> None:
+    """value checked, as built in code, by the reader's rules for a field key of type hint;
+    a wrong type raises error."""
     try:
-        for key, hint in _schema(type(obj))[0].items():
-            _from_json(hint, getattr(obj, key), what, key, read=False)
+        _from_json(hint, value, what, key, read=False)
     except ConfigError as exc:
         raise error(str(exc)) from None
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .jsonio import check_fields
+from .jsonio import check_fields, check_value
 from .segmentation import (
     WORD,
     CHARACTER,
@@ -85,13 +86,15 @@ class IdfModel:
 
 
 def _check_chrf(max_n: int, beta: float) -> None:
-    """chrF's parameters, for a ScoringConfig and the public chrf alike: a MetricError
-    unless max_n is 1..MAX_CHRF_ORDER and beta is positive with a finite square."""
+    """The ranges of chrF's parameters, type-checked already, for a ScoringConfig and the
+    public chrf alike: a MetricError unless max_n is 1..MAX_CHRF_ORDER and beta is positive
+    with a finite square."""
     if max_n < 1:
         raise MetricError(f"chrf_max_n must be an integer >= 1, not {max_n!r}")
     if max_n > MAX_CHRF_ORDER:
         raise MetricError(f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {max_n!r}")
-    if not (beta > 0 and math.isfinite(beta * beta)):
+    # compared, not passed to isfinite, as an int's square can pass the float range
+    if not (beta > 0 and beta * beta <= sys.float_info.max):
         raise MetricError(f"chrf_beta must be > 0 with a finite square, not {beta!r}")
 
 
@@ -281,6 +284,8 @@ def chrf(candidate: str, reference: str, max_n: int = 6, beta: float = 2.0) -> f
     Orders longer than both strings are excluded from the mean, so
     identical strings score 1.0 regardless of length.
     """
+    check_value(int, max_n, MetricError, "chrf", "max_n")
+    check_value(float, beta, MetricError, "chrf", "beta")
     _check_chrf(max_n, beta)
     cand, ref = _text_points(candidate), _text_points(reference)
     if not len(ref):

@@ -60,11 +60,15 @@ class HttpBackend:
     an idle one waits in a queue for the next request. No cookies are kept,
     no proxy is used and no redirect is followed. HTTPS certificates are
     checked against the system trust store. A reused connection the server
-    has dropped is reopened once without counting as a retry.
+    has dropped is reopened once without counting as a retry. On Linux each
+    reply's first segment is ACKed at once (TCP_QUICKACK), so a server that
+    sends head and body apart with Nagle on adds no delayed-ACK wait; other
+    platforms keep their default.
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep) -> None:
         import http.client  # imported here: only a run with an http_llm backend needs them
+        import socket
         import ssl
 
         self.config = config
@@ -84,6 +88,8 @@ class HttpBackend:
                 timeout=config.timeout)
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._transport_errors = (OSError, http.client.HTTPException)
+        quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
+        self._quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
         self._idle: queue.SimpleQueue = queue.SimpleQueue()
         self._sleep = sleep
         self._bucket = TokenBucket(config.rate_limit_rps, sleep=sleep)
@@ -131,16 +137,14 @@ class HttpBackend:
         reused = conn.sock is not None
         try:
             try:
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
+                response = self._exchange(conn, body)
             except (ConnectionResetError, BrokenPipeError):
                 # RemoteDisconnected is a ConnectionResetError: the server closed
                 # an idle keep-alive connection before this request reached it
                 if not reused:
                     raise
                 conn.close()
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
+                response = self._exchange(conn, body)
             reply = response.read(MAX_REPLY_BYTES + 1)
             if len(reply) > MAX_REPLY_BYTES:  # closed below: its unread rest would be the next reply
                 raise ValueError(f"reply longer than MAX_REPLY_BYTES ({MAX_REPLY_BYTES} bytes)")
@@ -149,6 +153,17 @@ class HttpBackend:
             raise
         self._idle.put(conn)
         return response.status, response.headers, reply
+
+    def _exchange(self, conn, body: bytes):
+        """Send the POST on conn and read the reply's status line and headers."""
+        conn.request("POST", self._target, body, self._headers)
+        if self._quickack is not None:
+            # ACK the reply's first segment at once: a server that sends the head and
+            # body apart with Nagle on holds the body until then (RFC 896 against RFC
+            # 1122's delayed ACK). Linux clears the flag after an exchange, so set it
+            # on every request.
+            conn.sock.setsockopt(*self._quickack)
+        return conn.getresponse()
 
     def _completion(self, status: int, headers, reply: bytes) -> str:
         """The completion a reply carries; a ValueError says why it carries none."""

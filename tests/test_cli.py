@@ -817,7 +817,7 @@ def test_import_does_not_load_requests_or_cookiejar():
     # only an http_llm backend, once built, loads the HTTP stack, and only a run its pools
     assert_runs_in_fresh_python(
         'import sys; sys.modules["requests"] = None; import bteval, bteval.cli; '
-        'loaded = {"http.cookiejar", "http.client", "ssl", "concurrent.futures"} '
+        'loaded = {"http.cookiejar", "http.client", "ssl", "socket", "concurrent.futures"} '
         '& set(sys.modules); assert not loaded, loaded')
 
 
@@ -828,7 +828,7 @@ def test_mock_only_run_does_not_load_concurrent_futures():
         'corpus = Corpus(name="c", samples=[TextSample(id="S1", domain="d", text="化学")]); '
         'backends = (BackendConfig(id="m", kind="mock", model_name="noise"),); '
         'run_experiment(corpus, RunConfig("c.jsonl", backends, repetitions=2)); '
-        'assert "concurrent.futures" not in sys.modules')
+        'assert "concurrent.futures" not in sys.modules and "socket" not in sys.modules')
 
 
 def test_one_module_decodes_json():

@@ -832,20 +832,31 @@ def test_scores_sum_left_to_right_on_every_interpreter():
     assert math.fsum(orders) / 6 == 0.2282466223028837
 
 
-@pytest.mark.parametrize("max_n, beta, message", [
-    (0, 2.0, "chrf_max_n must be an integer >= 1, not 0"),
-    (-1, 2.0, "chrf_max_n must be an integer >= 1, not -1"),
-    (MAX_CHRF_ORDER + 1, 2.0, f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {MAX_CHRF_ORDER + 1}"),
-    (6, 0.0, "chrf_beta must be > 0 with a finite square, not 0.0"),
-    (6, -2.0, "chrf_beta must be > 0 with a finite square, not -2.0"),
-    (6, 1e200, "chrf_beta must be > 0 with a finite square, not 1e+200"),
+@pytest.mark.parametrize("max_n, beta, message, scoring_message", [
+    (0, 2.0, "chrf_max_n must be an integer >= 1, not 0", None),
+    (-1, 2.0, "chrf_max_n must be an integer >= 1, not -1", None),
+    (MAX_CHRF_ORDER + 1, 2.0, f"chrf_max_n must be <= {MAX_CHRF_ORDER}, not {MAX_CHRF_ORDER + 1}",
+     None),
+    (6, 0.0, "chrf_beta must be > 0 with a finite square, not 0.0", None),
+    (6, -2.0, "chrf_beta must be > 0 with a finite square, not -2.0", None),
+    (6, 1e200, "chrf_beta must be > 0 with a finite square, not 1e+200", None),
+    (6, 10 ** 200, f"chrf_beta must be > 0 with a finite square, not {10 ** 200}", None),
+    # a value of the wrong type fails the field type check, by the rules of jsonio
+    (2.5, 2.0, "chrf 'max_n' must be int, got 2.5", "scoring 'chrf_max_n' must be int, got 2.5"),
+    (True, 2.0, "chrf 'max_n' must be int, got True",
+     "scoring 'chrf_max_n' must be int, got True"),
+    (6, "2", "chrf 'beta' must be a number, got '2'",
+     "scoring 'chrf_beta' must be a number, got '2'"),
+    (6, True, "chrf 'beta' must be a number, got True",
+     "scoring 'chrf_beta' must be a number, got True"),
 ], ids=["max-n-0", "max-n-negative", "max-n-past-cap", "beta-0", "beta-negative",
-        "beta-square-inf"])
-def test_chrf_orders_outside_one_through_max_n(max_n, beta, message):
+        "beta-square-inf", "beta-int-square-past-float", "max-n-float", "max-n-bool",
+        "beta-str", "beta-bool"])
+def test_chrf_orders_outside_one_through_max_n(max_n, beta, message, scoring_message):
     # the public chrf follows ScoringConfig's rules: max_n 0 would leave no order to average
     with pytest.raises(MetricError, match=re.escape(message)):
         chrf("abc", "abc", max_n=max_n, beta=beta)
-    with pytest.raises(MetricError, match=re.escape(message)):
+    with pytest.raises(MetricError, match=re.escape(scoring_message or message)):
         ScoringConfig(chrf_max_n=max_n, chrf_beta=beta)
 
 
