@@ -60,10 +60,11 @@ class HttpBackend:
     an idle one waits in a queue for the next request. No cookies are kept,
     no proxy is used and no redirect is followed. HTTPS certificates are
     checked against the system trust store. A reused connection the server
-    has dropped is reopened once without counting as a retry. On Linux each
-    reply's first segment is ACKed at once (TCP_QUICKACK), so a server that
-    sends head and body apart with Nagle on adds no delayed-ACK wait; other
-    platforms keep their default.
+    has dropped is reopened once without counting as a retry. A reply cut
+    short of its Content-Length is a failed attempt, and its connection is
+    closed. On Linux each reply's first segment is ACKed at once
+    (TCP_QUICKACK), so a server that sends head and body apart with Nagle
+    on adds no delayed-ACK wait; other platforms keep their default.
     """
 
     def __init__(self, config: BackendConfig, sleep=time.sleep) -> None:
@@ -148,6 +149,10 @@ class HttpBackend:
             reply = response.read(MAX_REPLY_BYTES + 1)
             if len(reply) > MAX_REPLY_BYTES:  # closed below: its unread rest would be the next reply
                 raise ValueError(f"reply longer than MAX_REPLY_BYTES ({MAX_REPLY_BYTES} bytes)")
+            if response.length:  # the server closed short of its Content-Length (RFC 9112 6.3)
+                import http.client  # read(amt) returns the short body without raising
+
+                raise http.client.IncompleteRead(reply, response.length)
         except BaseException:
             conn.close()
             raise

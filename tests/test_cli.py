@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and on-disk run artifacts."""
 
+import ast
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from bteval.corpus import parse_corpus
 from bteval.jsonio import config_from_json
 
 from conftest import FIXTURES
-from test_pipeline import StubState, make_stub_server
+from http_stub import Step, chat, serve
 
 
 def invoke(capsys, *argv):
@@ -840,6 +841,21 @@ def test_one_module_decodes_json():
     assert decoders == ["jsonio.py"]
 
 
+def test_one_module_serves_http_to_the_tests():
+    # every test server is tests/http_stub.py, so a scripted reply is written once
+    def imports(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+                yield node.module
+
+    servers = sorted(path.name for path in Path(__file__).resolve().parent.glob("*.py")
+                     if {"http.server", "socketserver"} & set(imports(path)))
+    assert servers == ["http_stub.py"]
+
+
 def assert_runs_in_fresh_python(code):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1004,19 +1020,15 @@ def test_run_segments_each_original_once(monkeypatch, capsys, tmp_path, scoring)
 
 
 def test_http_run_with_a_failure_matches_golden_bytes(capsys, tmp_path):
-    state = StubState(fail_first=1)  # the first request fails: one error record, one imputed cell
-    server = make_stub_server(state)
-    try:
+    # the first request fails: one error record, one imputed cell
+    with serve(lambda request: chat("译文结果") if request.index else Step(500)) as stub:
         http = {"id": "stub", "kind": "http_llm", "model_name": "stub-model",
-                "endpoint": f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+                "endpoint": f"http://127.0.0.1:{stub.port}/v1/chat/completions",
                 "max_retries": 0, "max_workers": 1, "rate_limit_rps": 1000.0, "timeout": 5.0}
         config = write_run_config(tmp_path, corpus_head(tmp_path, 4),
                                   [http] + GOLDEN_RUN_BACKENDS[:2], repetitions=1,
                                   max_missing_fraction=1.0)
         out = tmp_path / "out"
         code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out))
-    finally:
-        server.shutdown()
-        server.server_close()
     assert code == EXIT_OK and "1 errors" in err
     assert run_artifact_hashes(out) == GOLDEN_RUN_SHA256["http-one-failure"]

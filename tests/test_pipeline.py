@@ -7,17 +7,16 @@ import io
 import json
 import re
 import socket
-import socketserver
 import ssl
 import statistics
 import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 import concurrent.futures
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -44,8 +43,7 @@ from bteval.stats import ExperimentDesign, ScoreMatrix, StatsError
 from bteval.transport import BackendError, HttpBackend, TokenBucket
 
 from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config
-
-TLS_CERT, TLS_KEY = FIXTURES / "tls" / "localhost.crt", FIXTURES / "tls" / "localhost.key"
+from http_stub import TLS_CERT, Step, chat, plain, serve
 
 
 def mock_config(model="identity", backend_id="m1", **kwargs):
@@ -285,53 +283,6 @@ def test_detect_verbatim_empty_zhy_not_flagged():
 
 # ---------------------------------------------------------------- http
 
-class StubState:
-    def __init__(self, fail_first=0, body=None, raw=False, content_type="application/json"):
-        self.fail_first = fail_first
-        self.calls = 0
-        self.body = body if body is not None else "译文结果"
-        self.raw = raw
-        self.content_type = content_type
-        self.seen_payloads = []
-        self.seen_headers = []
-
-
-def make_stub_server(state: StubState):
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length)
-            state.calls += 1
-            state.seen_headers.append(dict(self.headers))
-            try:
-                state.seen_payloads.append(json.loads(raw))
-            except ValueError:
-                state.seen_payloads.append(raw.decode("utf-8"))
-            if state.calls <= state.fail_first:
-                self.send_response(500)
-                self.end_headers()
-                return
-            if state.raw:
-                payload = state.body.encode("utf-8")
-            else:
-                payload = json.dumps({
-                    "choices": [{"message": {"content": state.body}}]
-                }).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", state.content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
-
-
 def http_config(port, **kwargs):
     defaults = dict(
         id="h1", kind="http_llm", model_name="stub-model",
@@ -342,88 +293,64 @@ def http_config(port, **kwargs):
     return BackendConfig(**defaults)
 
 
+def http_backend(port, **kwargs):
+    """An HttpBackend on the stub at port that skips its retry waits, closed by a with block."""
+    return closing(HttpBackend(http_config(port, **kwargs), sleep=lambda s: None))
+
+
 def test_http_backend_retries_then_succeeds():
-    state = StubState(fail_first=1)
-    server = make_stub_server(state)
-    try:
-        backend = HttpBackend(http_config(server.server_address[1]),
-                              sleep=lambda s: None)
+    with serve([Step(500), chat("译文结果")]) as stub, http_backend(stub.port) as backend:
         out = backend.translate("化学", ZH_TO_EN, seed=5, variant=0)
-        assert out == "译文结果"
-        assert state.calls == 2  # one 500, one success
-        payload = state.seen_payloads[-1]
-        assert payload["model"] == "stub-model"
-        assert payload["seed"] == 5
-        assert "化学" in payload["messages"][0]["content"]
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert out == "译文结果"
+    assert len(stub.requests) == 2  # one 500, one success
+    payload = json.loads(stub.requests[-1].body)
+    assert payload["model"] == "stub-model"
+    assert payload["seed"] == 5
+    assert "化学" in payload["messages"][0]["content"]
 
 
 def test_http_backend_empty_completion_errors():
-    state = StubState(body="")
-    server = make_stub_server(state)
-    try:
-        backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
-                              sleep=lambda s: None)
+    with serve(lambda request: chat("")) as stub, http_backend(stub.port, max_retries=1) as backend:
         with pytest.raises(BackendError, match="empty completion"):
             backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
-        assert state.calls == 2  # retried once
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert len(stub.requests) == 2  # retried once
 
 
 def test_http_backend_null_content_is_an_empty_completion():
     # OpenAI-style APIs send null content for refusals and tool calls
-    server, seen = serve_canned([chat_reply(None)] * 4)
-    try:
-        backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
-                              sleep=lambda s: None)
-        with pytest.raises(BackendError, match="empty completion"):
-            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
-        assert len(seen["bodies"]) == 2  # retried once
-        backend.close()
-        config = http_config(server.server_address[1], max_retries=0)
+    with serve([chat(None)] * 4) as stub:
+        with http_backend(stub.port, max_retries=1) as backend:
+            with pytest.raises(BackendError, match="empty completion"):
+                backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+        assert len(stub.requests) == 2  # retried once
+        config = http_config(stub.port, max_retries=0)
         _, records, _ = run_experiment(tiny_corpus(), run_config([config]))
-        assert [rec.error for rec in records] == ["h1: empty completion"] * 2
-    finally:
-        stop(server)
+    assert [rec.error for rec in records] == ["h1: empty completion"] * 2
 
 
 def test_http_backend_completion_with_a_lone_surrogate_is_a_failed_attempt(tmp_path):
     # JSON decodes the reply's \ud800 escape; UTF-8, in which records.jsonl is written, cannot
-    state = StubState(body="\ud800化学")
-    server = make_stub_server(state)
-    try:
-        backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
-                              sleep=lambda s: None)
-        with pytest.raises(BackendError, match="completion holds a lone surrogate"):
-            backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
-        assert state.calls == 2  # retried once, as an empty completion is
-        backend.close()
-        config = http_config(server.server_address[1], max_retries=0)
+    with serve(lambda request: chat("\ud800化学")) as stub:
+        with http_backend(stub.port, max_retries=1) as backend:
+            with pytest.raises(BackendError, match="completion holds a lone surrogate"):
+                backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
+        assert len(stub.requests) == 2  # retried once, as an empty completion is
+        config = http_config(stub.port, max_retries=0)
         _, records, _ = run_experiment(tiny_corpus(), run_config([config]))
-        assert [rec.error for rec in records] == [
-            "h1: completion holds a lone surrogate, which UTF-8 cannot encode"] * 2
-        write_records(records, tmp_path / "records.jsonl")
-        assert read_records(tmp_path / "records.jsonl") == records
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert [rec.error for rec in records] == [
+        "h1: completion holds a lone surrogate, which UTF-8 cannot encode"] * 2
+    write_records(records, tmp_path / "records.jsonl")
+    assert read_records(tmp_path / "records.jsonl") == records
+
+
+RAW_PROMPT = PROMPT_VARIANTS[ZH_TO_EN][0].replace("{text}", "化学").encode("utf-8")
 
 
 def test_http_backend_raw_wire_format():
-    state = StubState(body="plain 译文", raw=True)
-    server = make_stub_server(state)
-    try:
-        config = http_config(server.server_address[1], wire_format="raw")
-        backend = HttpBackend(config, sleep=lambda s: None)
+    with serve(lambda request: plain("plain 译文", "application/json")) as stub, \
+            http_backend(stub.port, wire_format="raw") as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "plain 译文"
-        assert isinstance(state.seen_payloads[-1], str)  # not chat JSON
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert stub.requests[-1].body == RAW_PROMPT  # the prompt itself, not chat JSON
 
 
 @pytest.mark.parametrize("content_type", [
@@ -431,16 +358,10 @@ def test_http_backend_raw_wire_format():
     "text/plain; charset=utf-8",
 ])
 def test_http_backend_raw_wire_format_text_content_types(content_type):
-    state = StubState(body="plain 译文", raw=True, content_type=content_type)
-    server = make_stub_server(state)
-    try:
-        config = http_config(server.server_address[1], wire_format="raw")
-        backend = HttpBackend(config, sleep=lambda s: None)
+    with serve(lambda request: plain("plain 译文", content_type)) as stub, \
+            http_backend(stub.port, wire_format="raw") as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "plain 译文"
-        assert isinstance(state.seen_payloads[-1], str)  # not chat JSON
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert stub.requests[-1].body == RAW_PROMPT  # the prompt itself, not chat JSON
 
 
 @pytest.mark.parametrize("wire_format", ["chat", "raw"])
@@ -450,43 +371,27 @@ def test_http_backend_sends_api_key_in_every_wire_format(monkeypatch, wire_forma
         monkeypatch.delenv("BTEVAL_TEST_API_KEY", raising=False)
     else:
         monkeypatch.setenv("BTEVAL_TEST_API_KEY", key)
-    state = StubState(body="译文", raw=wire_format == "raw")
-    server = make_stub_server(state)
-    try:
-        config = http_config(server.server_address[1], wire_format=wire_format,
-                             api_key_env="BTEVAL_TEST_API_KEY")
+    reply = plain("译文") if wire_format == "raw" else chat("译文")
+    with serve(lambda request: reply) as stub:
+        config = http_config(stub.port, wire_format=wire_format, api_key_env="BTEVAL_TEST_API_KEY")
         if key is None:  # a named variable that is unset is a config error, not a 401
             with pytest.raises(ConfigError, match="BTEVAL_TEST_API_KEY' is unset or empty"):
                 HttpBackend(config, sleep=lambda s: None)
-            assert state.calls == 0
+            assert stub.requests == []
             return
-        backend = HttpBackend(config, sleep=lambda s: None)
-        try:
+        with closing(HttpBackend(config, sleep=lambda s: None)) as backend:
             assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
             assert backend.translate("化学", EN_TO_ZH, seed=2, variant=0) == "译文"
-        finally:
-            backend.close()
-        assert [headers["Authorization"] for headers in state.seen_headers] == [f"Bearer {key}"] * 2
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert [request.headers["Authorization"] for request in stub.requests] == [f"Bearer {key}"] * 2
 
 
 @pytest.mark.parametrize("wire_format", ["chat", "raw"])
 def test_http_backend_without_api_key_env_sends_no_authorization(wire_format):
-    state = StubState(body="译文", raw=wire_format == "raw")
-    server = make_stub_server(state)
-    try:
-        backend = HttpBackend(http_config(server.server_address[1], wire_format=wire_format),
-                              sleep=lambda s: None)
-        try:
-            assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
-        finally:
-            backend.close()
-        assert "Authorization" not in state.seen_headers[-1]
-    finally:
-        server.shutdown()
-        server.server_close()
+    reply = plain("译文") if wire_format == "raw" else chat("译文")
+    with serve(lambda request: reply) as stub, \
+            http_backend(stub.port, wire_format=wire_format) as backend:
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+    assert "Authorization" not in stub.requests[-1].headers
 
 
 @pytest.mark.parametrize("key, message", [
@@ -509,19 +414,11 @@ def test_api_key_that_no_header_may_carry_is_a_config_error(monkeypatch, key, me
 
 def test_api_key_is_read_once_when_the_backend_is_built(monkeypatch):
     monkeypatch.setenv("BTEVAL_TEST_API_KEY", "sk-é")  # Latin-1 is a legal header value
-    state = StubState(body="译文")
-    server = make_stub_server(state)
-    try:
-        config = http_config(server.server_address[1], api_key_env="BTEVAL_TEST_API_KEY")
-        backend = HttpBackend(config, sleep=lambda s: None)
+    with serve(lambda request: chat("译文")) as stub, \
+            http_backend(stub.port, api_key_env="BTEVAL_TEST_API_KEY") as backend:
         monkeypatch.setenv("BTEVAL_TEST_API_KEY", "sk-changed")
-        try:
-            assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
-        finally:
-            backend.close()
-    finally:
-        stop(server)
-    assert state.seen_headers[-1]["Authorization"] == "Bearer sk-\xe9"  # as Latin-1 bytes
+        assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
+    assert stub.requests[-1].headers["Authorization"] == "Bearer sk-\xe9"  # as Latin-1 bytes
 
 
 def test_http_backend_unreachable_raises_backend_error():
@@ -533,181 +430,84 @@ def test_http_backend_unreachable_raises_backend_error():
         backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
 
 
-def serve_canned(replies, drop_after_reply=False, tls=False):
-    """HTTP/1.1 stub sending replies[i] = (status, content_type, body) to the i-th request.
-
-    With tls the stub speaks HTTPS with the self-signed fixture certificate for
-    127.0.0.1 and localhost.
-
-    seen["connections"] counts accepted connections and seen["bodies"] holds
-    each request body. With drop_after_reply the server closes every
-    connection after its first reply without sending Connection: close, as a
-    server does when a keep-alive connection idles out; seen["closed"] is
-    released once per closed connection.
-    """
-    seen = {"connections": 0, "bodies": [], "closed": threading.Semaphore(0)}
-    lock = threading.Lock()
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def setup(self):
-            super().setup()
-            with lock:
-                seen["connections"] += 1
-
-        def do_POST(self):
-            body = self.rfile.read(int(self.headers["Content-Length"]))
-            with lock:
-                status, content_type, reply = replies[len(seen["bodies"])]
-                seen["bodies"].append(body)
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(reply)))
-            self.end_headers()
-            self.wfile.write(reply)
-            self.close_connection = drop_after_reply
-
-        def finish(self):
-            super().finish()
-            seen["closed"].release()
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    if tls:
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(TLS_CERT, TLS_KEY)
-        server.socket = context.wrap_socket(server.socket, server_side=True)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, seen
-
-
-def chat_reply(content):
-    return 200, "application/json", json.dumps(
-        {"choices": [{"message": {"content": content}}]}).encode("utf-8")
-
-
 def test_http_backend_reopens_a_dropped_keep_alive_connection():
-    server, seen = serve_canned([chat_reply("一"), chat_reply("二")], drop_after_reply=True)
-    backend = HttpBackend(http_config(server.server_address[1], max_retries=0),
-                          sleep=lambda s: None)
-    try:
+    # the stub closes each connection after its reply without Connection: close, as a
+    # server does when a keep-alive connection idles out
+    with serve([chat("一", close=True), chat("二", close=True)]) as stub, \
+            http_backend(stub.port, max_retries=0) as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "一"
-        assert seen["closed"].acquire(timeout=5)  # the idle connection is gone
+        assert stub.closed.acquire(timeout=5)  # the idle connection is gone
         assert backend.translate("化学", ZH_TO_EN, seed=2, variant=0) == "二"
-    finally:
-        backend.close()
-        stop(server)
-    assert seen["connections"] == 2 and len(seen["bodies"]) == 2
+    assert stub.connections == 2 and len(stub.requests) == 2
 
 
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK here")
 def test_http_backend_does_not_wait_on_a_nagle_held_reply_body():
-    # serve_canned's handler is stock http.server: it sends the head, then the body, with
-    # Nagle on, so the body waits for the head's ACK; a delayed ACK costs ~40 ms a request
-    server, seen = serve_canned([chat_reply("一")] * 20)
-    backend = HttpBackend(http_config(server.server_address[1], rate_limit_rps=1e5),
-                          sleep=lambda s: None)
+    # the stub sends a reply's head, then its body, with Nagle on, so the body waits for
+    # the head's ACK; a delayed ACK costs ~40 ms a request
     times = []
-    try:
+    with serve(lambda request: chat("一")) as stub, \
+            http_backend(stub.port, rate_limit_rps=1e5) as backend:
         for seed in range(20):
             start = time.perf_counter()
             assert backend.translate("化学", ZH_TO_EN, seed=seed, variant=0) == "一"
             times.append(time.perf_counter() - start)
-    finally:
-        backend.close()
-        stop(server)
     # a stalled request takes 40 ms or more, a prompt one well under 1 ms; the median
     # leaves a few requests slowed by a busy machine out of it
     assert statistics.median(times) < 0.01
-    assert seen["connections"] == 1
+    assert stub.connections == 1
 
 
 def test_translate_closes_the_http_backend_it_builds_and_no_other():
-    server, seen = serve_canned([chat_reply("一"), chat_reply("二"), chat_reply("三")])
-    config = http_config(server.server_address[1], max_retries=0)
-    backend = HttpBackend(config, sleep=lambda s: None)
-    try:
-        assert translate(config, "化学", ZH_TO_EN) == "一"
-        gc.collect()  # a socket left open warns when collected, an error under pyproject.toml
-        assert seen["closed"].acquire(timeout=5)
-        assert translate(backend, "化学", ZH_TO_EN) == "二"
-        assert translate(backend, "化学", ZH_TO_EN) == "三"  # over the same connection
-    finally:
-        backend.close()
-        stop(server)
-    assert seen["connections"] == 2
+    with serve([chat("一"), chat("二"), chat("三")]) as stub:
+        config = http_config(stub.port, max_retries=0)
+        with closing(HttpBackend(config, sleep=lambda s: None)) as backend:
+            assert translate(config, "化学", ZH_TO_EN) == "一"
+            gc.collect()  # a socket left open warns when collected, an error under pyproject.toml
+            assert stub.closed.acquire(timeout=5)
+            assert translate(backend, "化学", ZH_TO_EN) == "二"
+            assert translate(backend, "化学", ZH_TO_EN) == "三"  # over the same connection
+    assert stub.connections == 2
 
 
-@pytest.mark.parametrize("status_line", [
-    b"NOT HTTP AT ALL\r\n\r\n",
-    b"",  # closed with no reply: RemoteDisconnected on a fresh connection
-], ids=["garbage", "no-reply"])
-def test_http_backend_bad_reply_is_a_transport_error(status_line):
-    attempts = []
-
-    class Garbage(socketserver.StreamRequestHandler):
-        def handle(self):
-            headers = {}
-            for line in iter(self.rfile.readline, b"\r\n"):
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.lower()] = value.strip()
-            self.rfile.read(int(headers["content-length"]))
-            attempts.append(1)
-            self.wfile.write(status_line)
-
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Garbage)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    backend = HttpBackend(http_config(server.server_address[1], max_retries=2),
-                          sleep=lambda s: None)
-    try:
+@pytest.mark.parametrize("wire_format, step", [
+    ("chat", Step(raw=b"NOT HTTP AT ALL\r\n\r\n")),
+    ("chat", Step(raw=b"")),  # closed with no reply: RemoteDisconnected on a fresh connection
+    # 6 of the body's bytes, then a close: in the raw format, "完整" of a declared 21 bytes
+    ("chat", chat("完整的译文结果", cut=6)),
+    ("raw", plain("完整的译文结果", cut=6)),
+], ids=["garbage", "no-reply", "truncated-body-chat", "truncated-body-raw"])
+def test_http_backend_bad_reply_is_a_transport_error(wire_format, step):
+    with serve(lambda request: step) as stub, \
+            http_backend(stub.port, max_retries=2, wire_format=wire_format) as backend:
         with pytest.raises(BackendError, match="transport error"):
             backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
-    finally:
-        backend.close()
-        stop(server)
-    assert len(attempts) == 3  # max_retries + 1, none of them reopened for free
+        assert backend._idle.empty()  # the failed connection is closed, not pooled
+    # max_retries + 1, none of them reopened for free, each on a new connection
+    assert len(stub.requests) == 3 and stub.connections == 3
 
 
 def test_http_backend_reuses_its_connection_after_an_error_status():
-    server, seen = serve_canned([(500, "text/plain", b"overloaded"), chat_reply("译文")])
-    backend = HttpBackend(http_config(server.server_address[1], max_retries=1),
-                          sleep=lambda s: None)
-    try:
+    with serve([plain("overloaded", "text/plain", status=500), chat("译文")]) as stub, \
+            http_backend(stub.port, max_retries=1) as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
-    finally:
-        backend.close()
-        stop(server)
-    assert seen["connections"] == 1 and len(seen["bodies"]) == 2
+    assert stub.connections == 1 and len(stub.requests) == 2
 
 
 def test_http_backend_reply_over_the_cap_fails_and_its_connection_is_not_reused(monkeypatch):
     monkeypatch.setattr(transport, "MAX_REPLY_BYTES", 64)
-    server, seen = serve_canned([chat_reply("长" * 64), chat_reply("译文")])
-    backend = HttpBackend(http_config(server.server_address[1], max_retries=0),
-                          sleep=lambda s: None)
-    try:
+    with serve([chat("长" * 64), chat("译文")]) as stub, \
+            http_backend(stub.port, max_retries=0) as backend:
         with pytest.raises(BackendError, match=r"reply longer than MAX_REPLY_BYTES \(64 bytes\)"):
             backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
         assert backend.translate("化学", ZH_TO_EN, seed=2, variant=0) == "译文"
-    finally:
-        backend.close()
-        stop(server)
     # the oversized reply's unread rest never reaches the next request
-    assert seen["connections"] == 2 and len(seen["bodies"]) == 2
+    assert stub.connections == 2 and len(stub.requests) == 2
 
 
 def test_http_backend_chat_body_is_compact_json():
-    server, seen = serve_canned([chat_reply("译文")])
-    config = http_config(server.server_address[1], temperature=0.25)
-    backend = HttpBackend(config, sleep=lambda s: None)
-    try:
+    with serve([chat("译文")]) as stub, http_backend(stub.port, temperature=0.25) as backend:
         backend.translate("化学", ZH_TO_EN, seed=9, variant=1)
-    finally:
-        backend.close()
-        stop(server)
     payload = {
         "model": "stub-model",
         "messages": [{"role": "user", "content": PROMPT_VARIANTS[ZH_TO_EN][1]
@@ -715,21 +515,16 @@ def test_http_backend_chat_body_is_compact_json():
         "temperature": 0.25,
         "seed": 9,
     }
-    assert seen["bodies"] == [json.dumps(payload, allow_nan=False).encode()]
+    assert [request.body for request in stub.requests] == [
+        json.dumps(payload, allow_nan=False).encode()]
 
 
 @pytest.mark.parametrize("charset", ["x-no-such-codec", "idna", "undefined"])
 def test_http_backend_raw_reply_with_unknown_charset_decodes_as_utf8(charset):
     # idna and undefined exist but decode no text: each raises UnicodeError, not LookupError
-    reply = "译文".encode("utf-8") + b"\xff"
-    server, _ = serve_canned([(200, f"text/plain; charset={charset}", reply)])
-    config = http_config(server.server_address[1], wire_format="raw")
-    backend = HttpBackend(config, sleep=lambda s: None)
-    try:
+    reply = plain("译文".encode("utf-8") + b"\xff", f"text/plain; charset={charset}")
+    with serve([reply]) as stub, http_backend(stub.port, wire_format="raw") as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文\ufffd"
-    finally:
-        backend.close()
-        stop(server)
 
 
 def chat_json(content) -> str:
@@ -785,17 +580,12 @@ def test_reply_parser_returns_a_completion_or_raises_value_error():
 
 
 def test_http_backend_sends_the_configured_prompt_templates():
-    server, seen = serve_canned([chat_reply("translation"), chat_reply("译文")])
-    config = http_config(server.server_address[1], prompt_template_forward="EN please: {text}",
-                         prompt_template_backward="ZH please: {text}")
-    backend = HttpBackend(config, sleep=lambda s: None)
-    try:
+    with serve([chat("translation"), chat("译文")]) as stub, http_backend(
+            stub.port, prompt_template_forward="EN please: {text}",
+            prompt_template_backward="ZH please: {text}") as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=2) == "translation"
         assert backend.translate("translation", EN_TO_ZH, seed=1, variant=2) == "译文"
-    finally:
-        backend.close()
-        stop(server)
-    assert [json.loads(body)["messages"][0]["content"] for body in seen["bodies"]] == [
+    assert [json.loads(request.body)["messages"][0]["content"] for request in stub.requests] == [
         "EN please: 化学", "ZH please: translation"]
 
 
@@ -828,32 +618,22 @@ def test_https_round_trip_verifies_the_fixture_certificate(monkeypatch):
         return contexts[-1]
 
     monkeypatch.setattr(ssl, "create_default_context", trusting_fixture)
-    server, seen = serve_canned([chat_reply("译文")], tls=True)
-    backend = HttpBackend(https_config(server.server_address[1], max_retries=0),
-                          sleep=lambda s: None)
-    try:
+    with serve([chat("译文")], tls=True) as stub, closing(HttpBackend(
+            https_config(stub.port, max_retries=0), sleep=lambda s: None)) as backend:
         assert backend.translate("化学", ZH_TO_EN, seed=1, variant=0) == "译文"
-    finally:
-        backend.close()
-        stop(server)
     [context] = contexts
     assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
-    assert seen["connections"] == 1 and len(seen["bodies"]) == 1
+    assert stub.connections == 1 and len(stub.requests) == 1
 
 
 def test_https_with_an_untrusted_certificate_is_a_failed_attempt():
-    server, seen = serve_canned([], tls=True)  # no request may reach it
     waits = []
-    backend = HttpBackend(https_config(server.server_address[1], max_retries=1),
-                          sleep=waits.append)
-    try:
+    with serve([], tls=True) as stub, closing(HttpBackend(  # no request may reach it
+            https_config(stub.port, max_retries=1), sleep=waits.append)) as backend:
         with pytest.raises(BackendError, match="transport error: .*certificate verify failed"):
             backend.translate("化学", ZH_TO_EN, seed=1, variant=0)
-    finally:
-        backend.close()
-        stop(server)
     assert len(waits) == 1  # one retry, its backoff recorded rather than slept
-    assert seen["bodies"] == []
+    assert stub.requests == []
 
 
 def test_token_bucket_with_fake_clock():
@@ -1087,67 +867,17 @@ def test_run_experiment_runs_mocks_while_http_legs_are_in_flight():
 def test_run_experiment_checks_every_api_key_before_any_request(monkeypatch):
     monkeypatch.setenv("BTEVAL_TEST_GOOD_KEY", "sk-good")
     monkeypatch.setenv("BTEVAL_TEST_BAD_KEY", "sk-bad\n")
-    state = StubState()
-    server = make_stub_server(state)
-    try:
-        port = server.server_address[1]
-        configs = [http_config(port, id="a", api_key_env="BTEVAL_TEST_GOOD_KEY"),
-                   http_config(port, id="b", api_key_env="BTEVAL_TEST_BAD_KEY")]
+    with serve([]) as stub:  # no request may reach it
+        configs = [http_config(stub.port, id="a", api_key_env="BTEVAL_TEST_GOOD_KEY"),
+                   http_config(stub.port, id="b", api_key_env="BTEVAL_TEST_BAD_KEY")]
         with pytest.raises(ConfigError, match="BTEVAL_TEST_BAD_KEY"):
             run_experiment(tiny_corpus(), run_config(configs, 2))
-    finally:
-        stop(server)
-    assert state.calls == 0
+    assert stub.requests == []
 
 
-def payload_text(payload):
+def payload_text(request):
     """The text a chat request asks to translate: its prompt after the instruction."""
-    return payload["messages"][0]["content"].rsplit("\n\n", 1)[1]
-
-
-def serve_http11(reply):
-    """HTTP/1.1 stub answering each chat request with reply(path, payload).
-
-    Every response carries Content-Length, so a keep-alive client can reuse
-    its connection, and a Set-Cookie, which a cookie-keeping client would
-    send back. seen["connections"] counts accepted connections and
-    seen["cookies"] holds each request's Cookie header (None when absent).
-    """
-    seen = {"connections": 0, "cookies": []}
-    lock = threading.Lock()
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def setup(self):
-            super().setup()
-            with lock:
-                seen["connections"] += 1
-
-        def do_POST(self):
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            with lock:
-                seen["cookies"].append(self.headers.get("Cookie"))
-            content = reply(self.path, payload)
-            body = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Set-Cookie", "session=stub; Path=/")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, seen
-
-
-def stop(server):
-    server.shutdown()
-    server.server_close()
+    return json.loads(request.body)["messages"][0]["content"].rsplit("\n\n", 1)[1]
 
 
 def path_configs(port, paths, **kwargs):
@@ -1161,38 +891,33 @@ def test_run_experiment_overlaps_http_backends_within_max_workers():
     lock = threading.Lock()
     in_flight, peak = Counter(), Counter()
 
-    def reply(path, payload):
+    def reply(request):
         with lock:
-            in_flight[path] += 1
-            peak[path] = max(peak[path], in_flight[path])
+            in_flight[request.path] += 1
+            peak[request.path] = max(peak[request.path], in_flight[request.path])
         try:
             barrier.wait()  # answers only with a second request in flight
         finally:
             with lock:
-                in_flight[path] -= 1
-        return payload_text(payload)
+                in_flight[request.path] -= 1
+        return chat(payload_text(request))
 
-    server, _ = serve_http11(reply)
-    try:
-        configs = path_configs(server.server_address[1], ("a", "b"), max_workers=1,
-                               max_retries=0)
+    with serve(reply) as stub:
+        configs = path_configs(stub.port, ("a", "b"), max_workers=1, max_retries=0)
         _, records, _ = run_experiment(tiny_corpus(), run_config(configs, 2, master_seed=2))
-    finally:
-        stop(server)
     assert len(records) == 8 and all(rec.error is None for rec in records)
     assert peak == {"/a": 1, "/b": 1}  # never above either backend's max_workers
 
 
 def test_http_backend_keeps_connections_alive_without_cookies():
-    server, seen = serve_http11(lambda path, payload: payload_text(payload))
-    try:
-        config = http_config(server.server_address[1], max_workers=2)
+    # each reply sets a cookie, which a cookie-keeping client would send back
+    cookie = {"Set-Cookie": "session=stub; Path=/"}
+    with serve(lambda request: chat(payload_text(request), headers=cookie)) as stub:
+        config = http_config(stub.port, max_workers=2)
         _, records, _ = run_experiment(cnki_head(3), run_config([config], 2, master_seed=8))
-    finally:
-        stop(server)
     assert len(records) == 6 and all(rec.error is None for rec in records)
-    assert seen["connections"] <= 2
-    assert seen["cookies"] == [None] * 12
+    assert stub.connections <= 2
+    assert [request.headers["Cookie"] for request in stub.requests] == [None] * 12
 
 
 class SequentialPool(ThreadPoolExecutor):
@@ -1205,29 +930,28 @@ class SequentialPool(ThreadPoolExecutor):
 
 
 def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
-    def reply(path, payload):
+    def reply(request):
         # per-path, per-seed character drops; the sleep shuffles completion order
-        text, seed, step = payload_text(payload), payload["seed"], 2 + len(path)
+        text, seed = payload_text(request), json.loads(request.body)["seed"]
         time.sleep(seed % 3 / 1000)
-        return "".join(ch for i, ch in enumerate(text) if (i + seed) % step)
+        return chat("".join(ch for i, ch in enumerate(text) if (i + seed) % (2 + len(request.path))))
 
-    server, _ = serve_http11(reply)
     corpus = cnki_head(4)
     interval = sys.getswitchinterval()
-    try:
-        # six client threads on a short switch interval, to expose shared-state races
-        configs = path_configs(server.server_address[1], ("x", "yy", "zzz"), max_workers=2)
-        sys.setswitchinterval(1e-5)
-        matrices, records, _ = run_experiment(corpus, run_config(configs, 2, master_seed=11))
-        sys.setswitchinterval(interval)
-        singles = [run_experiment(corpus, run_config([config], 2, master_seed=11))
-                   for config in configs]
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SequentialPool)
-        sequential, sequential_records, _ = run_experiment(
-            corpus, run_config(configs, 2, master_seed=11))
-    finally:
-        sys.setswitchinterval(interval)
-        stop(server)
+    with serve(reply) as stub:
+        try:
+            # six client threads on a short switch interval, to expose shared-state races
+            configs = path_configs(stub.port, ("x", "yy", "zzz"), max_workers=2)
+            sys.setswitchinterval(1e-5)
+            matrices, records, _ = run_experiment(corpus, run_config(configs, 2, master_seed=11))
+            sys.setswitchinterval(interval)
+            singles = [run_experiment(corpus, run_config([config], 2, master_seed=11))
+                       for config in configs]
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SequentialPool)
+            sequential, sequential_records, _ = run_experiment(
+                corpus, run_config(configs, 2, master_seed=11))
+        finally:
+            sys.setswitchinterval(interval)
     assert len(records) == 24 and all(rec.error is None for rec in records)
     merged = sorted((rec for _, run, _ in singles for rec in run),
                     key=lambda rec: (rec.sample_id, rec.backend_id, rec.repetition))
@@ -1245,23 +969,20 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
 def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
     # a reply nested past the recursion limit raised RecursionError out of the whole run
     corpus, r = cnki_head(3), 2
-    good_server, _ = serve_http11(lambda path, payload: payload_text(payload))
-    bad_server, _ = serve_canned([(200, "application/json", b"[" * 100_000)] * (len(corpus) * r))
-    good = http_config(good_server.server_address[1], id="good", max_retries=0)
-    bad = http_config(bad_server.server_address[1], id="bad", max_retries=0)
-    lines = "\n".join(json.dumps({"id": s.id, "domain": s.domain, "text": s.text},
-                                 ensure_ascii=False) for s in corpus)
-    (tmp_path / "corpus.jsonl").write_text(lines + "\n", encoding="utf-8")
-    config = {"corpus": str(tmp_path / "corpus.jsonl"), "repetitions": r,
-              "backends": [asdict(good), asdict(bad)]}
-    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
-    try:
+    bad_reply = Step(body=b"[" * 100_000)
+    with serve(lambda request: chat(payload_text(request))) as good_stub, \
+            serve([bad_reply] * (len(corpus) * r)) as bad_stub:
+        good = http_config(good_stub.port, id="good", max_retries=0)
+        bad = http_config(bad_stub.port, id="bad", max_retries=0)
+        lines = "\n".join(json.dumps({"id": s.id, "domain": s.domain, "text": s.text},
+                                     ensure_ascii=False) for s in corpus)
+        (tmp_path / "corpus.jsonl").write_text(lines + "\n", encoding="utf-8")
+        config = {"corpus": str(tmp_path / "corpus.jsonl"), "repetitions": r,
+                  "backends": [asdict(good), asdict(bad)]}
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
         code = cli.main(["run", "--config", str(tmp_path / "run.json"),
                          "--out", str(tmp_path / "out")])
         _, alone, _ = run_experiment(corpus, run_config([good], r))
-    finally:
-        stop(good_server)
-        stop(bad_server)
     assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
     records = read_records(tmp_path / "out" / "records.jsonl")
     assert len(records) == len(corpus) * 2 * r
