@@ -18,7 +18,7 @@ from .metrics import (
     semantic_similarity,
     ter,
 )
-from .pipeline import TranslationRecord, detect_verbatim, run_experiment, translate
+from .pipeline import TranslationRecord, detect_verbatim, run_experiment
 from .segmentation import (
     Lexicon,
     TokenList,
@@ -37,9 +37,8 @@ from .stats import (
     dunn_posthoc,
     friedman,
     levene,
-    rank_with_ties,
     shapiro_wilk,
-    spearman,
+    spearman_battery,
 )
 
 __version__ = "0.1.0"

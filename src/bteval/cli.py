@@ -29,7 +29,8 @@ from .segmentation import (
     default_lexicon,
     load_lexicon,
     load_variant_table,
-    tokenize,
+    segment_chars,
+    segment_words,
 )
 
 EXIT_OK = 0
@@ -77,7 +78,7 @@ def _out_dir(path) -> Path:
 def cmd_segment(args) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
     text = _read_text(args.text) if os.path.isfile(args.text) else args.text
-    tokens = tokenize(text, CHARACTER if args.level == "char" else args.level, lexicon).tokens
+    tokens = segment_words(text, lexicon) if args.level == WORD else segment_chars(text)
     sep = "\n" if args.lines else "/"
     print(sep.join(tokens))
     return EXIT_OK

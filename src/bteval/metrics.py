@@ -371,8 +371,9 @@ def _edit_distances(refs, cands, cand_ref: np.ndarray) -> list[int]:
     return distances.tolist()
 
 
-def edit_distance(candidate, reference) -> int:
-    """Unit-cost insert/delete/substitute distance between token sequences.
+def ter(candidate, reference) -> float:
+    """Unit-cost insert/delete/substitute distance between token sequences,
+    divided by the reference's length; lower is better.
 
     Exact bit-parallel Levenshtein (Myers 1999, JACM 46(3); Hyyrö 2003):
     one Python int holds one DP column as vertical +1/-1 deltas, one bit
@@ -380,16 +381,8 @@ def edit_distance(candidate, reference) -> int:
     """
     (cand, ref), _ = _interned(candidate, reference)
     if not len(ref):
-        return len(cand)
-    return _edit_distances(_one(ref), _one(cand), _FIRST)[0]
-
-
-def ter(candidate, reference) -> float:
-    """Token edit distance divided by reference length; lower is better."""
-    ref = tuple(reference)
-    if not ref:
         raise MetricError("reference must be non-empty")
-    return edit_distance(candidate, ref) / len(ref)
+    return _edit_distances(_one(ref), _one(cand), _FIRST)[0] / len(ref)
 
 
 def fit_idf(documents) -> IdfModel:

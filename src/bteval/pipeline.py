@@ -150,20 +150,6 @@ def make_backend(config: BackendConfig, segment: Segmenter | None = None):
     return HttpBackend(config)
 
 
-def translate(backend, text: str, direction: str, seed: int = 0, variant: int = 0,
-              lexicon: Lexicon | None = None) -> str:
-    """One translation leg; accepts a BackendConfig or an instantiated backend, and closes
-    the HTTP backend it builds from a BackendConfig (one passed in stays open)."""
-    if not isinstance(backend, BackendConfig):
-        return backend.translate(text, direction, seed, variant)
-    built = make_backend(backend, Segmenter(lexicon))
-    try:
-        return built.translate(text, direction, seed, variant)
-    finally:
-        if backend.kind == "http_llm":
-            built.close()
-
-
 def detect_verbatim(zhx: str, zhy: str, lexicon: Lexicon | None = None,
                     threshold: float = DEFAULT_VERBATIM_THRESHOLD) -> tuple[float, bool]:
     """Word-level 1-2 gram BLEU of the back-translation against its own source."""

@@ -192,13 +192,6 @@ def segment_chars(text: str) -> TokenList:
     return TokenList(tuple(ch for ch in text if not ch.isspace()))
 
 
-def tokenize(text: str, level: str = WORD, lexicon: Lexicon | None = None) -> TokenList:
-    """Character tokens at the character level, lexicon words otherwise."""
-    if level == CHARACTER:
-        return segment_chars(text)
-    return segment_words(text, lexicon)
-
-
 def load_variant_table(path: str | Path) -> dict[str, str]:
     """Load "traditional simplified" character pairs, one per line."""
     table: dict[str, str] = {}

@@ -181,12 +181,17 @@ def _block_ranks(grid: np.ndarray) -> np.ndarray:
     return last
 
 
-def rank_with_ties(values) -> list[float]:
-    """Ascending ranks 1..m; ties share the mean of their rank positions."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise StatsError("cannot rank an empty list")
-    return _block_ranks(arr.reshape(1, -1))[0].tolist()
+def _check_grid(name: str, means) -> np.ndarray:
+    """means as a float n x k grid with n >= 2, k >= 2 and no NaN; otherwise a StatsError."""
+    grid = np.asarray(means, dtype=float)
+    if grid.ndim != 2:
+        raise StatsError(f"{name} expects an n x k grid")
+    n, k = grid.shape
+    if n < 2 or k < 2:
+        raise StatsError(f"{name} requires n >= 2 and k >= 2")
+    if np.isnan(grid).any():
+        raise StatsError(f"{name} cell means must not be NaN")
+    return grid
 
 
 def friedman(means) -> StatTestResult:
@@ -195,14 +200,8 @@ def friedman(means) -> StatTestResult:
     Uses the standard tie-correction divisor; a grid whose blocks are all
     fully tied yields statistic 0 and p = 1. A NaN mean has no rank.
     """
-    grid = np.asarray(means, dtype=float)
-    if grid.ndim != 2:
-        raise StatsError("friedman expects an n x k grid")
+    grid = _check_grid("friedman", means)
     n, k = grid.shape
-    if n < 2 or k < 2:
-        raise StatsError("friedman requires n >= 2 and k >= 2")
-    if np.isnan(grid).any():
-        raise StatsError("friedman cell means must not be NaN")
     ranks = _block_ranks(grid)
     rank_sums = ranks.sum(axis=0)
     classic = 12.0 / (n * k * (k + 1)) * float((rank_sums ** 2).sum()) - 3.0 * n * (k + 1)
@@ -261,7 +260,7 @@ def dunn_posthoc(
     mean_difference is the difference of the pair's column means in means, the
     imputed cell-mean grid, not of the observation means the summary tables quote.
     """
-    grid = np.asarray(means, dtype=float)
+    grid = _check_grid("dunn_posthoc", means)
     n, k = grid.shape
     if treatment_ids is None:
         treatment_ids = [f"t{i + 1}" for i in range(k)]
@@ -298,12 +297,6 @@ def _spearman_ranked(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
     return rho, 2.0 * tails.t_sf(abs(t), n - 2)
 
 
-def spearman(x, y) -> tuple[float, float]:
-    """Rank correlation with the t-approximation p-value (df = n - 2)."""
-    entry = spearman_battery({"x": x, "y": y}, NO_CORRECTION)[0]
-    return entry.rho, entry.raw_p
-
-
 @dataclass(frozen=True)
 class CorrelationEntry:
     # field order is the column order of correlations.csv
@@ -315,10 +308,11 @@ class CorrelationEntry:
 
 
 def spearman_battery(series: dict, correction: str = BENJAMINI_HOCHBERG) -> list[CorrelationEntry]:
-    """Spearman over every unordered pair of named series, jointly adjusted.
+    """Spearman rho, with its t-approximation p-value (df = n - 2), over every
+    unordered pair of named series, jointly adjusted.
 
-    Pairs are checked in order, raising what ``spearman`` would for the first
-    bad pair; each series is then ranked once and shared by its pairs.
+    Pairs are checked in order, and the first bad pair raises; each series is
+    then ranked once and shared by its pairs.
     """
     names = list(series)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]

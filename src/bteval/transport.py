@@ -89,6 +89,7 @@ class HttpBackend:
                 timeout=config.timeout)
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._transport_errors = (OSError, http.client.HTTPException)
+        self._incomplete_read = http.client.IncompleteRead
         quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
         self._quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
         self._idle: queue.SimpleQueue = queue.SimpleQueue()
@@ -150,9 +151,8 @@ class HttpBackend:
             if len(reply) > MAX_REPLY_BYTES:  # closed below: its unread rest would be the next reply
                 raise ValueError(f"reply longer than MAX_REPLY_BYTES ({MAX_REPLY_BYTES} bytes)")
             if response.length:  # the server closed short of its Content-Length (RFC 9112 6.3)
-                import http.client  # read(amt) returns the short body without raising
-
-                raise http.client.IncompleteRead(reply, response.length)
+                # read(amt) returns the short body without raising
+                raise self._incomplete_read(reply, response.length)
         except BaseException:
             conn.close()
             raise

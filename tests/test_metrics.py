@@ -28,7 +28,6 @@ from bteval.metrics import (
     bleu,
     brevity_penalty,
     chrf,
-    edit_distance,
     fit_idf,
     score_pair,
     score_run,
@@ -40,7 +39,7 @@ from bteval.config import BackendConfig
 from bteval.jsonio import config_from_json
 from bteval.pipeline import run_experiment
 from bteval.segmentation import (CHARACTER, WORD, Lexicon, Segmenter, segment_chars,
-                                 segment_words, tokenize)
+                                 segment_words)
 
 from conftest import FIXTURES, run_config
 
@@ -430,8 +429,9 @@ def test_ter_matches_dp_oracle_exactly():
     rng = random.Random(4321)
     for _ in range(200):
         cand, ref = random_pair(rng)
-        assert edit_distance(cand, ref) == oracle_edit_distance(cand, ref)
-        assert ter(cand, ref) == oracle_edit_distance(cand, ref) / len(ref)
+        expected = oracle_edit_distance(cand, ref)
+        assert _edit_distances(*packed_groups([(ref, [cand])])) == [expected]
+        assert ter(cand, ref) == expected / len(ref)
 
 
 TOKEN_POOL = ("a", "b", "c", "x", "的", "。", "，", "化学", "工程", "元素", "物质", "药品",
@@ -458,12 +458,15 @@ def long_token_pairs(draw):
 @example((["的"] * 63, ["的"] * 64))
 @example((["的"] * 129, ["的"] * 128))
 @example((["的"] * 200, ["的"]))
-def test_edit_distance_matches_dp_oracle_across_word_boundaries(pair):
+def test_ter_matches_dp_oracle_across_word_boundaries(pair):
     cand, ref = pair
+    if not ref:
+        with pytest.raises(MetricError, match="reference must be non-empty"):
+            ter(cand, ref)
+        return
     expected = oracle_edit_distance(cand, ref)
-    assert edit_distance(cand, ref) == expected
-    if ref:
-        assert ter(cand, ref) == expected / len(ref)
+    assert _edit_distances(*packed_groups([(ref, [cand])])) == [expected]
+    assert ter(cand, ref) == expected / len(ref)
 
 
 @st.composite
@@ -486,7 +489,7 @@ def test_batched_edit_distances_equal_dp_oracle(groups):
     assert _edit_distances(*packed_groups(groups)) == expected
 
 
-def test_edit_distance_matches_dp_oracle_on_corpus_run():
+def test_ter_matches_dp_oracle_on_corpus_run():
     corpus = parse_corpus(FIXTURES / "corpora" / "cnki_che_89.jsonl")
     config = BackendConfig(id="noisy", kind="mock", model_name="noise",
                            drop_prob=0.1, swap_prob=0.05)
@@ -495,10 +498,10 @@ def test_edit_distance_matches_dp_oracle_on_corpus_run():
     ter_matrix = matrices["ter"]
     longest = 0
     for rec in records:
-        cand, ref = tokenize(rec.zhy), tokenize(rec.zhx)
+        cand, ref = segment_words(rec.zhy), segment_words(rec.zhx)
         longest = max(longest, len(ref))
         expected = oracle_edit_distance(cand, ref)
-        assert edit_distance(cand, ref) == expected
+        assert ter(cand, ref) == expected / len(ref)
         block = ter_matrix.block_ids.index(rec.sample_id)
         assert ter_matrix.values[block, 0, 0] == expected / len(ref)
     assert longest > 64  # at least one bit-vector is wider than 64 bits
@@ -869,7 +872,8 @@ def test_run_experiment_scores_equal_per_pair_oracles(config):
     run = run_config([backend], 2, scoring=config, master_seed=11)
     matrices, records, _ = run_experiment(corpus, run)
     assert all(rec.error is None for rec in records)
-    tokens = {text: tokenize(text, config.level)
+    segment = segment_chars if config.level == CHARACTER else segment_words
+    tokens = {text: segment(text)
               for text in [s.text for s in corpus] + [rec.zhy for rec in records]}
     idf = fit_idf([tokens[s.text] for s in corpus] + [tokens[rec.zhy] for rec in records])
     blocks = {s.id: i for i, s in enumerate(corpus)}

@@ -1,7 +1,6 @@
 """Round-trip pipeline: mocks, HTTP backend behavior, flags, and replay."""
 
 import encodings.aliases
-import gc
 import http.client
 import io
 import json
@@ -35,7 +34,6 @@ from bteval.pipeline import (
     make_backend,
     read_records,
     run_experiment,
-    translate,
     write_records,
 )
 from bteval.segmentation import Segmenter
@@ -166,15 +164,15 @@ def test_derive_seed_is_stable_and_distinct():
 # ---------------------------------------------------------------- mocks
 
 def test_identity_mock_round_trip():
-    config = mock_config("identity")
-    assert translate(config, "人工智能", ZH_TO_EN) == "人工智能"
-    assert translate(config, "anything", EN_TO_ZH) == "anything"
+    backend = make_backend(mock_config("identity"))
+    assert backend.translate("人工智能", ZH_TO_EN, 0, 0) == "人工智能"
+    assert backend.translate("anything", EN_TO_ZH, 0, 0) == "anything"
 
 
 def test_lexicon_mock_maps_known_tokens():
-    config = mock_config("lexicon")
-    assert translate(config, "人工智能", ZH_TO_EN) == "artificial-intelligence"
-    out = translate(config, "artificial-intelligence", EN_TO_ZH)
+    backend = make_backend(mock_config("lexicon"))
+    assert backend.translate("人工智能", ZH_TO_EN, 0, 0) == "artificial-intelligence"
+    out = backend.translate("artificial-intelligence", EN_TO_ZH, 0, 0)
     assert out == "人工智能"
 
 
@@ -456,18 +454,6 @@ def test_http_backend_does_not_wait_on_a_nagle_held_reply_body():
     # leaves a few requests slowed by a busy machine out of it
     assert statistics.median(times) < 0.01
     assert stub.connections == 1
-
-
-def test_translate_closes_the_http_backend_it_builds_and_no_other():
-    with serve([chat("一"), chat("二"), chat("三")]) as stub:
-        config = http_config(stub.port, max_retries=0)
-        with closing(HttpBackend(config, sleep=lambda s: None)) as backend:
-            assert translate(config, "化学", ZH_TO_EN) == "一"
-            gc.collect()  # a socket left open warns when collected, an error under pyproject.toml
-            assert stub.closed.acquire(timeout=5)
-            assert translate(backend, "化学", ZH_TO_EN) == "二"
-            assert translate(backend, "化学", ZH_TO_EN) == "三"  # over the same connection
-    assert stub.connections == 2
 
 
 @pytest.mark.parametrize("wire_format, step", [

@@ -1,6 +1,7 @@
 """The names ``import bteval`` exports, the README's "Library use" section, and the
 names the benchmark's tracer looks up."""
 
+import ast
 import importlib.util
 import re
 import types
@@ -19,9 +20,9 @@ PUBLIC = {
     "ScoringConfig", "BleuConfig", "IdfModel", "MetricVector", "fit_idf", "score_pair",
     "bleu", "chrf", "ter", "semantic_similarity",
     "BackendConfig", "RunConfig", "TranslationRecord", "RunManifest", "run_experiment",
-    "translate", "detect_verbatim",
+    "detect_verbatim",
     "ExperimentDesign", "ScoreMatrix", "StatTestResult", "cell_means", "friedman",
-    "dunn_posthoc", "benjamini_hochberg", "spearman", "rank_with_ties",
+    "dunn_posthoc", "benjamini_hochberg", "spearman_battery",
     "descriptive_stats", "shapiro_wilk", "levene",
 }
 
@@ -70,3 +71,49 @@ def test_bench_tracer_finds_every_name_it_wraps():
         for name in names:
             assert callable(getattr(modules[short], name)), f"{short}.{name}"
     assert "_load_matrices" in tracing.PRIVATE["cli"]
+
+
+def test_bench_finds_every_bteval_name_it_imports_or_reads():
+    # only bench/run.py's traced pass reads names such as metrics.ter, so a deleted name
+    # would pass every untraced pass; each `from bteval... import X`, and each attribute
+    # read through a bteval module that an import binds, must exist
+    def resolve(node, aliases, where):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value, aliases, where)
+            if base is not None:
+                assert hasattr(base, node.attr), f"{where}: {ast.unparse(node)}"
+                seen.add(ast.unparse(node))
+                return getattr(base, node.attr)
+        return None
+
+    seen: set = set()
+    for path in sorted((REPO / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases: dict = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "bteval":
+                        module = importlib.import_module(alias.name)
+                        # `import bteval.x as y` binds y; `import bteval.x` binds bteval
+                        aliases[alias.asname or "bteval"] = module if alias.asname else bteval
+            elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "bteval":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    try:
+                        value = getattr(module, alias.name)
+                    except AttributeError:  # a submodule not imported yet, or no such name
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    seen.add(f"{node.module}.{alias.name}")
+                    if isinstance(value, types.ModuleType):
+                        aliases[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                resolve(node, aliases, path.name)
+    # the walk reaches the traced pass's reads
+    assert {"metrics.fit_idf", "metrics.semantic_similarity", "metrics.bleu", "metrics.chrf",
+            "metrics.ter", "metrics.BleuConfig", "metrics.TECHNICAL_WEIGHTS",
+            "metrics.UNIFORM_WEIGHTS", "segmentation.segment_words",
+            "bteval.segmentation.default_lexicon"} <= seen

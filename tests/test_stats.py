@@ -36,10 +36,8 @@ from bteval.stats import (
     friedman,
     levene,
     prepare_cell_means,
-    rank_with_ties,
     run_metric_battery,
     shapiro_wilk,
-    spearman,
     spearman_battery,
 )
 
@@ -156,18 +154,21 @@ TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.nan])
 
 # ---------------------------------------------------------------- ranking
 
-def test_rank_with_ties_examples():
-    assert rank_with_ties([0.1, 0.3, 0.2]) == [1, 3, 2]
-    assert rank_with_ties([0.5, 0.5]) == [1.5, 1.5]
-    assert rank_with_ties([2, 2, 2]) == [2, 2, 2]
-    with pytest.raises(StatsError):
-        rank_with_ties([])
+def row_ranks(values) -> list[float]:
+    """_block_ranks of one block."""
+    return _block_ranks(np.array([values], dtype=float))[0].tolist()
+
+
+def test_block_ranks_examples():
+    assert row_ranks([0.1, 0.3, 0.2]) == [1, 3, 2]
+    assert row_ranks([0.5, 0.5]) == [1.5, 1.5]
+    assert row_ranks([2, 2, 2]) == [2, 2, 2]
 
 
 @given(st.lists(TIED, min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_rank_with_ties_matches_loop_oracle(values):
-    assert rank_with_ties(values) == oracle_rank_with_ties(values)
+def test_block_ranks_of_one_row_match_loop_oracle(values):
+    assert row_ranks(values) == oracle_rank_with_ties(values)
 
 
 @given(st.integers(1, 8).flatmap(
@@ -193,9 +194,9 @@ def test_block_ranks_transient_memory_stays_within_six_inputs():
     assert peak <= 6 * grid.nbytes
 
 
-def test_rank_with_ties_signed_zeros_and_nan_runs():
+def test_block_ranks_signed_zeros_and_nan_runs():
     # -0.0 == 0.0 ties; each NaN is its own run, after every number
-    assert rank_with_ties([0.0, -0.0, math.nan, -1.0, math.nan]) == [2.5, 2.5, 4.0, 1.0, 5.0]
+    assert row_ranks([0.0, -0.0, math.nan, -1.0, math.nan]) == [2.5, 2.5, 4.0, 1.0, 5.0]
 
 
 # ---------------------------------------------------------------- friedman
@@ -276,6 +277,19 @@ def test_friedman_nan_mean_rejected():
         friedman([[0.1, 0.2, math.nan], [0.3, 0.1, 0.2]])
 
 
+@pytest.mark.parametrize("test", [friedman, dunn_posthoc], ids=["friedman", "dunn_posthoc"])
+@pytest.mark.parametrize("grid, message", [
+    ([[1.0, math.nan], [2.0, 3.0]], "cell means must not be NaN"),
+    ([1.0, 2.0, 3.0], "expects an n x k grid"),
+    ([[1.0, 2.0, 3.0]], "requires n >= 2 and k >= 2"),
+    ([[1.0], [2.0], [3.0]], "requires n >= 2 and k >= 2"),
+], ids=["nan-cell", "1-d", "n=1", "k=1"])
+def test_rank_tests_reject_a_grid_they_cannot_rank(test, grid, message):
+    # a NaN cell would reach stats_report.json as NaN, which is not RFC 8259 JSON
+    with pytest.raises(StatsError, match=f"^{re.escape(f'{test.__name__} {message}')}$"):
+        test(np.array(grid))
+
+
 # ---------------------------------------------------------------- dunn
 
 def test_dunn_identical_pair_is_null():
@@ -301,7 +315,7 @@ def test_dunn_k2_matches_sign_formula_and_permutation_oracle():
     for n in (6, 7, 8):
         grid = rng.normal(0, 1, size=(n, 2)) + np.array([0.0, 1.4])
         pair = dunn_posthoc(grid, treatment_ids=["a", "b"])[0]
-        ranks = np.array([rank_with_ties(row) for row in grid])
+        ranks = np.array([oracle_rank_with_ties(row) for row in grid])
         direct_z = (ranks[:, 0].mean() - ranks[:, 1].mean()) * math.sqrt(n)
         assert pair.z == pytest.approx(direct_z, abs=1e-12)
         # exact two-sided permutation p over all 2^n within-block flips
@@ -416,10 +430,16 @@ def test_adjust_p_none_is_identity_and_unknown_name_rejected():
 
 # ---------------------------------------------------------------- spearman
 
+def spearman_pair(x, y) -> tuple[float, float]:
+    """rho and raw p of spearman_battery on the one pair (x, y)."""
+    [entry] = spearman_battery({"x": x, "y": y}, NO_CORRECTION)
+    return entry.rho, entry.raw_p
+
+
 def test_spearman_monotone_extremes():
-    rho, p = spearman([1, 2, 3], [10, 20, 30])
+    rho, p = spearman_pair([1, 2, 3], [10, 20, 30])
     assert rho == 1.0 and p == 0.0
-    rho, p = spearman([1, 2, 3], [30, 20, 10])
+    rho, p = spearman_pair([1, 2, 3], [30, 20, 10])
     assert rho == -1.0 and p == 0.0
 
 
@@ -427,12 +447,12 @@ def test_spearman_equals_rank_pearson_and_scipy():
     rng = np.random.default_rng(23)
     x = rng.random(60)
     y = 0.6 * x + 0.4 * rng.random(60)
-    rho, p = spearman(x, y)
+    rho, p = spearman_pair(x, y)
     ref = sps.spearmanr(x, y)
     assert rho == pytest.approx(ref.statistic, abs=1e-12)
     assert p == pytest.approx(ref.pvalue, abs=1e-9)
     # rank invariance
-    rho_ranked, _ = spearman(rank_with_ties(x), rank_with_ties(y))
+    rho_ranked, _ = spearman_pair(row_ranks(x), row_ranks(y))
     assert rho_ranked == pytest.approx(rho, abs=1e-12)
 
 
@@ -443,18 +463,18 @@ def test_spearman_large_sample_correlation_band():
     pearson = 2 * math.sin(0.67 * math.pi / 6)
     cov = [[1, pearson], [pearson, 1]]
     xy = rng.multivariate_normal([0, 0], cov, size=n)
-    rho, p = spearman(xy[:, 0], xy[:, 1])
+    rho, p = spearman_pair(xy[:, 0], xy[:, 1])
     assert rho == pytest.approx(0.67, abs=0.08)
     assert p < 1e-6
 
 
 def test_spearman_errors():
     with pytest.raises(StatsError):
-        spearman([1, 2], [1, 2])
+        spearman_pair([1, 2], [1, 2])
     with pytest.raises(StatsError):
-        spearman([1, 2, 3], [1, 2])
+        spearman_pair([1, 2, 3], [1, 2])
     with pytest.raises(StatsError, match="constant"):
-        spearman([1, 1, 1], [1, 2, 3])
+        spearman_pair([1, 1, 1], [1, 2, 3])
 
 
 def test_spearman_battery_adjusts_jointly():
@@ -490,7 +510,8 @@ def test_spearman_battery_matches_per_pair_spearman(series):
     assert got == expected
     arrays = {name: np.array(values) for name, values in series.items()}
     assert spearman_battery(arrays) == spearman_battery(series)
-    assert [spearman(series[a], series[b]) for a, b, *_ in got] == [(e[2], e[3]) for e in expected]
+    assert ([spearman_pair(series[a], series[b]) for a, b, *_ in got]
+            == [(e[2], e[3]) for e in expected])
 
 
 @pytest.mark.parametrize("series, message", [
