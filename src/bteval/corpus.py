@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .jsonio import check_fields, loads
-from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, detect_traditional
+from .segmentation import DEFAULT_TRADITIONAL_THRESHOLD, traditional_ratios
 
 SIMPLIFIED = "simplified"
 TRADITIONAL = "traditional"
@@ -142,15 +142,15 @@ def validate_corpus(
 ) -> list[str]:
     """Non-mutating checks; returns human-readable warnings."""
     warnings: list[str] = []
+    simplified = [sample.text for sample in corpus if sample.variant == SIMPLIFIED]
+    ratios = iter(traditional_ratios(simplified, variant_table).tolist())
     for sample in corpus:
         stripped = "".join(sample.text.split())
         if len(stripped) < MIN_CHARS:
             warnings.append(f"{sample.id}: sample too short for 2-gram BLEU")
         if sample.variant == SIMPLIFIED:
-            ratio, flagged = detect_traditional(
-                sample.text, variant_table, traditional_threshold
-            )
-            if flagged:
+            ratio = next(ratios)
+            if ratio > traditional_threshold:
                 warnings.append(
                     f"{sample.id}: traditional characters detected "
                     f"(ratio {ratio:.3f} exceeds {traditional_threshold})"

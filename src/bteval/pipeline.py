@@ -4,8 +4,8 @@ Backends are either HTTP chat-completion endpoints (``transport``) or
 deterministic mocks (identity, bilingual token mapper, and a seeded noise
 wrapper over the mapper). Every (sample, backend, repetition) triple yields
 exactly one TranslationRecord whether it succeeded or not, anomaly flags
-included, so a run is replayable byte-for-byte from its manifest and a
-mock configuration.
+included, so a mock run replays byte-for-byte from its run config, its CLI
+flags and its seed; the manifest lacks the backend configs and flags.
 """
 
 from __future__ import annotations

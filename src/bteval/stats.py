@@ -11,7 +11,6 @@ balanced.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 
@@ -134,9 +133,9 @@ def cell_means(matrix: ScoreMatrix) -> np.ndarray:
 
 def prepare_cell_means(matrix: ScoreMatrix):
     """Cell means, each missing cell imputed with its block's mean; returns (grid, audit)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        grid = np.nanmean(matrix.values, axis=2)
+    counts = np.count_nonzero(~np.isnan(matrix.values), axis=2)  # nanmean, minus its empty-cell warning
+    grid = np.divide(np.nansum(matrix.values, axis=2), counts,
+                     out=np.full(counts.shape, np.nan), where=counts > 0)
     audit: list[str] = []
     for b in np.flatnonzero(np.isnan(grid).any(axis=1)):
         row = grid[b]

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from bteval import jsonio
+from bteval import corpus as corpus_module, jsonio
 from bteval.cli import EXIT_USAGE, main
 from bteval.corpus import (
+    MIN_CHARS,
     Corpus,
     CorpusError,
     TextSample,
@@ -14,6 +15,7 @@ from bteval.corpus import (
     serialize_corpus,
     validate_corpus,
 )
+from bteval.segmentation import detect_traditional
 
 from conftest import FIXTURES
 
@@ -170,6 +172,41 @@ def test_validate_threshold_is_a_plain_argument():
     corpus = Corpus(name="test", samples=[sample])
     assert validate_corpus(corpus, traditional_threshold=0.99) == []
     assert "exceeds 0.2" in validate_corpus(corpus, 0.2)[0]
+
+
+def per_sample_warnings(corpus, threshold):
+    """validate_corpus's warnings with one detect_traditional call per simplified sample."""
+    warnings = []
+    for sample in corpus:
+        if len("".join(sample.text.split())) < MIN_CHARS:
+            warnings.append(f"{sample.id}: sample too short for 2-gram BLEU")
+        ratio, flagged = detect_traditional(sample.text, None, threshold)
+        if sample.variant == "simplified" and flagged:
+            warnings.append(f"{sample.id}: traditional characters detected "
+                            f"(ratio {ratio:.3f} exceeds {threshold})")
+    return warnings
+
+
+def test_validate_makes_one_kernel_call_per_corpus(monkeypatch):
+    calls = []
+    kernel = corpus_module.traditional_ratios
+    monkeypatch.setattr(corpus_module, "traditional_ratios",
+                        lambda texts, table=None: calls.append(len(texts)) or kernel(texts, table))
+    mixed = Corpus(name="mixed", samples=[
+        TextSample(id="clean", domain="d", text="元素观点：物质由元素组成", variant="simplified"),
+        TextSample(id="declared", domain="d", text="元素觀點：物質由元素組成", variant="traditional"),
+        TextSample(id="drifted", domain="d", text="元素觀點：物质由元素组成", variant="simplified"),
+        TextSample(id="short", domain="d", text="藥", variant="simplified"),
+        TextSample(id="unknown", domain="d", text="元素觀點"),
+    ])
+    shipped = [parse_corpus(path) for path in sorted((FIXTURES / "corpora").glob("*.jsonl"))]
+    assert len(shipped) == 3
+    for corpus in [*shipped, mixed]:
+        for threshold in (0.05, 0.0):
+            calls.clear()
+            assert validate_corpus(corpus, threshold) == per_sample_warnings(corpus, threshold)
+            assert calls == [sum(sample.variant == "simplified" for sample in corpus)]
+    assert [w.split(":")[0] for w in validate_corpus(mixed)] == ["drifted", "short", "short"]
 
 
 def test_parse_rejects_a_corpus_that_is_not_utf8(tmp_path):

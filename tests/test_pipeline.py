@@ -15,11 +15,13 @@ from collections import Counter
 from contextlib import closing
 import concurrent.futures
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import get_args, get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bteval import cli, metrics, pipeline, segmentation, transport
 from bteval.config import EN_TO_ZH, PROMPT_VARIANTS, ZH_TO_EN, BackendConfig, RunConfig, api_key
@@ -952,6 +954,17 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
         assert matrix.to_dict() == sequential[name].to_dict()
 
 
+def write_run(directory, corpus, backends, r, name="run.json"):
+    """corpus.jsonl and a run config over it and backends, in directory; returns the config's path."""
+    (directory / "corpus.jsonl").write_text("".join(
+        json.dumps({"id": s.id, "domain": s.domain, "text": s.text}, ensure_ascii=False) + "\n"
+        for s in corpus), encoding="utf-8")
+    path = directory / name
+    path.write_text(json.dumps({"corpus": str(directory / "corpus.jsonl"), "repetitions": r,
+                                "backends": [asdict(backend) for backend in backends]}), encoding="utf-8")
+    return path
+
+
 def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
     # a reply nested past the recursion limit raised RecursionError out of the whole run
     corpus, r = cnki_head(3), 2
@@ -960,14 +973,8 @@ def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
             serve([bad_reply] * (len(corpus) * r)) as bad_stub:
         good = http_config(good_stub.port, id="good", max_retries=0)
         bad = http_config(bad_stub.port, id="bad", max_retries=0)
-        lines = "\n".join(json.dumps({"id": s.id, "domain": s.domain, "text": s.text},
-                                     ensure_ascii=False) for s in corpus)
-        (tmp_path / "corpus.jsonl").write_text(lines + "\n", encoding="utf-8")
-        config = {"corpus": str(tmp_path / "corpus.jsonl"), "repetitions": r,
-                  "backends": [asdict(good), asdict(bad)]}
-        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
-        code = cli.main(["run", "--config", str(tmp_path / "run.json"),
-                         "--out", str(tmp_path / "out")])
+        config = write_run(tmp_path, corpus, [good, bad], r)
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         _, alone, _ = run_experiment(corpus, run_config([good], r))
     assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
     records = read_records(tmp_path / "out" / "records.jsonl")
@@ -975,6 +982,63 @@ def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
     errors = {rec.error for rec in records if rec.backend_id == "bad"}
     assert errors == {"bad: malformed reply: ValueError: JSON nested too deeply"}
     assert [rec for rec in records if rec.backend_id == "good"] == alone
+
+
+OVER_CAP = chat("长" * 256)  # past the 256-byte MAX_REPLY_BYTES its case patches in
+
+# the catalogue of replies the stub can script, each fixed one run every time
+FIXED_REPLIES = [
+    *(chat("译文", content_type=content_type) for content_type in (
+        "text/html", "application/json; charset=latin-1", "application/json; charset=utf-16",
+        "application/json; charset=no-such-codec", "application/json; charset=idna", "")),
+    plain("not JSON"), plain("译文".encode("gbk"), "text/plain; charset=gbk"),
+    plain(b"\xed\xa0\x80", "text/plain; charset=utf-8"),  # a surrogate's UTF-8 form
+    Step(body=b'{"choices": [{"message": {"content": NaN}}]}'),
+    Step(body=b"[1]"), Step(body=b'{"choices": []}'), Step(body=b'{"choices": [{"message": "text"}]}'),
+    chat(["译文"]), chat(None), chat(3),
+    Step(body=b"[" * 100_000), Step(body=b'{"a": ' * 5_000),
+    Step(body=b'{"choices": [{"message": {"content": "\xff\xfe"}}]}'),  # not UTF-8
+    Step(body=b'{"choices": [{"message": {"content": "\\ud800"}}]}'),  # a lone surrogate
+    Step(raw=b"HTTP/1.1 200 OK\r\n"), chat("译文", cut=5), chat("译文", close=True), OVER_CAP,
+]
+WIRE_FORMATS = ("chat", "raw")
+DRAWN_REPLIES = st.one_of(
+    st.integers(200, 599).map(lambda status: chat("译文", status=status)),
+    st.text(max_size=20).map(plain),
+    st.binary(max_size=40).map(lambda body: Step(body=body)),
+    st.binary(max_size=60).map(lambda raw: Step(raw=raw)),  # bytes in place of a reply
+    st.integers(0, 40).map(lambda cut: chat("译文", cut=cut)),  # a body cut short, then a close
+)
+
+
+def test_any_scripted_reply_costs_only_its_backends_records(tmp_path):
+    corpus, bad_step = tiny_corpus(), [None]
+
+    def reply(request):
+        return chat(payload_text(request)) if request.path == "/good" else bad_step[0]
+
+    def check(step, wire_format):
+        bad_step[0] = step
+        out = tmp_path / "out"
+        with mock.patch.object(transport, "MAX_REPLY_BYTES",
+                               256 if step is OVER_CAP else transport.MAX_REPLY_BYTES):
+            code = cli.main(["run", "--config", str(tmp_path / f"{wire_format}.json"), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
+        records = read_records(out / "records.jsonl")
+        assert len(records) == len(corpus) * 2  # n * k * r, with k = 2 and r = 1
+        assert [rec for rec in records if rec.backend_id == "good"] == alone
+
+    with serve(reply) as stub:
+        good, bad = path_configs(stub.port, ("good", "bad"), max_retries=0)
+        for wire_format in WIRE_FORMATS:  # the bad backend reads its replies as chat JSON or raw text
+            write_run(tmp_path, corpus, [good, replace(bad, wire_format=wire_format)], 1,
+                      f"{wire_format}.json")
+        _, alone, _ = run_experiment(corpus, run_config([good], 1))
+        for step in FIXED_REPLIES:
+            for wire_format in WIRE_FORMATS:
+                check(step, wire_format)
+        settings(max_examples=20, deadline=None)(
+            given(DRAWN_REPLIES, st.sampled_from(WIRE_FORMATS))(check))()
 
 
 def test_backtranslate_matches_run_experiment_and_detectors():

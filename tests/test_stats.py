@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -773,6 +774,35 @@ def test_prepare_cell_means_imputes_with_audit():
     assert grid.shape == (3, 3)
     assert grid[1, 2] == pytest.approx((0.2 + 0.5) / 2)  # block mean
     assert audit == ["imputed block mean 0.350000 for (b1, t2)"]
+
+
+def test_prepare_cell_means_leaves_the_warning_filters_alone():
+    # catch_warnings swaps the process-wide filter list, so no caller may use it concurrently
+    values = np.array([[[0.25, 0.5, 0.75], [0.5, np.nan, 1.0], [0.0, 0.25, 0.5]],
+                       [[0.5, 0.5, 0.5], [1.0, 0.5, np.nan], [np.nan, np.nan, np.nan]],
+                       [[0.0, 0.0, 0.75], [0.75, 0.75, 0.75], [0.5, np.nan, 0.0]]])
+    expected = [[0.5, 0.75, 0.25], [0.5, 0.75, 0.625], [0.25, 0.75, 0.25]]
+    with mock.patch.object(warnings, "catch_warnings", side_effect=AssertionError("not thread-safe")):
+        grid, audit = prepare_cell_means(make_matrix(values))
+        battery = run_metric_battery(make_matrix(values))
+    assert grid.tolist() == expected
+    assert audit == battery.audit == ["imputed block mean 0.625000 for (b1, t2)"]
+    assert battery.friedman.statistic == friedman(np.array(expected)).statistic
+
+
+@pytest.mark.parametrize("shape", [(2000, 8, 5), (89, 5, 3), (7, 3, 1), (50, 4, 10)])
+def test_prepare_cell_means_equal_nanmean_bit_for_bit(shape):
+    rng = np.random.default_rng(7)
+    values = rng.random(shape)
+    values[rng.random(shape) < 0.3] = np.nan
+    values[:, 0, 0] = rng.random(shape[0])  # no block is empty
+    values[0, 1] = np.nan  # an empty cell, imputed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = np.nanmean(values, axis=2)
+    grid = prepare_cell_means(make_matrix(values))[0]
+    observed = ~np.isnan(expected)
+    assert observed.sum() < expected.size and np.array_equal(grid[observed], expected[observed])
 
 
 def test_prepare_cell_means_rejects_an_empty_block():
