@@ -283,5 +283,7 @@ def write_records(records: list[TranslationRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[TranslationRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # LF alone ends a record: str.splitlines() also splits on U+0085, U+2028 and U+2029,
+    # which write_records leaves raw inside a string
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     return [TranslationRecord(**loads(line)) for line in lines if line.strip()]

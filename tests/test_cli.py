@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and on-disk run artifacts."""
 
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -20,7 +21,9 @@ from bteval.config import RunConfig
 from bteval.corpus import parse_corpus
 from bteval.jsonio import config_from_json
 
-from conftest import FIXTURES
+from conftest import (
+    FIXTURES, OVERFLOW, make_matrix, write_config, write_jsonl, write_matrix, write_run_config,
+)
 from http_stub import Step, chat, serve
 
 
@@ -28,20 +31,6 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# written as the JSON number 1e400, which reads as inf; json.dumps would spell inf
-# as Infinity, which is not JSON and which the config reader rejects
-OVERFLOW = "\u0000overflow\u0000"
-
-
-def write_run_config(tmp_path, corpus_path, backends, **extra):
-    config = {"corpus": str(corpus_path), "repetitions": 2, "master_seed": 7,
-              "backends": backends}
-    config.update(extra)
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config).replace(json.dumps(OVERFLOW), "1e400"), encoding="utf-8")
-    return path
 
 
 TINY_CORPUS_RECORDS = [
@@ -52,11 +41,7 @@ TINY_CORPUS_RECORDS = [
 
 @pytest.fixture
 def tiny_corpus_path(tmp_path):
-    path = tmp_path / "tiny.jsonl"
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in TINY_CORPUS_RECORDS:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return path
+    return write_jsonl(tmp_path / "tiny.jsonl", TINY_CORPUS_RECORDS)
 
 
 # ---------------------------------------------------------------- segment
@@ -115,8 +100,7 @@ RUN_KEYS = {"corpus": "c.jsonl", "backends": [{"id": "m", "kind": "mock", "model
 
 
 def score_with_config(capsys, tmp_path, config):
-    path = tmp_path / "score.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path = write_config(tmp_path / "score.json", config)
     return invoke(capsys, "score", *HUA_YAO, "--config", str(path))
 
 
@@ -193,13 +177,23 @@ def test_validate_missing_variant_table_exits_2(capsys, tmp_path):
 
 
 def test_validate_reports_traditional_warning(capsys, tmp_path):
-    path = tmp_path / "c.jsonl"
     record = {"id": "T1", "domain": "x", "text": "元素觀點：物質由元素組成",
               "variant": "simplified"}
-    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    path = write_jsonl(tmp_path / "c.jsonl", [record])
     code, out, _ = invoke(capsys, "validate", str(path))
     assert code == EXIT_OK
     assert "traditional characters detected" in out
+
+
+def test_validate_threshold_flag_sets_the_warning_ratio(capsys, tmp_path):
+    # one traditional-only character in 49 Han characters: a ratio of 0.020
+    record = {"id": "T1", "domain": "x", "text": "化学工程领域的研究与分析" * 4 + "觀",
+              "variant": "simplified"}
+    path = str(write_jsonl(tmp_path / "c.jsonl", [record]))
+    assert invoke(capsys, "validate", path) == (EXIT_OK, "", "1 samples, 0 warnings\n")
+    code, out, _ = invoke(capsys, "validate", path, "--threshold", "0.01")
+    assert code == EXIT_OK
+    assert out == "T1: traditional characters detected (ratio 0.020 exceeds 0.01)\n"
 
 
 # ---------------------------------------------------------------- run
@@ -225,7 +219,7 @@ def test_run_emits_all_artifacts_with_record_count(capsys, tmp_path, tiny_corpus
     assert "8 records" in err  # 2 texts x 2 backends x 2 reps
     for name in RUN_ARTIFACTS:
         assert (out_dir / name).is_file(), name
-    records = (out_dir / "records.jsonl").read_text(encoding="utf-8").strip().split("\n")
+    records = pipeline.read_records(out_dir / "records.jsonl")
     assert len(records) == 8
     # manifest ties the run to the exact corpus bytes and records the prompts
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -418,6 +412,7 @@ def one_http_backend(**fields):
     (one_mock_backend(id="m\ud800"), "backends[0] 'id' holds a lone surrogate"),
     ({"lexicon": "lexicon\udfff.txt"}, "run config 'lexicon' holds a lone surrogate"),
     ({"scoring": {"bleu_weights": [float("nan"), 0.5, 0.5, 0.0]}}, "NaN is not JSON"),
+    (one_mock_backend(wire_format="xml"), "backend m1: unknown wire format 'xml'"),
 ], ids=["unknown-scoring-key", "unknown-level", "non-integer-repetitions",
         "chrf-max-n-zero", "chrf-beta-zero", "chrf-beta-square-overflows", "bleu-weights-sum",
         "bleu-unif-weights-length", "smoothing-epsilon-zero", "smoothing-epsilon-four",
@@ -434,14 +429,14 @@ def one_http_backend(**fields):
         "empty-scoring-array", "rate-limit-slots-overflow", "repetitions-1e308",
         "repetitions-10-to-the-30", "chrf-max-n-1e30", "max-workers-10-to-the-30",
         "max-retries-11", "max-retries-40", "max-retries-1e308", "lone-surrogate-backend-id",
-        "lone-surrogate-lexicon", "nan-bleu-weight"])
+        "lone-surrogate-lexicon", "nan-bleu-weight", "unknown-wire-format"])
 def test_run_config_error_exits_2_before_running(capsys, tmp_path, tiny_corpus_path,
                                                  extra, message):
     config = write_run_config(tmp_path, tiny_corpus_path, **{"backends": MOCK_BACKENDS, **extra})
     out_dir = tmp_path / "out"
     code, _, err = invoke(capsys, "run", "--config", str(config), "--out", str(out_dir))
     assert code == EXIT_USAGE
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not out_dir.exists()  # a rejected run leaves no output directory behind
 
 
@@ -514,12 +509,7 @@ def test_input_not_utf8_exits_2(capsys, tmp_path, tiny_corpus_path, make_argv):
 
 
 def matrix_file(tmp_path):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    matrix = ScoreMatrix(ExperimentDesign(3, 2, 1), "bleu", np.arange(6.0).reshape(3, 2, 1),
-                         ["b0", "b1", "b2"], ["t0", "t1"])
-    path = tmp_path / "matrix_bleu.json"
-    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
-    return str(path)
+    return write_matrix(tmp_path / "matrix_bleu.json", make_matrix(np.arange(6.0).reshape(3, 2, 1)))
 
 
 @pytest.mark.parametrize("command", ["run", "stats", "report"])
@@ -582,18 +572,34 @@ def test_path_too_long_exits_2(capsys, tmp_path, monkeypatch, argv):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("dict.txt", "化学 often\n", ["segment", "--lexicon", "dict.txt", "化学"],
+     "dict.txt: line 1: bad frequency 'often'"),
+    ("dict.txt", "\n  \n", ["segment", "--lexicon", "dict.txt", "化学"], "dict.txt: empty lexicon"),
+    ("variants.txt", "國 国\n學 学 学\n",
+     ["validate", str(FIXTURES / "corpora" / "cnki_che_89.jsonl"), "--variant-table", "variants.txt"],
+     "variants.txt: line 2: expected 'traditional simplified'"),
+    ("empty.txt", " \n", ["score", "empty.txt", HUA_YAO[0]], "empty original file: empty.txt"),
+    ("run/records.jsonl", "", ["report", "run", "--out", "out"], "no matrix_*.json files in run"),
+], ids=["lexicon-bad-frequency", "lexicon-empty", "variant-table-triple", "score-empty-original",
+        "report-without-matrices"])
+def test_rejected_input_file_exits_2(capsys, tmp_path, monkeypatch, name, text, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).parent.mkdir(exist_ok=True)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- stats/report
 
 def test_stats_constant_matrix_empty_pairs(capsys, tmp_path):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    import numpy as np
-
-    matrix = ScoreMatrix(ExperimentDesign(4, 3, 2), "bleu", np.full((4, 3, 2), 0.5),
-                         [f"b{i}" for i in range(4)], ["x", "y", "z"])
-    path = tmp_path / "matrix_bleu.json"
-    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    path = write_matrix(tmp_path / "matrix_bleu.json",
+                        make_matrix(np.full((4, 3, 2), 0.5), treatments=["x", "y", "z"]))
     out_dir = tmp_path / "stats_out"
-    code, _, err = invoke(capsys, "stats", str(path), "--out", str(out_dir))
+    code, _, err = invoke(capsys, "stats", path, "--out", str(out_dir))
     assert code == EXIT_OK
     pairwise = (out_dir / "pairwise_tests.csv").read_text(encoding="utf-8")
     assert pairwise == "metric,model_a,model_b,mean_difference,adjusted_p,significant\n"
@@ -602,26 +608,42 @@ def test_stats_constant_matrix_empty_pairs(capsys, tmp_path):
 
 
 def test_stats_planted_effect_lands_in_csv(capsys, tmp_path):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    import numpy as np
-
     rng = np.random.default_rng(6)
     values = rng.normal(0.6, 0.02, size=(30, 3, 2))
     values[:, 2, :] -= 0.1  # plant one clearly worse system
-    matrix = ScoreMatrix(ExperimentDesign(30, 3, 2), "bleu", values,
-                         [f"b{i}" for i in range(30)], ["good1", "good2", "bad"])
-    path = tmp_path / "matrix_bleu.json"
-    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    path = write_matrix(tmp_path / "matrix_bleu.json",
+                        make_matrix(values, treatments=["good1", "good2", "bad"]))
     out_dir = tmp_path / "stats_out"
-    code, _, _ = invoke(capsys, "stats", str(path), "--out", str(out_dir))
+    code, _, _ = invoke(capsys, "stats", path, "--out", str(out_dir))
     assert code == EXIT_OK
-    import csv
-
     with (out_dir / "pairwise_tests.csv").open(encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
     pairs = {frozenset((r["model_a"], r["model_b"])) for r in rows}
     assert pairs == {frozenset(("good1", "bad")), frozenset(("good2", "bad"))}
     assert all(abs(float(r["mean_difference"]) - 0.1) < 0.03 for r in rows)
+
+
+def test_stats_alpha_and_correction_flags_reach_the_report(capsys, tmp_path):
+    values = np.random.default_rng(6).normal(0.6, 0.02, size=(30, 3, 2))
+    values[:, 2, :] -= 0.01
+    path = write_matrix(tmp_path / "matrix_bleu.json", make_matrix(values))
+
+    def report(*flags):
+        out = tmp_path / "_".join(flags or ["default"])
+        assert invoke(capsys, "stats", path, "--out", str(out), *flags)[0] == EXIT_OK
+        bleu = json.loads((out / "stats_report.json").read_text(encoding="utf-8"))["bleu"]
+        pairs = bleu["friedman"]["pairwise"]
+        return (bleu["alpha"], bleu["correction"], [pair["adjusted_p"] for pair in pairs],
+                [pair["raw_p"] for pair in pairs])
+
+    alpha, correction, adjusted, raw = report()
+    assert (alpha, correction) == (0.05, "benjamini_hochberg") and len(raw) == 3
+    assert adjusted != raw
+    assert report("--alpha", "0.2") == (0.2, "benjamini_hochberg", adjusted, raw)
+    bonferroni = [min(1.0, 3 * p) for p in raw]
+    assert report("--correction", "bonferroni") == (0.05, "bonferroni", pytest.approx(bonferroni), raw)
+    assert bonferroni != pytest.approx(adjusted)
+    assert report("--correction", "none") == (0.05, "none", raw, raw)
 
 
 def test_stats_missing_matrix_exits_2(capsys, tmp_path):
@@ -704,27 +726,19 @@ def test_two_matrix_files_with_one_metric_exit_2(capsys, tmp_path, command):
     assert "'bleu'" in err and not (tmp_path / "o").exists()
 
 
-def write_matrix(path, metric, values, block_ids, treatment_ids=("t0", "t1")):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    matrix = ScoreMatrix(ExperimentDesign(*values.shape), metric, values, list(block_ids),
-                         list(treatment_ids))
-    path.write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
-    return str(path)
-
-
 CELLS = np.array([0.9, 0.1, 0.4, 0.35, 0.8, 0.2, 0.55, 0.6]).reshape(4, 2, 1)
 BLOCKS = ["b0", "b1", "b2", "b3"]
 
 
 @pytest.mark.parametrize("second", [
-    lambda path: write_matrix(path, "chrf", CELLS[:3], BLOCKS[:3]),
-    lambda path: write_matrix(path, "chrf", CELLS[::-1], BLOCKS[::-1]),
-    lambda path: write_matrix(path, "chrf", CELLS[:, ::-1], BLOCKS, ("t1", "t0")),
+    lambda path: write_matrix(path, make_matrix(CELLS[:3], "chrf", blocks=BLOCKS[:3])),
+    lambda path: write_matrix(path, make_matrix(CELLS[::-1], "chrf", blocks=BLOCKS[::-1])),
+    lambda path: write_matrix(path, make_matrix(CELLS[:, ::-1], "chrf", ("t1", "t0"), BLOCKS)),
 ], ids=["different-n", "reordered-block-ids", "reordered-treatment-ids"])
 def test_report_matrices_on_different_grids_exit_2(capsys, tmp_path, second):
     # cells pair by position across metrics: a report over these would crash or
     # correlate different round-trips, while each metric's stats stand alone
-    first = write_matrix(tmp_path / "matrix_bleu.json", "bleu", CELLS, BLOCKS)
+    first = write_matrix(tmp_path / "matrix_bleu.json", make_matrix(CELLS, blocks=BLOCKS))
     other = second(tmp_path / "matrix_chrf.json")
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
@@ -746,12 +760,8 @@ def test_report_over_run_dir(capsys, tmp_path, tiny_corpus_path):
 
 
 def test_report_sum_past_float_max_exits_2(capsys, tmp_path):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    import numpy as np
-
     values = np.array([[[1e308], [0.5]], [[1.79e308], [0.5]]])
-    matrix = ScoreMatrix(ExperimentDesign(2, 2, 1), "bleu", values, ["b0", "b1"], ["x", "y"])
-    (tmp_path / "matrix_bleu.json").write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    write_matrix(tmp_path / "matrix_bleu.json", make_matrix(values, treatments=["x", "y"]))
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "sum past the largest float" in err
@@ -759,13 +769,9 @@ def test_report_sum_past_float_max_exits_2(capsys, tmp_path):
 
 
 def test_report_opposite_infinities_exit_2(capsys, tmp_path):
-    from bteval.stats import ExperimentDesign, ScoreMatrix
-    import numpy as np
-
     values = np.array([[[np.inf], [0.5]], [[-np.inf], [0.5]]])
-    matrix = ScoreMatrix(ExperimentDesign(2, 2, 1), "bleu", values, ["b0", "b1"], ["x", "y"])
-    # json.dumps writes the infinities as Infinity, which is not JSON
-    (tmp_path / "matrix_bleu.json").write_text(json.dumps(matrix.to_dict()), encoding="utf-8")
+    # written as Infinity, which is not JSON
+    write_matrix(tmp_path / "matrix_bleu.json", make_matrix(values, treatments=["x", "y"]))
     code, _, err = invoke(capsys, "report", str(tmp_path), "--out", str(tmp_path / "o"))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "Infinity is not JSON" in err
@@ -1009,13 +1015,12 @@ def test_run_segments_each_original_once(monkeypatch, capsys, tmp_path, scoring)
     config = write_run_config(tmp_path, corpus, GOLDEN_RUN_BACKENDS,
                               scoring=GOLDEN_RUN_SCORINGS[scoring])
     assert invoke(capsys, "run", "--config", str(config), "--out", str(tmp_path / "out"))[0] == 0
-    originals = [json.loads(line)["text"] for line in corpus.read_text("utf-8").splitlines()]
+    originals = [sample.text for sample in parse_corpus(corpus)]
     assert len(originals) == 12 and all(calls[text] == 1 for text in originals)
     # the rest: each noise mock's back leg (not kept), and each distinct back-translation
-    records = [json.loads(line) for line in
-               (tmp_path / "out" / "records.jsonl").read_text("utf-8").splitlines()]
-    back_legs = sum(rec["backend_id"] != "echo" for rec in records)
-    zhy = {rec["zhy"] for rec in records} - set(originals)
+    records = pipeline.read_records(tmp_path / "out" / "records.jsonl")
+    back_legs = sum(rec.backend_id != "echo" for rec in records)
+    zhy = {rec.zhy for rec in records} - set(originals)
     assert sum(calls.values()) == 12 + back_legs + len(zhy)
 
 

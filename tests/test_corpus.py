@@ -17,13 +17,7 @@ from bteval.corpus import (
 )
 from bteval.segmentation import detect_traditional
 
-from conftest import FIXTURES
-
-
-def write_jsonl(path, records):
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+from conftest import FIXTURES, write_jsonl
 
 
 def test_parse_shipped_cnki_corpus():

@@ -42,7 +42,9 @@ from bteval.segmentation import Segmenter
 from bteval.stats import ExperimentDesign, ScoreMatrix, StatsError
 from bteval.transport import BackendError, HttpBackend, TokenBucket
 
-from conftest import FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config
+from conftest import (
+    FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config, write_jsonl, write_run_config,
+)
 from http_stub import TLS_CERT, Step, chat, plain, serve
 
 
@@ -955,14 +957,12 @@ def test_concurrent_http_run_equals_one_backend_runs(monkeypatch):
 
 
 def write_run(directory, corpus, backends, r, name="run.json"):
-    """corpus.jsonl and a run config over it and backends, in directory; returns the config's path."""
-    (directory / "corpus.jsonl").write_text("".join(
-        json.dumps({"id": s.id, "domain": s.domain, "text": s.text}, ensure_ascii=False) + "\n"
-        for s in corpus), encoding="utf-8")
-    path = directory / name
-    path.write_text(json.dumps({"corpus": str(directory / "corpus.jsonl"), "repetitions": r,
-                                "backends": [asdict(backend) for backend in backends]}), encoding="utf-8")
-    return path
+    """corpus.jsonl and a run config over it and backends, in directory; returns the config's
+    path. Its seed is run_config's, so the run equals an in-memory one."""
+    path = write_jsonl(directory / "corpus.jsonl",
+                       [{"id": s.id, "domain": s.domain, "text": s.text} for s in corpus])
+    return write_run_config(directory, path, [asdict(backend) for backend in backends], name,
+                            repetitions=r, master_seed=0)
 
 
 def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
@@ -986,6 +986,9 @@ def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
 
 OVER_CAP = chat("长" * 256)  # past the 256-byte MAX_REPLY_BYTES its case patches in
 
+# str.splitlines() splits on these, and records.jsonl holds them raw
+LINE_BREAKS_BESIDE_LF = "\x85\u2028\u2029"
+
 # the catalogue of replies the stub can script, each fixed one run every time
 FIXED_REPLIES = [
     *(chat("译文", content_type=content_type) for content_type in (
@@ -1000,6 +1003,7 @@ FIXED_REPLIES = [
     Step(body=b'{"choices": [{"message": {"content": "\xff\xfe"}}]}'),  # not UTF-8
     Step(body=b'{"choices": [{"message": {"content": "\\ud800"}}]}'),  # a lone surrogate
     Step(raw=b"HTTP/1.1 200 OK\r\n"), chat("译文", cut=5), chat("译文", close=True), OVER_CAP,
+    *(reply(f"译{char}文") for reply in (chat, plain) for char in LINE_BREAKS_BESIDE_LF),
 ]
 WIRE_FORMATS = ("chat", "raw")
 DRAWN_REPLIES = st.one_of(
@@ -1151,6 +1155,8 @@ def test_run_experiment_rejects_duplicate_backend_ids():
 def test_record_log_round_trip(tmp_path):
     corpus = tiny_corpus()
     _, records, _ = run_experiment(corpus, run_config([mock_config("identity")], 2, master_seed=5))
+    for rec, char in zip(records, LINE_BREAKS_BESIDE_LF):
+        rec.zhy += char
     path = tmp_path / "records.jsonl"
     write_records(records, path)
     again = read_records(path)

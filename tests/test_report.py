@@ -23,10 +23,8 @@ from bteval.segmentation import default_lexicon
 from bteval.stats import (
     CorrelationEntry,
     DescriptiveStats,
-    ExperimentDesign,
     MetricBattery,
     PairwiseComparison,
-    ScoreMatrix,
     StatsError,
     StatTestResult,
     descriptive_stats,
@@ -45,17 +43,7 @@ from bteval.report import (
     summarize_all,
 )
 
-
-def make_matrix(values, metric="bleu", treatments=None):
-    values = np.asarray(values, dtype=float)
-    n, k, r = values.shape
-    return ScoreMatrix(
-        design=ExperimentDesign(n=n, k=k, r=r),
-        metric=metric,
-        values=values,
-        block_ids=[f"b{i}" for i in range(n)],
-        treatment_ids=treatments or [f"t{j}" for j in range(k)],
-    )
+from conftest import make_matrix, write_config, write_jsonl, write_matrix
 
 
 def fake_battery(metric, significant_pairs):
@@ -626,16 +614,13 @@ RUN_CORPUS = [
 
 
 def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
-    corpus_path = tmp_path / "corpus.jsonl"
-    corpus_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in RUN_CORPUS),
-                           encoding="utf-8")
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", RUN_CORPUS)
     data = {"corpus": str(corpus_path), "repetitions": 2, "master_seed": 3,
             "backends": [{"id": "same", "kind": "mock", "model_name": "identity"},
                          {"id": "noisy", "kind": "mock", "model_name": "noise",
                           "drop_prob": 0.3, "swap_prob": 0.2}],
             "scoring": {"smoothing_epsilon": 0.1, "chrf_max_n": 4}}
-    config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(data), encoding="utf-8")
+    config_path = write_config(tmp_path / "run.json", data)
     out = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
@@ -697,9 +682,8 @@ def golden_matrices():
     values["ter"][7, 2, 1] = math.nan
     for grid in values.values():
         grid[10, 2, :] = math.nan
-    return {metric: ScoreMatrix(ExperimentDesign(30, 3, 2), metric, grid,
-                                [f"s{b:02d}" for b in range(30)],
-                                ["model-a", "model-b", "model-c"])
+    return {metric: make_matrix(grid, metric, ["model-a", "model-b", "model-c"],
+                                [f"s{b:02d}" for b in range(30)])
             for metric, grid in values.items()}
 
 
@@ -714,8 +698,7 @@ GOLDEN_SHA256 = {
 
 def test_report_artifacts_match_golden_bytes(capsys, tmp_path):
     for metric, matrix in golden_matrices().items():
-        (tmp_path / f"matrix_{metric}.json").write_text(json.dumps(matrix.to_dict()) + "\n",
-                                                        encoding="utf-8")
+        write_matrix(tmp_path / f"matrix_{metric}.json", matrix)
     out = tmp_path / "report"
     assert main(["report", str(tmp_path), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()

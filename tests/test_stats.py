@@ -42,6 +42,8 @@ from bteval.stats import (
     spearman_battery,
 )
 
+from conftest import make_matrix
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -736,18 +738,6 @@ def test_descriptive_mean_and_std_match_numpy_scalar_sums(values):
 
 
 # ---------------------------------------------------------------- matrices
-
-def make_matrix(values, metric="bleu"):
-    values = np.asarray(values, dtype=float)
-    n, k, r = values.shape
-    return ScoreMatrix(
-        design=ExperimentDesign(n=n, k=k, r=r),
-        metric=metric,
-        values=values,
-        block_ids=[f"b{i}" for i in range(n)],
-        treatment_ids=[f"t{j}" for j in range(k)],
-    )
-
 
 def test_cell_means_examples():
     matrix = make_matrix([[[0.2, 0.4, 0.6], [0.8119, 0.2123, 0.6778]],
