@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, corpus_mod.CorpusError, LexiconError, MetricError,
-            stats_mod.StatsError, ConfigError) as exc:
+            stats_mod.StatsError, ConfigError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from bteval import jsonio
+from bteval.cli import EXIT_DEGRADED, EXIT_OK, EXIT_USAGE, main
 from bteval.config import RunConfig
 from bteval.segmentation import Lexicon
 from bteval.stats import ExperimentDesign, ScoreMatrix
@@ -18,6 +25,11 @@ HUA_YAO_MODELS = (
 # written as the JSON number 1e400, which reads as inf; json.dumps would spell inf
 # as Infinity, which is not JSON and which the config reader rejects
 OVERFLOW = "\u0000overflow\u0000"
+
+
+# a hypothesis example may run a whole `bteval run`, which can outlast the default deadline
+settings.register_profile("bteval", deadline=None)
+settings.load_profile("bteval")
 
 
 def fixture_text(relative: str) -> str:
@@ -63,6 +75,41 @@ def write_run_config(directory: Path, corpus_path, backends, name="run.json", **
     fields say otherwise."""
     return write_config(directory / name, {"corpus": str(corpus_path), "repetitions": 2,
                                            "master_seed": 7, "backends": backends, **fields})
+
+
+class CliResult(NamedTuple):
+    code: int
+    out: str
+    err: str
+
+
+def run_cli(*argv) -> CliResult:
+    """`bteval argv` in this process, its stdout and stderr captured, with the exit-code
+    contract checked: the code is 0, 1 or 2 (argparse's SystemExit counts as its code, and
+    any other exception fails the caller); an exit 2 prints nothing on stdout, leads stderr
+    with an `error:` line (argparse's follows its usage lines) and leaves no --out that did
+    not exist before; and every *.json file under --out is strict JSON."""
+    argv = [str(arg) for arg in argv]
+    out_dir = Path(argv[argv.index("--out") + 1]) if "--out" in argv[:-1] else None
+    out_existed = out_dir is not None and out_dir.exists()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    result = CliResult(code, out.getvalue(), err.getvalue())
+    assert code in (EXIT_OK, EXIT_DEGRADED, EXIT_USAGE), (argv, result)
+    assert "Traceback" not in result.err, result.err
+    if code == EXIT_USAGE:
+        assert result.out == "", result.out
+        assert (result.err.startswith("error:") or (result.err.startswith("usage: bteval")
+                and re.search(r"^bteval[^\n]*: error:", result.err, re.M))), result.err
+        assert out_existed or out_dir is None or not out_dir.exists(), f"exit 2 left {out_dir}"
+    for path in out_dir.glob("*.json") if out_dir else ():
+        if path.is_file():
+            jsonio.loads(path.read_text(encoding="utf-8"))
+    return result
 
 
 @pytest.fixture(scope="session")

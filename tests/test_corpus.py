@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bteval import corpus as corpus_module, jsonio
-from bteval.cli import EXIT_USAGE, main
+from bteval.cli import EXIT_USAGE
 from bteval.corpus import (
     MIN_CHARS,
     Corpus,
@@ -17,7 +17,7 @@ from bteval.corpus import (
 )
 from bteval.segmentation import detect_traditional
 
-from conftest import FIXTURES, write_jsonl
+from conftest import FIXTURES, run_cli, write_jsonl
 
 
 def test_parse_shipped_cnki_corpus():
@@ -115,30 +115,28 @@ def test_round_trip_preserves_unknown_fields(tmp_path):
                                      '"note": [{"n": -1e400}]'],
                          ids=["lone-surrogate-value", "lone-surrogate-key", "overflow",
                               "nested-overflow"])
-def test_parse_rejects_unknown_fields_that_cannot_be_written_back(tmp_path, capsys, unknown):
+def test_parse_rejects_unknown_fields_that_cannot_be_written_back(tmp_path, unknown):
     # serialize_corpus raised UnicodeEncodeError on a lone surrogate and wrote inf as Infinity
     path = tmp_path / "extra.jsonl"
     path.write_text('{"id": "a", "domain": "d", "text": "文字"}\n'
                     f'{{"id": "b", "domain": "d", "text": "化学", {unknown}}}\n', encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2: unknown fields cannot be written back as JSON"):
         parse_corpus(path)
-    assert main(["validate", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error:")
+    assert run_cli("validate", path).code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("value, message", [
     ("NaN", "NaN is not JSON"), ("Infinity", "Infinity is not JSON"),
     ("-Infinity", "-Infinity is not JSON"), ("1" * 5000, "Exceeds the limit"),
 ], ids=["nan", "infinity", "minus-infinity", "5000-digit-integer"])
-def test_parse_rejects_what_is_not_json_or_too_long_to_read(tmp_path, capsys, value, message):
+def test_parse_rejects_what_is_not_json_or_too_long_to_read(tmp_path, value, message):
     # Python's json reads NaN and Infinity; a 5000-digit integer escaped as a ValueError
     path = tmp_path / "strict.jsonl"
     path.write_text(f'{{"id": "a", "domain": "d", "text": "文字", "n": {value}}}\n',
                     encoding="utf-8")
     with pytest.raises(CorpusError, match=f"line 1: invalid JSON \\({message}"):
         parse_corpus(path)
-    assert main(["validate", str(path)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error:")
+    assert run_cli("validate", path).code == EXIT_USAGE
 
 
 def test_parse_is_deterministic(tmp_path):
@@ -238,6 +236,8 @@ def test_sample_invariants():
         TextSample(id="a", domain="d", text="   ")
     with pytest.raises(CorpusError):
         TextSample(id="a", domain="d", text="x", variant="kanji")
+    with pytest.raises(CorpusError, match="empty corpus"):
+        Corpus(name="c", samples=[])
     with pytest.raises(CorpusError, match="duplicate"):
         Corpus(name="c", samples=[
             TextSample(id="a", domain="d", text="x"),

@@ -3,15 +3,15 @@ file or corpus line is replaced by a JSON value of another kind or size, or by
 arrays nested just short of the reader's recursion limit; whole files that nest
 past it, or hold no JSON object, are cases too.
 
-Whatever the input, ``cli.main`` returns 0, 1 or 2 and never raises, an exit 2
-leaves no ``--out`` behind, and every JSON file an exit 0 or 1 writes is RFC 8259
-JSON, which has no NaN or Infinity. A run config the loader accepts is within the size caps
+Whatever the input, each call keeps the contract that ``conftest.run_cli`` checks:
+``cli.main`` returns 0, 1 or 2 and never raises, an exit 2 leaves no ``--out`` behind,
+and every JSON file an exit 0 or 1 writes is RFC 8259 JSON, which has no NaN or
+Infinity. A run config the loader accepts is within the size caps
 before it is run, so no mutated size ever allocates or starts threads; a config with
 an ``http_llm`` backend is run only when its API key check fails, so it never sends.
 """
 
 import contextlib
-import io
 import json
 import shutil
 import sys
@@ -23,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from bteval import jsonio
 from bteval.config import MAX_REPETITIONS, MAX_RETRIES, MAX_WORKERS, RunConfig, api_key
-from bteval.cli import EXIT_USAGE, main
+from bteval.cli import EXIT_USAGE
 from bteval.metrics import MAX_CHRF_ORDER, MetricError
+
+from conftest import run_cli
 
 # JSON texts, so 1e400, 10^30 and 10^400 reach the reader as written; NaN and Infinity
 # are not JSON, though Python's json reads them
@@ -96,23 +98,6 @@ def workdir():
         shutil.rmtree(path, ignore_errors=True)
 
 
-def check_main(argv, out: Path) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
-    if code == EXIT_USAGE:
-        assert err.getvalue().startswith("error:"), err.getvalue()
-        assert not out.exists(), f"exit 2 left {out} behind"
-    for path in sorted(out.glob("*.json")) if out.exists() else ():
-        json.loads(path.read_text(encoding="utf-8"), parse_constant=not_json)
-    return code
-
-
-def not_json(name: str):
-    raise AssertionError(f"{name} written, which is not JSON")
-
-
 def write_corpus(directory: Path, lines) -> Path:
     path = directory / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -136,21 +121,20 @@ def loaded_within_caps(text: str):
 def check_run(directory: Path, text: str) -> None:
     config_path = directory / "run.json"
     config_path.write_text(text, encoding="utf-8")
-    out = directory / "out"
-    argv = ["run", "--config", str(config_path), "--out", str(out)]
+    argv = ["run", "--config", config_path, "--out", directory / "out"]
     config = loaded_within_caps(text)
     if config is None:
-        assert check_main(argv, out) == EXIT_USAGE
+        assert run_cli(*argv).code == EXIT_USAGE
         return
     http = [b for b in config.backends if b.kind == "http_llm"]
     try:
         for backend in http:
             api_key(backend)
     except jsonio.ConfigError:
-        assert check_main(argv, out) == EXIT_USAGE  # rejected before any request
+        assert run_cli(*argv).code == EXIT_USAGE  # rejected before any request
         return
     if not http:  # a run that would send is never started
-        check_main(argv, out)
+        run_cli(*argv)
 
 
 RUN_MUTATIONS = [(run_config, path) for path in leaves(run_config("corpus.jsonl"))
@@ -159,7 +143,7 @@ RUN_MUTATIONS += [(http_run_config, path) for path in leaves(http_run_config("co
                   if path[:2] == ("backends", 1)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(RUN_MUTATIONS), st.sampled_from(VALUES))
 def test_run_config_leaf_swaps_keep_the_exit_code_contract(mutation, value):
     make, path = mutation
@@ -169,17 +153,17 @@ def test_run_config_leaf_swaps_keep_the_exit_code_contract(mutation, value):
         check_run(directory, mutated(make(str(corpus)), path, value))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(leaves(CORPUS_LINES[0])), st.sampled_from(VALUES))
 def test_corpus_leaf_swaps_keep_the_exit_code_contract(path, value):
     with workdir() as directory:
         corpus = write_corpus(directory, [mutated(CORPUS_LINES[0], path, value),
                                           json.dumps(CORPUS_LINES[1], ensure_ascii=False)])
-        check_main(["validate", str(corpus)], directory / "unused")
+        run_cli("validate", corpus)
         check_run(directory, json.dumps(run_config(str(corpus))))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from(leaves(MATRIX)), st.sampled_from(VALUES))
 def test_matrix_leaf_swaps_keep_the_exit_code_contract(path, value):
     with workdir() as directory:
@@ -187,9 +171,8 @@ def test_matrix_leaf_swaps_keep_the_exit_code_contract(path, value):
         run_dir.mkdir()
         matrix = run_dir / "matrix_bleu.json"
         matrix.write_text(mutated(MATRIX, path, value), encoding="utf-8")
-        check_main(["stats", str(matrix), "--out", str(directory / "stats")], directory / "stats")
-        check_main(["report", str(run_dir), "--out", str(directory / "report")],
-                   directory / "report")
+        run_cli("stats", matrix, "--out", directory / "stats")
+        run_cli("report", run_dir, "--out", directory / "report")
 
 
 @pytest.mark.parametrize("field, cap", [
@@ -227,13 +210,13 @@ def test_whole_file_cases_exit_2(tmp_path, command, document):
     if command == "validate":  # a corpus line, or its text when deep
         deep_text = '{"id": "S1", "domain": "chemistry", "text": ' + DEEP
         line = deep_text if document is DEEP else document
-        argv = ["validate", str(write_corpus(tmp_path, [line]))]
+        argv = ["validate", write_corpus(tmp_path, [line])]
     else:
         path = tmp_path / "input.json"
         path.write_text(document, encoding="utf-8")
-        argv = ["stats", str(path), "--out", str(out)] if command == "stats" else [
-            "run", "--config", str(path), "--out", str(out)]
-    assert check_main(argv, out) == EXIT_USAGE
+        argv = ["stats", path, "--out", out] if command == "stats" else [
+            "run", "--config", path, "--out", out]
+    assert run_cli(*argv).code == EXIT_USAGE
 
 
 def deepest_decodable() -> int:
@@ -269,15 +252,13 @@ def test_leaves_nested_near_the_recursion_limit_keep_the_contract(kind, path):
             value, out = "[" * depth + "]" * depth, directory / f"out{depth}"
             if kind == "matrix":
                 matrix.write_text(mutated(MATRIX, path, value), encoding="utf-8")
-                assert check_main(["stats", str(matrix), "--out", str(out)], out) == EXIT_USAGE
-                assert check_main(["report", str(directory), "--out", str(out)], out) == EXIT_USAGE
+                assert run_cli("stats", matrix, "--out", out).code == EXIT_USAGE
+                assert run_cli("report", directory, "--out", out).code == EXIT_USAGE
             elif kind == "corpus":
                 corpus.write_text(mutated(dict(CORPUS_LINES[0], note=None), path, value) + "\n",
                                   encoding="utf-8")
-                code = check_main(["validate", str(corpus)], out)
-                assert code == EXIT_USAGE or path == ("note",)
+                assert run_cli("validate", corpus).code == EXIT_USAGE or path == ("note",)
             else:
                 make = http_run_config if path[:2] == ("backends", 1) else run_config
                 config.write_text(mutated(make(str(corpus)), path, value), encoding="utf-8")
-                assert check_main(["run", "--config", str(config), "--out", str(out)],
-                                  out) == EXIT_USAGE
+                assert run_cli("run", "--config", config, "--out", out).code == EXIT_USAGE

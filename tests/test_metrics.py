@@ -340,7 +340,7 @@ def test_bleu_nan_weight_is_rejected():
        st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
        st.lists(st.integers(0, 4), min_size=4, max_size=4),
        st.one_of(st.none(), st.floats(0.0, 2.0)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @example(["a", "b"], ["b", "a"], [1, 1, 1, 1], 1.0)
 @example(["a", "a", "a"], ["a"], [0, 1, 0, 0], 5e-324)  # epsilon / 2 underflows to 0.0
 def test_bleu_lies_in_the_unit_interval_for_any_accepted_config(candidate, reference, parts,
@@ -378,7 +378,7 @@ def test_bleu_unif_below_technical_when_higher_orders_weaker():
 
 
 @given(st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_monotone_degradation(data):
     alphabet = st.sampled_from(["a", "b", "c", "d"])
     ref = data.draw(st.lists(alphabet, min_size=2, max_size=12))
@@ -450,7 +450,7 @@ def long_token_pairs(draw):
 
 
 @given(long_token_pairs())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example(([], []))
 @example(([], ["化学"] * 70))
 @example((["化学", "工程"] * 65, []))
@@ -481,7 +481,7 @@ def long_token_batches(draw):
 
 
 @given(long_token_batches())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @example([(["的"] * 64, [["的"] * 63, []]), (["化学"] * 128, [["化学"] * 200, ["的"] * 3]),
           (["的"], [["的"] * 65])])  # fields of one, two and three words, each filled to the top
 def test_batched_edit_distances_equal_dp_oracle(groups):
@@ -555,7 +555,7 @@ def test_score_pair_identity_extremes(hua_yao_original):
 
 
 @given(st.text(alphabet="化学工程元素物质药品研究分析", min_size=1, max_size=20))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_score_pair_identity_property(text):
     vector = score_pair(text, text)
     assert vector.bleu == 1.0
@@ -583,7 +583,7 @@ def test_score_pair_ranges():
 @given(st.text(alphabet="化学工程元素 \t\u3000\x1c\xa0药品", min_size=1, max_size=20),
        st.text(alphabet="化学工程元素 \t\u3000\x1c\xa0药品", max_size=20),
        st.sampled_from(["word", "character"]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_score_pair_chrf_equals_chrf_over_raw_texts(original, candidate, level):
     # score_pair reads chrF from the joined tokens; only whitespace may differ
     assume(original.strip())
@@ -697,7 +697,7 @@ def batched_matches(groups, top):
 
 
 @given(batches())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_batch_scorer_equals_per_pair_oracles(case):
     config, groups = case
     scoring = at_scoring_level(config, groups)
@@ -715,7 +715,7 @@ def test_batch_scorer_equals_per_pair_oracles(case):
 
 
 @given(batches())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_batched_matches_equal_per_pair_clipping(case):
     config, groups = case
     groups = at_scoring_level(config, groups)
@@ -764,7 +764,7 @@ def test_batched_matches_never_cross_references():
 
 
 @given(reference_and_candidates())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_public_metrics_equal_per_pair_oracles(case):
     config, ref, cands = case
     idf = fit_idf([ref] + cands)

@@ -43,7 +43,8 @@ from bteval.stats import ExperimentDesign, ScoreMatrix, StatsError
 from bteval.transport import BackendError, HttpBackend, TokenBucket
 
 from conftest import (
-    FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_config, write_jsonl, write_run_config,
+    FIXTURES, HUA_YAO_MODELS, REPO, fixture_text, run_cli, run_config, write_jsonl,
+    write_run_config,
 )
 from http_stub import TLS_CERT, Step, chat, plain, serve
 
@@ -974,7 +975,7 @@ def test_a_malformed_chat_reply_costs_one_backends_records(tmp_path):
         good = http_config(good_stub.port, id="good", max_retries=0)
         bad = http_config(bad_stub.port, id="bad", max_retries=0)
         config = write_run(tmp_path, corpus, [good, bad], r)
-        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        code = run_cli("run", "--config", config, "--out", tmp_path / "out").code
         _, alone, _ = run_experiment(corpus, run_config([good], r))
     assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
     records = read_records(tmp_path / "out" / "records.jsonl")
@@ -1026,7 +1027,7 @@ def test_any_scripted_reply_costs_only_its_backends_records(tmp_path):
         out = tmp_path / "out"
         with mock.patch.object(transport, "MAX_REPLY_BYTES",
                                256 if step is OVER_CAP else transport.MAX_REPLY_BYTES):
-            code = cli.main(["run", "--config", str(tmp_path / f"{wire_format}.json"), "--out", str(out)])
+            code = run_cli("run", "--config", tmp_path / f"{wire_format}.json", "--out", out).code
         assert code in (cli.EXIT_OK, cli.EXIT_DEGRADED)
         records = read_records(out / "records.jsonl")
         assert len(records) == len(corpus) * 2  # n * k * r, with k = 2 and r = 1
@@ -1041,7 +1042,7 @@ def test_any_scripted_reply_costs_only_its_backends_records(tmp_path):
         for step in FIXED_REPLIES:
             for wire_format in WIRE_FORMATS:
                 check(step, wire_format)
-        settings(max_examples=20, deadline=None)(
+        settings(max_examples=20)(
             given(DRAWN_REPLIES, st.sampled_from(WIRE_FORMATS))(check))()
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bteval import report
-from bteval.cli import EXIT_OK, main
+from bteval.cli import EXIT_OK
 from bteval.corpus import parse_corpus
 from bteval.metrics import score_pair
 from bteval.config import RunConfig
@@ -43,7 +43,7 @@ from bteval.report import (
     summarize_all,
 )
 
-from conftest import make_matrix, write_config, write_jsonl, write_matrix
+from conftest import make_matrix, run_cli, write_config, write_jsonl, write_matrix
 
 
 def fake_battery(metric, significant_pairs):
@@ -329,7 +329,7 @@ NAN = math.nan
            "none": make_matrix(np.full((3, 1, 2), NAN), "none"),
            "ter": make_matrix([[[1.5, 0.2]], [[NAN, NAN]], [[0.7, 0.8]]], "ter")},
           [CorrelationEntry("bleu", "chrf", 1.0, 0.0, 0.0)]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_emit_plot_data_matches_reference_encoder(inputs):
     matrices, correlations = inputs
     with np.errstate(over="ignore"):  # squared deviations of 1e300 overflow to inf
@@ -589,19 +589,19 @@ correlation_entries = st.builds(CorrelationEntry, labels, labels, csv_floats, cs
 
 
 @given(st.lists(summary_rows, max_size=5))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_summaries_csv_matches_hand_listed_writer(rows):
     assert same_bytes(emit_summaries_csv, oracle_summaries_csv, rows)
 
 
 @given(st.lists(pairwise_batteries, max_size=4))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_pairwise_csv_matches_hand_listed_writer(batteries):
     assert same_bytes(emit_pairwise_csv, oracle_pairwise_csv, batteries)
 
 
 @given(st.lists(correlation_entries, max_size=5))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_correlations_csv_matches_hand_listed_writer(entries):
     assert same_bytes(emit_correlations_csv, oracle_correlations_csv, entries)
 
@@ -613,7 +613,7 @@ RUN_CORPUS = [
 ]
 
 
-def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
+def test_run_artifacts_match_hand_listed_encoders(tmp_path):
     corpus_path = write_jsonl(tmp_path / "corpus.jsonl", RUN_CORPUS)
     data = {"corpus": str(corpus_path), "repetitions": 2, "master_seed": 3,
             "backends": [{"id": "same", "kind": "mock", "model_name": "identity"},
@@ -622,8 +622,7 @@ def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
             "scoring": {"smoothing_epsilon": 0.1, "chrf_max_n": 4}}
     config_path = write_config(tmp_path / "run.json", data)
     out = tmp_path / "run"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
+    assert run_cli("run", "--config", config_path, "--out", out).code == EXIT_OK
 
     config = config_from_json(RunConfig, data, "run config")
     matrices, _, manifest = run_experiment(parse_corpus(corpus_path), config)
@@ -654,14 +653,14 @@ def test_run_artifacts_match_hand_listed_encoders(capsys, tmp_path):
     assert correlations and len(summaries) == 5 * 3
 
 
-def test_score_stdout_matches_hand_listed_encoder(capsys, tmp_path):
+def test_score_stdout_matches_hand_listed_encoder(tmp_path):
     original, candidate = "化学工程领域的研究与分析。", "化学领域的分析与研究。"
     (tmp_path / "a.txt").write_text(original, encoding="utf-8")
     (tmp_path / "b.txt").write_text(candidate, encoding="utf-8")
-    assert main(["score", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == EXIT_OK
+    code, out, _ = run_cli("score", tmp_path / "a.txt", tmp_path / "b.txt")
     vector = score_pair(original, candidate, default_lexicon())
-    assert capsys.readouterr().out == json.dumps(oracle_vector_dict(vector),
-                                                 ensure_ascii=False) + "\n"
+    assert code == EXIT_OK
+    assert out == json.dumps(oracle_vector_dict(vector), ensure_ascii=False) + "\n"
 
 
 # ------------------------------------------------- golden bytes of `bteval report`
@@ -696,11 +695,10 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_report_artifacts_match_golden_bytes(capsys, tmp_path):
+def test_report_artifacts_match_golden_bytes(tmp_path):
     for metric, matrix in golden_matrices().items():
         write_matrix(tmp_path / f"matrix_{metric}.json", matrix)
     out = tmp_path / "report"
-    assert main(["report", str(tmp_path), "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
+    assert run_cli("report", tmp_path, "--out", out).code == EXIT_OK
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in GOLDEN_SHA256} == GOLDEN_SHA256

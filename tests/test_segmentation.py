@@ -124,7 +124,7 @@ def test_dp_matches_brute_force_on_short_texts(seed):
 
 
 @given(st.text(alphabet="化学工程人智能药 \t", min_size=0, max_size=40))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_lossless_coverage(text):
     lexicon = Lexicon({"化学": 100, "工程": 80, "人工智能": 50, "智能": 30, "药": 5})
     tokens = segment_words(text, lexicon)
@@ -172,7 +172,7 @@ SMALL_LEXICONS = st.one_of(
 @given(SMALL_LEXICONS, st.text(alphabet="甲乙丙丁 ", max_size=30))
 @example({"甲乙": 7, "丙": 7, "甲": 7, "乙丙": 7}, "甲乙丙")  # equal routes: longer first token
 @example({"甲乙": 1, "乙丙": 1, "甲": 1}, "甲乙丙")  # a frequency-1 entry ties the fallback
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_segment_words_matches_two_pass_oracle(entries, text):
     lexicon = Lexicon(entries)
     expected = [t for chunk in text.split() for t in two_pass_segment_chunk(chunk, lexicon)]
@@ -261,7 +261,7 @@ def with_corpus_examples(test):
 # lexicon characters, whitespace, and 戊 and latin letters, which no entry covers
 @given(prefix_lexicons(), st.text(alphabet="甲乙丙戊a \t\n", max_size=40))
 @with_corpus_examples
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_segment_words_matches_nested_dict_oracle(entries, text):
     lexicon, oracle = Lexicon(entries), nested_dict_lexicon(entries)
     tokens = segment_words(text, lexicon).tokens
@@ -277,7 +277,7 @@ TEXTS = st.text(alphabet="甲乙丙丁ab \t\n", max_size=12)
 
 
 @given(SMALL_LEXICONS, st.lists(TEXTS, max_size=6), st.lists(TEXTS, max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_segmenter_keeps_only_its_kept_texts(entries, keep, others):
     lexicon = Lexicon(entries)
     calls = []
@@ -429,7 +429,7 @@ MIXED_TABLE = {"觀": "观", "點": "点", "A": "a", chr(0x33FF): "x", chr(0xA00
 @given(st.text(alphabet=HAN_BOUNDARIES + "觀點观点元素 A1。", max_size=40),
        st.sampled_from(["default", "mixed"]),
        st.sampled_from([0.0, DEFAULT_TRADITIONAL_THRESHOLD, 0.5]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @example("A" * 10 + chr(0x3400), "mixed", 0.5)
 @example(chr(0x33FF) + chr(0xA000) + chr(0x2FA20), "mixed", 0.0)
 def test_detect_traditional_equals_per_character_oracle(text, table_name, threshold):
@@ -446,7 +446,7 @@ RATIO_ALPHABET = (HAN_BOUNDARIES + "觀點观点元素組成" + chr(0x20BB7) + c
 
 @given(st.lists(st.text(alphabet=RATIO_ALPHABET, max_size=30), max_size=8),
        st.sampled_from(["default", "mixed"]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @example([], "default")
 @example(["", "\ud800", " \u3000", "觀点", chr(0x2FA1F)], "mixed")
 @example(["觀点", "", "A", "元素"] * 80, "default")  # several slices of the kernel

@@ -169,14 +169,14 @@ def test_block_ranks_examples():
 
 
 @given(st.lists(TIED, min_size=1, max_size=40))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_block_ranks_of_one_row_match_loop_oracle(values):
     assert row_ranks(values) == oracle_rank_with_ties(values)
 
 
 @given(st.integers(1, 8).flatmap(
     lambda k: st.lists(st.lists(TIED, min_size=k, max_size=k), min_size=1, max_size=12)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_block_ranks_match_loop_oracle_per_row(grid):
     ranks = _block_ranks(np.array(grid))
     assert ranks.shape == (len(grid), len(grid[0]))
@@ -269,7 +269,7 @@ def tie_heavy_grids(draw):
 @given(tie_heavy_grids())
 @example([[0.0, -0.0, 0.0], [math.inf, math.inf, math.inf], [-0.0, -0.0, 0.0]])  # all tied
 @example([[-math.inf, 0.0, math.inf], [math.inf, -0.0, 0.0]])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_friedman_tie_term_from_ranks_equals_counted_ties(grid):
     result = friedman(grid)
     assert (result.statistic, result.p_value) == oracle_friedman(grid)
@@ -501,7 +501,7 @@ SMALL_SERIES = st.dictionaries(
 
 
 @given(st.one_of(EQUAL_LENGTH_SERIES, SMALL_SERIES))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_spearman_battery_matches_per_pair_spearman(series):
     try:
         expected = oracle_spearman_battery(series)
@@ -720,7 +720,7 @@ def test_descriptive_single_infinity_has_nan_std_without_warning():
 @example([0.3578680612554048, -0.3578680612554048])  # libm pow(x, 2) != x * x here
 @example([-0.0, -0.0, 2.8442255724327534e+154])  # squared deviations sum past the float max
 @example([1e200, -1e200])  # one square past the float range: std is inf, not an error
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_descriptive_mean_and_std_match_numpy_scalar_sums(values):
     # exact sums over numpy scalars: a square past the float range is inf, not an error
     arr = np.asarray(values, dtype=float)
@@ -832,7 +832,7 @@ def matrix_fields(draw):
 
 
 @given(matrix_fields())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_score_matrix_the_constructor_accepts_round_trips_through_a_matrix_file(fields):
     try:
         matrix = ScoreMatrix(**fields)
@@ -847,7 +847,7 @@ def test_score_matrix_the_constructor_accepts_round_trips_through_a_matrix_file(
 
 @given(st.lists(st.one_of(st.none(), st.just(-0.0), st.integers(-2 ** 53, 2 ** 53),
                           st.floats(allow_nan=False)), min_size=6, max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example([None, None, None, None, None, math.inf])
 def test_score_matrix_from_dict_decodes_like_per_value_oracle(flat):
     data = {"metric": "bleu", "design": {"n": 1, "k": 2, "r": 3},
@@ -941,7 +941,7 @@ def batteries(draw):
 
 
 @given(batteries())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_stats_report_matches_hand_listed_encoder(generated):
     assert emitted_stats_report(generated) == oracle_stats_report(generated)
 

@@ -228,7 +228,7 @@ def outcome(function, *args):
 @example((0.5, 0.5, 2.796868232525866, 0.5))
 @example((0.5, 0.5, 16.259759385701223, 0.5))
 @given(tail_cases())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_tails_are_bit_identical_to_the_pre_lentz_oracle(case):
     a, b, x, y = case
     calls = [("reg_upper_gamma", (a, x)), ("reg_inc_beta", (a, b, y)),
